@@ -407,7 +407,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
+    p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter",
+                   help="cap on the norm solver's Krylov steps")
     p.add_argument("--dense-check", action="store_true", dest="dense_check",
                    help="cross-check against the dense oracle (exit 3 on disagreement)")
     p.set_defaults(func=cmd_norm)

@@ -66,7 +66,7 @@ class ExperimentConfig:
     quantile_probes: tuple[float, ...] = (0.05, 0.5, 0.95)
     workers: int = 1
     norm_tol: float = 1e-10
-    norm_max_iter: int = 100_000
+    norm_max_iter: int = 100_000  # cap on the norm solver's Krylov steps
     center_offset: float | None = None  # None uses log(n/2)
 
     def __post_init__(self):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dft import convolve_full
+from .norms import gram_lanczos
 
 __all__ = [
     "ExtremalPair",
@@ -106,52 +107,35 @@ def principal_right_singular(
     max_iter: int = 100_000,
     start: np.ndarray | None = None,
 ) -> PowerResult:
-    """Top right singular pair of the banded convolution matrix of w.
+    """Top right singular pair of the banded convolution matrix W of w.
 
-    Power iteration on the Gram operator using only `banded_matvec` and
-    `banded_rmatvec`; the matrix itself is never formed. `start` lets the
+    Runs the Lanczos core :func:`specnorm.norms.gram_lanczos` on the
+    cols x cols operator ``u -> W^T (W u)``, each step one `banded_matvec`
+    and one `banded_rmatvec`; the matrix itself is never formed. The result
+    is converged once the Ritz residual is at most ``tol * sigma^2``;
+    `iterations` counts Krylov steps (at most `cols`). `start` lets the
     alternation warm-start from the previous iterate; the default start is
-    a fixed pseudo-random unit vector. (The Gram matrix is persymmetric,
-    so a structured start such as all-ones can sit inside the flip-even
-    eigenspace and miss a flip-odd principal vector.)
+    a fixed pseudo-random vector. (The Gram matrix is persymmetric, so a
+    structured start such as all-ones spans only flip-even Krylov vectors
+    and can miss a flip-odd principal vector.)
     """
     if cols < 1:
         raise ValueError("cols must be at least 1")
     wv = np.asarray(w, dtype=float)
     if start is None:
         u = np.random.Generator(np.random.Philox(key=0x5EED)).standard_normal(cols)
-        u /= np.linalg.norm(u)
     else:
         u = np.asarray(start, dtype=float)
         if u.shape != (cols,):
             raise ValueError(f"start vector must have length {cols}")
-        u = u / np.linalg.norm(u)
-
-    eff_tol = max(tol, 16.0 * _EPS)
-    rho_prev = None
-    rho = 0.0
-    rel = math.inf
-    converged = False
-    it = 0
-    while it < max_iter:
-        it += 1
-        y = banded_matvec(wv, u)
-        rho = float(y @ y)
-        if rho == 0.0:
-            # w or the start vector is numerically zero
-            return PowerResult(u, 0.0, it, True)
-        g = banded_rmatvec(wv, y, cols)
-        u = g / np.linalg.norm(g)
-        if rho_prev is not None:
-            rel = abs(rho - rho_prev) / rho
-            if rel <= eff_tol:
-                converged = True
-                break
-        rho_prev = rho
-
-    u = _fix_sign(u)
-    sigma = float(np.linalg.norm(banded_matvec(wv, u)))
-    return PowerResult(u, sigma, it, converged)
+    top = gram_lanczos(
+        lambda x: banded_matvec(wv, x),
+        lambda y: banded_rmatvec(wv, y, cols),
+        u,
+        tol,
+        max_iter,
+    )
+    return PowerResult(_fix_sign(top.vector), math.sqrt(top.value), top.steps, top.converged)
 
 
 def _bracket_lo(i_value: float, p: int) -> float:

@@ -52,7 +52,7 @@ _REVERSED = ("hankel", "reverse_circulant")
 # families embedded in an n-point circulant (no padding)
 _CIRCULANT_LIKE = ("circulant", "reverse_circulant")
 
-_DENSE_ENTRY_LIMIT = 10**8
+_DENSE_ENTRY_LIMIT = 10**7
 
 
 class ResourceLimitError(RuntimeError):

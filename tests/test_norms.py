@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specnorm import norms
 from specnorm.extremes import b_statistic
 from specnorm.norms import NormResult, scaled_norm, spectral_norm_dense, spectral_norm_fast
 from specnorm.structured import (
@@ -11,8 +12,12 @@ from specnorm.structured import (
     ResourceLimitError,
     build_symbol,
     dense_materialize,
+    replicate_stream,
     symbol_from_values,
 )
+
+# rounding of the FFT products and of the dense SVD, relative to sigma^2
+ROUNDING = 64 * np.finfo(float).eps
 
 
 def eigencount_above(gram, t):
@@ -51,7 +56,9 @@ def test_all_ones_toeplitz_norm():
     spec = MatrixSpec("toeplitz", p=3, n=5)
     sym = symbol_from_values(np.ones(8), spec)
     res = spectral_norm_fast(sym, spec)
-    assert res.converged
+    # rank one: two distinct Gram eigenvalues, an invariant Krylov space
+    # after two steps
+    assert res.converged and res.iterations <= 2
     assert res.sigma_max == pytest.approx(math.sqrt(15), rel=1e-10)
 
 
@@ -60,6 +67,76 @@ def test_single_row_norm_is_row_length():
     sym = build_symbol(spec)
     res = spectral_norm_fast(sym, spec)
     assert res.sigma_max == pytest.approx(np.linalg.norm(sym.values), rel=1e-10)
+    # a one-dimensional Krylov space is the whole space: exact after one step
+    assert res.converged and res.iterations == 1 and res.residual == 0.0
+
+
+def test_zero_symbol_is_exact():
+    spec = MatrixSpec("toeplitz", p=5, n=9)
+    res = spectral_norm_fast(symbol_from_values(np.zeros(14), spec), spec)
+    assert res == NormResult(0.0, 1, True, 0.0)
+
+
+def test_exact_termination_within_dim_steps():
+    spec = MatrixSpec("hankel", p=4, n=11, seed=8)
+    sym = build_symbol(spec)
+    res = spectral_norm_fast(sym, spec, tol=1e-15)
+    assert res.converged and res.iterations == spec.p and res.residual == 0.0
+    oracle = spectral_norm_dense(dense_materialize(sym, spec)).sigma_max
+    assert abs(res.sigma_max - oracle) <= 1e-14 * oracle
+
+
+def test_converged_residual_certifies_the_squared_norm():
+    rng = np.random.default_rng(77)
+    variants = [(f, s) for s in (False, True) for f in FAMILIES]
+    for tol in (1e-4, 1e-10):
+        for i in range(48):
+            family, symmetric = variants[i % 8]
+            n = int(rng.integers(2, 97))
+            p = int(rng.integers(1, min(n, 48) + 1))
+            spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=7000 + i)
+            sym = build_symbol(spec)
+            res = spectral_norm_fast(sym, spec, tol=tol)
+            dense_sq = spectral_norm_dense(dense_materialize(sym, spec)).sigma_max ** 2
+            assert res.converged and res.iterations <= p
+            assert res.residual <= max(tol, 16 * np.finfo(float).eps) * res.sigma_max**2
+            assert abs(res.sigma_max**2 - dense_sq) <= res.residual + ROUNDING * dense_sq
+
+
+def test_c7_replicates_match_dense_at_default_tol():
+    # the stopping rule of power iteration passed 53 of these 500 draws while
+    # still short of the norm by more than 1e-8 (worst 5.1e-6, top-pair gap 6e-6)
+    spec = MatrixSpec("circulant", p=64, n=128, seed=101)
+    for r in range(500):
+        sym = build_symbol(spec, replicate_stream(101, r))
+        res = spectral_norm_fast(sym, spec)
+        oracle = spectral_norm_dense(dense_materialize(sym, spec)).sigma_max
+        assert res.converged, r
+        assert abs(res.sigma_max - oracle) <= 1e-8 * oracle, r
+
+
+def test_one_product_pair_per_step(monkeypatch):
+    calls = {"matvec": 0, "rmatvec": 0}
+    for name in calls:
+        original = getattr(norms, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(norms, name, counted)
+    spec = MatrixSpec("toeplitz", p=20, n=50, seed=3)
+    res = spectral_norm_fast(build_symbol(spec), spec)
+    assert calls == {"matvec": res.iterations, "rmatvec": res.iterations}
+
+
+def test_krylov_basis_past_its_byte_budget_is_refused(monkeypatch):
+    spec = MatrixSpec("toeplitz", p=12, n=25, seed=1)
+    sym = build_symbol(spec)
+    monkeypatch.setattr(norms, "_BASIS_BYTES", 3 * 12 * 8)
+    assert spectral_norm_fast(sym, spec, max_iter=3).iterations == 3
+    with pytest.raises(ResourceLimitError):
+        spectral_norm_fast(sym, spec)
 
 
 def test_dense_diagonal_padded():
@@ -156,6 +233,8 @@ def test_non_convergence_is_flagged_not_raised():
     assert isinstance(res, NormResult)
     assert not res.converged
     assert res.sigma_max > 0
+    single = spectral_norm_fast(sym, spec, max_iter=1)
+    assert not single.converged and single.iterations == 1
 
 
 def test_fast_norm_parameter_validation():
