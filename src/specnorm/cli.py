@@ -1,7 +1,8 @@
 """Command-line front end: constants tables, single norms, Monte Carlo runs.
 
 Exit codes: 0 success, 2 numerical non-convergence or failed experiment,
-3 oracle disagreement, 64 usage error. CSV output uses '.' decimals and
+3 oracle disagreement, 64 usage error or a refused size (the dense oracle
+or the Krylov basis past its limit). CSV output uses '.' decimals and
 12 significant digits so golden files reproduce across platforms.
 """
 
@@ -13,23 +14,33 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .extremes import dominance_check, g_c_quantile, gumbel_model, gumbel_quantile, theta_c
+from .extremes import g_c_quantile, gumbel_model, theta_c
 from .montecarlo import (
     ExperimentConfig,
     ExperimentError,
+    SweepRow,
     collect_samples,
+    gumbel_dominance,
+    n_for_ratio,
+    paired_bound_experiment,
     reference_constant,
-    run_experiment,
-    sweep_ratios,
+    summary_row,
 )
 from .norms import scaled_norm, spectral_norm_dense, spectral_norm_fast
-from .sinekernel import k_estimate, k_table
-from .structured import DISTRIBUTIONS, FAMILIES, MatrixSpec, build_symbol, dense_materialize
+from .sinekernel import k_table
+from .structured import (
+    DISTRIBUTIONS,
+    FAMILIES,
+    MatrixSpec,
+    ResourceLimitError,
+    build_symbol,
+    dense_materialize,
+)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
@@ -155,10 +166,6 @@ def cmd_norm(args) -> int:
         raise UsageError(str(exc)) from None
     sym = build_symbol(spec)
     result = spectral_norm_fast(sym, spec, tol=args.tol, max_iter=args.max_iter)
-    if spec.family in ("circulant", "reverse_circulant"):
-        reference = 1.0
-    else:
-        reference = k_estimate(spec.p, spec.n)[0].k_value
     row = {
         "family": spec.family,
         "symmetric": spec.symmetric,
@@ -167,7 +174,7 @@ def cmd_norm(args) -> int:
         "seed": spec.seed,
         "sigma_max": result.sigma_max,
         "scaled_norm": scaled_norm(result.sigma_max, spec),
-        "reference": reference,
+        "reference": reference_constant(spec),
         "iterations": result.iterations,
         "converged": result.converged,
     }
@@ -252,126 +259,108 @@ def _as_tuple(value, cast) -> tuple:
     return tuple(cast(part) for part in value)
 
 
-def _experiment_config(data: dict, args) -> tuple[ExperimentConfig, list[float] | None, str | None]:
-    data = dict(data)
-    ratios = data.pop("ratios", None)
-    if ratios is not None:
-        ratios = list(_as_tuple(ratios, float))
+def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
+    """The experiments of a config file, one per ratio in a sweep, with the
+    given statistics if any, and the raw_output path."""
+    data = load_config(args.config)
     raw_output = data.pop("raw_output", None)
-    if "statistics" in data:
-        data["statistics"] = _as_tuple(data["statistics"], str)
-    if "quantile_probes" in data:
-        data["quantile_probes"] = _as_tuple(data["quantile_probes"], float)
-    data.setdefault("base_seed", _resolve_seed(args))
-    data.setdefault("workers", args.threads)
-    if "p" not in data:
-        raise UsageError("config must set p")
-    if "n" not in data:
-        if ratios:
-            data["n"] = math.floor(data["p"] / max(ratios))
-        else:
-            raise UsageError("config must set n (or ratios for a sweep)")
     try:
+        ratios = _as_tuple(data.pop("ratios", ()), float)
+        if ratios and raw_output is not None:
+            raise UsageError("raw_output needs a single-experiment config, not a sweep")
+        if ratios and getattr(args, "dominance_output", None):
+            raise UsageError("--dominance-output needs a single-experiment config, not a sweep")
+        if "statistics" in data:
+            data["statistics"] = _as_tuple(data["statistics"], str)
+        if "quantile_probes" in data:
+            data["quantile_probes"] = _as_tuple(data["quantile_probes"], float)
+        data.setdefault("base_seed", _resolve_seed(args))
+        data.setdefault("workers", args.threads)
+        if "p" not in data:
+            raise UsageError("config must set p")
+        if "n" not in data:
+            if not ratios:
+                raise UsageError("config must set n (or ratios for a sweep)")
+            data["n"] = n_for_ratio(data["p"], max(ratios))
         cfg = ExperimentConfig(**data)
+        if statistics is not None:
+            cfg = replace(cfg, statistics=statistics)
+        configs = [replace(cfg, n=n_for_ratio(cfg.p, r)) for r in ratios] or [cfg]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid experiment config: {exc}") from None
-    return cfg, ratios, raw_output
+    return configs, raw_output
 
 
 def cmd_mc(args) -> int:
-    cfg, ratios, raw_output = _experiment_config(load_config(args.config), args)
-    if len(cfg.statistics) != 1:
+    configs, raw_output = _experiment_configs(args)
+    if len(configs[0].statistics) != 1:
         raise UsageError("the mc summary covers one statistic per run")
-    probes = tuple(sorted(set(cfg.quantile_probes) | {0.05, 0.5, 0.95}))
-    cfg = replace(cfg, quantile_probes=probes)
-    try:
-        if ratios:
-            rows = [
-                {
-                    "ratio": row.ratio,
-                    "p": row.p,
-                    "n": row.n,
-                    "count": row.count,
-                    "mean": row.mean,
-                    "q05": row.q05,
-                    "median": row.median,
-                    "q95": row.q95,
-                    "reference": row.reference,
-                }
-                for row in sweep_ratios(cfg, ratios, cfg.p)
-            ]
-        else:
-            summary = run_experiment(cfg, raw_path=raw_output)[cfg.statistics[0]]
-            probes = dict(summary.quantiles)
-            rows = [
-                {
-                    "ratio": cfg.p / cfg.n,
-                    "p": cfg.p,
-                    "n": cfg.n,
-                    "count": summary.count,
-                    "mean": summary.mean,
-                    "q05": probes.get(0.05, summary.quantile(0.05)),
-                    "median": summary.median,
-                    "q95": probes.get(0.95, summary.quantile(0.95)),
-                    "reference": reference_constant(cfg),
-                }
-            ]
-    except ExperimentError as exc:
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    _emit(rows, ["ratio", "p", "n", "count", "mean", "q05", "median", "q95", "reference"], args)
+    rows = [asdict(summary_row(cfg, raw_output)) for cfg in configs]
+    _emit(rows, [field.name for field in fields(SweepRow)], args)
+    return EXIT_OK
+
+
+_LEVELS = ((0.05, "q05"), (0.5, "q50"), (0.95, "q95"))
+
+
+def _quantile_row(cfg: ExperimentConfig, scaled: np.ndarray, **extra) -> dict:
+    """Empirical scaled-norm quantiles next to the shifted-Gumbel model's."""
+    c = cfg.p / cfg.n
+    row = {"ratio": c, "p": cfg.p, "n": cfg.n, "count": int(scaled.size), **extra}
+    for q, label in _LEVELS:
+        row[f"{label}_empirical"] = float(np.quantile(scaled, q))
+        row[f"{label}_model"] = g_c_quantile(q, c, cfg.n)
+    return row
+
+
+def _write_dominance(path: str, checks) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "empirical_cdf", "gumbel_cdf", "diff", "flag"])
+        for check in checks:
+            writer.writerow([_fmt(check.x), _fmt(check.empirical_cdf),
+                             _fmt(check.gumbel_cdf), _fmt(check.diff), _fmt(check.flag)])
+
+
+def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
+    """Shared ratio loop of gumbel-compare and paired: `run(cfg, raw_output)`
+    returns one output row and a dominance report (or None)."""
+    configs, raw_output = _experiment_configs(args, statistics)
+    cfg = configs[0]
+    if cfg.family != "circulant" or cfg.symmetric or cfg.dist != "gaussian":
+        raise UsageError(f"{args.command} needs a non-symmetric Gaussian circulant")
+    rows, checks = [], []
+    for cfg in configs:
+        row, dominance = run(cfg, raw_output)
+        rows.append(row)
+        if dominance is not None:
+            checks.extend(dominance.probes)
+    _emit(rows, list(rows[0]), args)
+    if args.dominance_output and checks:
+        _write_dominance(args.dominance_output, checks)
     return EXIT_OK
 
 
 def cmd_gumbel_compare(args) -> int:
-    cfg, ratios, raw_output = _experiment_config(load_config(args.config), args)
-    if cfg.family != "circulant" or cfg.symmetric or cfg.dist != "gaussian":
-        raise UsageError("gumbel-compare needs a non-symmetric Gaussian circulant")
-    cfg = replace(cfg, statistics=("scaled_norm", "centered_norm_sq"))
-    configs = []
-    if ratios:
+    def run(cfg, raw_output):
+        samples, _ = collect_samples(cfg, raw_path=raw_output)
+        dominance = None
         if args.dominance_output:
-            raise UsageError("--dominance-output needs a single-experiment config, not a sweep")
-        for ratio in ratios:
-            n = math.floor(cfg.p / ratio)
-            configs.append(replace(cfg, n=n))
-    else:
-        configs.append(cfg)
+            dominance = gumbel_dominance(samples["centered_norm_sq"], gumbel_model(cfg.p / cfg.n))
+        return _quantile_row(cfg, samples["scaled_norm"]), dominance
 
-    levels = (0.05, 0.5, 0.95)
-    rows = []
-    dominance_rows = []
-    try:
-        for sub in configs:
-            samples, _ = collect_samples(sub, raw_path=raw_output)
-            scaled = np.sort(samples["scaled_norm"])
-            c = sub.p / sub.n
-            row = {"ratio": c, "p": sub.p, "n": sub.n, "count": int(scaled.size)}
-            for q, label in zip(levels, ("q05", "q50", "q95")):
-                row[f"{label}_empirical"] = float(np.quantile(scaled, q))
-                row[f"{label}_model"] = g_c_quantile(q, c, sub.n)
-            rows.append(row)
-            if args.dominance_output and scaled.size >= 500:
-                model = gumbel_model(c)
-                probes = [gumbel_quantile(q, model) for q in (0.05, 0.25, 0.5, 0.75, 0.95)]
-                report = dominance_check(samples["centered_norm_sq"], model, probes)
-                dominance_rows.extend(report.probes)
-    except ExperimentError as exc:
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    return _gumbel_sweep(args, ("scaled_norm", "centered_norm_sq"), run)
 
-    columns = ["ratio", "p", "n", "count"]
-    for label in ("q05", "q50", "q95"):
-        columns += [f"{label}_empirical", f"{label}_model"]
-    _emit(rows, columns, args)
-    if args.dominance_output and dominance_rows:
-        with open(args.dominance_output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "empirical_cdf", "gumbel_cdf", "diff", "flag"])
-            for check in dominance_rows:
-                writer.writerow([_fmt(check.x), _fmt(check.empirical_cdf),
-                                 _fmt(check.gumbel_cdf), _fmt(check.diff), _fmt(check.flag)])
-    return EXIT_OK
+
+def cmd_paired(args) -> int:
+    def run(cfg, raw_output):
+        if raw_output is not None:
+            raise UsageError("paired writes no raw samples; drop raw_output")
+        rep = paired_bound_experiment(cfg)
+        scaled = scaled_norm(np.sqrt(rep.sigma_sq), cfg.template_spec())
+        return _quantile_row(cfg, scaled, violations=rep.violations), rep.dominance
+
+    return _gumbel_sweep(args, ("scaled_norm", "b_statistic"), run)
 
 
 def build_parser() -> _Parser:
@@ -424,6 +413,13 @@ def build_parser() -> _Parser:
                    help="also write the CDF dominance report to this CSV")
     p.set_defaults(func=cmd_gumbel_compare)
 
+    p = sub.add_parser("paired", parents=[common],
+                       help="per-draw squared norm against its lower bound, with Gumbel quantiles")
+    p.add_argument("--config", required=True)
+    p.add_argument("--dominance-output", dest="dominance_output",
+                   help="also write the lower bound's CDF dominance report to this CSV")
+    p.set_defaults(func=cmd_paired)
+
     return root
 
 
@@ -436,6 +432,12 @@ def main(argv=None) -> int:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"specnorm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ResourceLimitError as exc:
+        print(f"specnorm: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ExperimentError as exc:
+        print(f"experiment failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,6 +40,9 @@ __all__ = [
     "sweep_ratios",
     "paired_bound_experiment",
     "reference_constant",
+    "n_for_ratio",
+    "summary_row",
+    "gumbel_dominance",
 ]
 
 STATISTICS = ("scaled_norm", "centered_norm_sq", "b_statistic")
@@ -128,47 +132,40 @@ class McSummary:
 @dataclass(frozen=True)
 class _Record:
     replicate: int
-    sigma_max: float
+    sigma_max: float  # nan when not computed
     b_value: float  # nan when not computed
     converged: bool
 
 
-def _need_sigma(cfg: ExperimentConfig) -> bool:
-    return any(stat in ("scaled_norm", "centered_norm_sq") for stat in cfg.statistics)
-
-
-def _run_replicate(cfg: ExperimentConfig, r: int, need_b: bool, need_sigma: bool) -> _Record:
+def _replicate(cfg: ExperimentConfig, r: int) -> _Record:
+    """Replicate r: the norm and/or the lower-bound statistic, as cfg.statistics need."""
     spec = cfg.template_spec()
     sym = build_symbol(spec, replicate_stream(cfg.base_seed, r))
-    if need_sigma:
+    sigma, converged = math.nan, True
+    if any(stat != "b_statistic" for stat in cfg.statistics):
         res = spectral_norm_fast(sym, spec, tol=cfg.norm_tol, max_iter=cfg.norm_max_iter)
         sigma, converged = res.sigma_max, res.converged
-    else:
-        sigma, converged = math.nan, True
-    b_val = b_statistic(sym.diag, cfg.p).value if need_b else math.nan
+    b_val = b_statistic(sym.diag, cfg.p).value if "b_statistic" in cfg.statistics else math.nan
     return _Record(replicate=r, sigma_max=sigma, b_value=b_val, converged=converged)
 
 
-def _run_batch(args) -> list[_Record]:
-    cfg, indices, need_b, need_sigma = args
-    return [_run_replicate(cfg, r, need_b, need_sigma) for r in indices]
-
-
-def _collect(cfg: ExperimentConfig, need_b: bool, need_sigma: bool = True) -> list[_Record]:
-    indices = list(range(cfg.replicates))
+def _collect(cfg: ExperimentConfig) -> list[_Record]:
+    """All replicates in index order, serially or over cfg.workers processes."""
+    indices = range(cfg.replicates)
     if cfg.workers == 1 or cfg.replicates == 1:
-        records = _run_batch((cfg, indices, need_b, need_sigma))
-    else:
-        chunk = max(1, math.ceil(cfg.replicates / (cfg.workers * 4)))
-        batches = [
-            (cfg, indices[i : i + chunk], need_b, need_sigma)
-            for i in range(0, cfg.replicates, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = [rec for batch in pool.map(_run_batch, batches) for rec in batch]
-    # aggregation order is fixed by replicate index, not by scheduling
-    records.sort(key=lambda rec: rec.replicate)
-    return records
+        return [_replicate(cfg, r) for r in indices]
+    chunk = math.ceil(cfg.replicates / (4 * cfg.workers))
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        return list(pool.map(_replicate, repeat(cfg), indices, chunksize=chunk))
+
+
+def _converged(cfg: ExperimentConfig, records: Sequence[_Record]) -> list[_Record]:
+    """The converged records; raises ExperimentError past the exclusion cap."""
+    kept = [rec for rec in records if rec.converged]
+    excluded = cfg.replicates - len(kept)
+    if excluded > _EXCLUSION_CAP * cfg.replicates or not kept:
+        raise ExperimentError(f"{excluded} of {cfg.replicates} replicates failed to converge")
+    return kept
 
 
 def _statistic_value(cfg: ExperimentConfig, stat: str, rec: _Record) -> float:
@@ -223,21 +220,15 @@ def collect_samples(
 ) -> tuple[dict[str, np.ndarray], int]:
     """Per-statistic sample arrays over converged replicates, plus the
     excluded count. Raises ExperimentError past the 0.1% exclusion cap."""
-    need_b = "b_statistic" in cfg.statistics
-    records = _collect(cfg, need_b, _need_sigma(cfg))
+    records = _collect(cfg)
     if raw_path is not None:
         _write_raw(raw_path, cfg, records)
-    kept = [rec for rec in records if rec.converged]
-    excluded = cfg.replicates - len(kept)
-    if excluded > _EXCLUSION_CAP * cfg.replicates or not kept:
-        raise ExperimentError(
-            f"{excluded} of {cfg.replicates} replicates failed to converge"
-        )
+    kept = _converged(cfg, records)
     samples = {
         stat: np.array([_statistic_value(cfg, stat, rec) for rec in kept])
         for stat in cfg.statistics
     }
-    return samples, excluded
+    return samples, cfg.replicates - len(kept)
 
 
 def run_experiment(cfg: ExperimentConfig, raw_path: str | None = None) -> dict[str, McSummary]:
@@ -254,13 +245,20 @@ def run_experiment(cfg: ExperimentConfig, raw_path: str | None = None) -> dict[s
     }
 
 
-def reference_constant(cfg: ExperimentConfig) -> float:
+def reference_constant(cfg: ExperimentConfig | MatrixSpec) -> float:
     """Limit of the scaled norm: 1 for circulant families, else the
-    bilinear sine-kernel constant at the experiment's (p, n)."""
+    bilinear sine-kernel constant at (p, n). Reads only family, p and n."""
     if cfg.family in ("circulant", "reverse_circulant"):
         return 1.0
     est, _ = k_estimate(cfg.p, cfg.n)
     return est.k_value
+
+
+def n_for_ratio(p: int, ratio: float) -> int:
+    """Column count of a sweep point: n = floor(p / ratio), ratio in (0, 1]."""
+    if not 0 < ratio <= 1:
+        raise ValueError(f"ratios must lie in (0, 1], got {ratio}")
+    return math.floor(p / ratio)
 
 
 @dataclass(frozen=True)
@@ -276,35 +274,27 @@ class SweepRow:
     reference: float
 
 
-def sweep_ratios(cfg_template: ExperimentConfig, ratios: Iterable[float], p: int) -> list[SweepRow]:
-    """One experiment per aspect ratio with n = floor(p / ratio).
+def summary_row(cfg: ExperimentConfig, raw_path: str | None = None) -> SweepRow:
+    """The first statistic's mean and 0.05/0.5/0.95 quantiles next to the
+    asymptotic reference constant."""
+    samples, _ = collect_samples(cfg, raw_path)
+    s = np.sort(samples[cfg.statistics[0]])
+    return SweepRow(
+        ratio=cfg.p / cfg.n,
+        p=cfg.p,
+        n=cfg.n,
+        count=int(s.size),
+        mean=float(np.mean(s)),
+        q05=_quantile(s, 0.05),
+        median=_quantile(s, 0.5),
+        q95=_quantile(s, 0.95),
+        reference=reference_constant(cfg),
+    )
 
-    The template's first statistic is summarized; its 0.05/0.5/0.95
-    quantiles land in the row next to the asymptotic reference constant.
-    """
-    rows = []
-    for ratio in ratios:
-        if not 0 < ratio <= 1:
-            raise ValueError(f"ratios must lie in (0, 1], got {ratio}")
-        n = math.floor(p / ratio)
-        probes = tuple(sorted(set(cfg_template.quantile_probes) | {0.05, 0.5, 0.95}))
-        cfg = replace(cfg_template, p=p, n=n, quantile_probes=probes)
-        stat = cfg.statistics[0]
-        summary = run_experiment(cfg)[stat]
-        rows.append(
-            SweepRow(
-                ratio=p / n,
-                p=p,
-                n=n,
-                count=summary.count,
-                mean=summary.mean,
-                q05=summary.quantile(0.05),
-                median=summary.median,
-                q95=summary.quantile(0.95),
-                reference=reference_constant(cfg),
-            )
-        )
-    return rows
+
+def sweep_ratios(cfg_template: ExperimentConfig, ratios: Iterable[float], p: int) -> list[SweepRow]:
+    """One summary row per aspect ratio with n = floor(p / ratio)."""
+    return [summary_row(replace(cfg_template, p=p, n=n_for_ratio(p, r))) for r in ratios]
 
 
 @dataclass(frozen=True)
@@ -320,10 +310,23 @@ class PairedReport:
     centered_bounds: np.ndarray
 
 
+_DOMINANCE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
+def gumbel_dominance(
+    centered: np.ndarray, model: GumbelModel, probe_levels: tuple[float, ...] = _DOMINANCE_LEVELS
+) -> DominanceReport | None:
+    """Dominance check of centered samples at the model's quantiles, or None
+    below the 500-sample floor of the check."""
+    if len(centered) < 500:
+        return None
+    return dominance_check(centered, model, [gumbel_quantile(q, model) for q in probe_levels])
+
+
 def paired_bound_experiment(
     cfg: ExperimentConfig,
     slack: float = 1e-9,
-    probe_levels: tuple[float, ...] = (0.05, 0.25, 0.5, 0.75, 0.95),
+    probe_levels: tuple[float, ...] = _DOMINANCE_LEVELS,
 ) -> PairedReport:
     """Per-draw comparison of the squared norm with its computable lower bound.
 
@@ -332,32 +335,21 @@ def paired_bound_experiment(
     are also checked for one-sided dominance against the shifted Gumbel law
     (needs at least 500 converged replicates, otherwise skipped).
     """
-    _require_b_compatible(cfg)
-    records = _collect(cfg, need_b=True)
-    kept = [rec for rec in records if rec.converged]
-    excluded = cfg.replicates - len(kept)
-    if excluded > _EXCLUSION_CAP * cfg.replicates:
-        raise ExperimentError(f"{excluded} of {cfg.replicates} replicates failed to converge")
+    cfg = replace(cfg, statistics=("scaled_norm", "b_statistic"))
+    kept = _converged(cfg, _collect(cfg))
 
     sigma_sq = np.array([rec.sigma_max**2 for rec in kept])
     bounds = np.array([cfg.p * rec.b_value for rec in kept])
     deficits = bounds - sigma_sq
-    violations = int(np.sum(deficits > slack))
     centered = bounds / cfg.p - cfg.center()
-
     model = gumbel_model(cfg.p / cfg.n)
-    dominance = None
-    if centered.size >= 500:
-        probes = [gumbel_quantile(q, model) for q in probe_levels]
-        dominance = dominance_check(centered, model, probes)
-
     return PairedReport(
         count=len(kept),
-        excluded=excluded,
-        violations=violations,
+        excluded=cfg.replicates - len(kept),
+        violations=int(np.sum(deficits > slack)),
         max_deficit=float(np.max(deficits)),
         model=model,
-        dominance=dominance,
+        dominance=gumbel_dominance(centered, model, probe_levels),
         sigma_sq=sigma_sq,
         bounds=bounds,
         centered_bounds=centered,

@@ -191,19 +191,14 @@ def spectral_norm_fast(
     return NormResult(math.sqrt(top.value), top.steps, top.converged, top.residual)
 
 
-def spectral_norm_dense(dense, tol: float = 1e-10, max_iter: int = 10_000) -> NormResult:
-    """Largest singular value of an explicit matrix (independent oracle path).
-
-    Delegates to the deterministic LAPACK SVD; `tol` and `max_iter` are
-    accepted for interface parity with the fast path and are not needed by
-    the direct solver.
-    """
+def spectral_norm_dense(dense) -> NormResult:
+    """Largest singular value of an explicit matrix (independent oracle path),
+    from the deterministic LAPACK SVD."""
     m = np.asarray(dense, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"dense input must be a matrix, got shape {m.shape}")
     if m.size > _DENSE_ENTRY_LIMIT:
         raise ResourceLimitError(f"dense norm refuses {m.size} entries > {_DENSE_ENTRY_LIMIT}")
-    del tol, max_iter
     sigma = float(np.linalg.svd(m, compute_uv=False)[0])
     return NormResult(sigma, 0, True, 0.0)
 

@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specnorm.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, main
+import specnorm.norms as norms
+import specnorm.structured as structured
+from specnorm.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, build_parser, main
 from specnorm.extremes import g_c_quantile
 from specnorm.structured import MatrixSpec, build_symbol
 
@@ -120,6 +125,15 @@ def test_norm_seed_from_environment(tmp_path, monkeypatch):
     assert read_csv(out)[0]["seed"] == "777"
 
 
+def test_norm_dense_refusal_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(structured, "_DENSE_ENTRY_LIMIT", 100)
+    code = run_cli("norm", "--family", "circulant", "--p", "8", "--n", "16", "--dense-check")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "specnorm: error: dense path refuses p*n = 128 > 100" in err
+    assert "Traceback" not in err
+
+
 MC_CONFIG = """# tiny smoke experiment
 family = circulant
 p = 16
@@ -186,6 +200,26 @@ def test_mc_experiment_failure_exit(tmp_path):
     assert run_cli("mc", "--config", str(cfg)) == EXIT_NUMERIC
 
 
+def test_mc_krylov_basis_refusal_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(norms, "_BASIS_BYTES", 8 * 16)
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(MC_CONFIG)
+    assert run_cli("mc", "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+    assert "specnorm: error: Krylov basis" in capsys.readouterr().err
+
+
+SWEEP_CONFIG = 'family = circulant\np = 8\nreplicates = 10\nratios = "1.0, 0.5"\n'
+
+
+@pytest.mark.parametrize("command", ["mc", "gumbel-compare", "paired"])
+def test_sweep_refuses_raw_output(tmp_path, command):
+    cfg = tmp_path / "sweep.cfg"
+    raw = tmp_path / "raw.csv"
+    cfg.write_text(SWEEP_CONFIG + f"raw_output = {raw}\n")
+    assert run_cli(command, "--config", str(cfg)) == EXIT_USAGE
+    assert not raw.exists()
+
+
 def test_gumbel_compare(tmp_path):
     cfg = tmp_path / "gc.cfg"
     cfg.write_text("""
@@ -222,6 +256,74 @@ def test_gumbel_compare_dominance_needs_single_experiment(tmp_path):
     code = run_cli("gumbel-compare", "--config", str(cfg),
                    "--dominance-output", str(tmp_path / "d.csv"))
     assert code == EXIT_USAGE
+
+
+PAIRED_CONFIG = """
+family = circulant
+p = 16
+replicates = 40
+seed = 4
+ratios = 0.5, 1.0
+""".strip()
+
+
+def test_paired_sweep(tmp_path):
+    cfg = tmp_path / "paired.cfg"
+    cfg.write_text(PAIRED_CONFIG)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"paired{threads}.csv"
+        code = run_cli("paired", "--config", str(cfg), "--threads", threads, "--output", str(out))
+        assert code == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    rows = read_csv(tmp_path / "paired1.csv")
+    assert list(rows[0]) == [
+        "ratio", "p", "n", "count", "violations", "q05_empirical", "q05_model",
+        "q50_empirical", "q50_model", "q95_empirical", "q95_model",
+    ]
+    assert [row["n"] for row in rows] == ["32", "16"]
+    assert all(row["count"] == "40" and row["violations"] == "0" for row in rows)
+    for row in rows:
+        c, n = float(row["ratio"]), int(row["n"])
+        assert float(row["q50_model"]) == pytest.approx(g_c_quantile(0.5, c, n), abs=1e-9)
+
+
+def test_paired_dominance_output(tmp_path):
+    cfg = tmp_path / "paired.cfg"
+    cfg.write_text("family = circulant\np = 16\nn = 32\nreplicates = 500\nseed = 6\n")
+    dom = tmp_path / "dom.csv"
+    code = run_cli("paired", "--config", str(cfg), "--output", str(tmp_path / "p.csv"),
+                   "--dominance-output", str(dom))
+    assert code == EXIT_OK
+    rows = read_csv(dom)
+    assert len(rows) == 5
+    assert list(rows[0]) == ["x", "empirical_cdf", "gumbel_cdf", "diff", "flag"]
+
+
+def test_paired_refusals(tmp_path):
+    cfg = tmp_path / "paired.cfg"
+    cfg.write_text("family = circulant\np = 3\nreplicates = 10\nratios = 0.5, 0.6\n")
+    assert run_cli("paired", "--config", str(cfg)) == EXIT_USAGE  # n = floor(3 / 0.6) = 5
+    cfg.write_text("family = toeplitz\np = 8\nn = 16\nreplicates = 10\n")
+    assert run_cli("paired", "--config", str(cfg)) == EXIT_USAGE
+    cfg.write_text(f"family = circulant\np = 8\nn = 16\nraw_output = {tmp_path / 'raw.csv'}\n")
+    assert run_cli("paired", "--config", str(cfg)) == EXIT_USAGE
+    cfg.write_text(SWEEP_CONFIG)
+    code = run_cli("paired", "--config", str(cfg), "--dominance-output", str(tmp_path / "d.csv"))
+    assert code == EXIT_USAGE
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.DOTALL)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("specnorm ")]
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert callable(args.func)
 
 
 def test_help_does_not_crash():

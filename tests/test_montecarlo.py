@@ -11,8 +11,11 @@ from specnorm.montecarlo import (
     ExperimentConfig,
     ExperimentError,
     collect_samples,
+    n_for_ratio,
     paired_bound_experiment,
+    reference_constant,
     run_experiment,
+    summary_row,
     sweep_ratios,
 )
 from specnorm.norms import scaled_norm, spectral_norm_fast
@@ -66,11 +69,11 @@ def test_exclusion_accounting(monkeypatch):
     # the bookkeeping instead of failing the run
     monkeypatch.setattr(mc, "_EXCLUSION_CAP", 1.0)
 
-    def fake_replicate(cfg, r, need_b, need_sigma):
+    def fake_replicate(cfg, r):
         return mc._Record(replicate=r, sigma_max=1.0 + r, b_value=math.nan,
                           converged=(r % 5 != 0))
 
-    monkeypatch.setattr(mc, "_run_replicate", fake_replicate)
+    monkeypatch.setattr(mc, "_replicate", fake_replicate)
     cfg = replace(TINY, replicates=20)
     summary = run_experiment(cfg)["scaled_norm"]
     assert summary.count + summary.excluded == cfg.replicates
@@ -160,6 +163,33 @@ def test_paired_bound_small_smoke():
     assert report.violations == 0
     assert report.max_deficit <= 1e-9
     assert report.dominance is None  # below the sample-size floor
+
+
+def test_paired_bound_worker_count_is_bit_identical():
+    cfg = ExperimentConfig(
+        family="circulant", p=16, n=32, replicates=30, base_seed=12, statistics=("scaled_norm",)
+    )
+    serial = paired_bound_experiment(replace(cfg, workers=1))
+    pooled = paired_bound_experiment(replace(cfg, workers=2))
+    assert serial.sigma_sq.tobytes() == pooled.sigma_sq.tobytes()
+    assert serial.bounds.tobytes() == pooled.bounds.tobytes()
+
+
+def test_summary_row_matches_run_experiment():
+    cfg = replace(TINY, family="toeplitz", replicates=12, norm_tol=1e-6)
+    row = summary_row(cfg)
+    summary = run_experiment(replace(cfg, quantile_probes=(0.05, 0.95)))["scaled_norm"]
+    assert (row.ratio, row.p, row.n, row.count) == (0.5, 16, 32, 12)
+    assert (row.mean, row.median) == (summary.mean, summary.median)
+    assert (row.q05, row.q95) == (summary.quantile(0.05), summary.quantile(0.95))
+    assert row.reference == reference_constant(cfg.template_spec())
+
+
+def test_n_for_ratio():
+    assert [n_for_ratio(250, r) for r in (1.0, 0.3, 0.1)] == [250, 833, 2500]
+    for bad in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            n_for_ratio(10, bad)
 
 
 def test_paired_bound_qq_slope_square_ratio():
