@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .montecarlo import (
     paired_bound_experiment,
     reference_constant,
     summary_row,
+    sweep_configs,
 )
 from .norms import scaled_norm, spectral_norm_dense, spectral_norm_fast
 from .sinekernel import k_table
@@ -270,7 +271,9 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
             raise UsageError("raw_output needs a single-experiment config, not a sweep")
         if ratios and getattr(args, "dominance_output", None):
             raise UsageError("--dominance-output needs a single-experiment config, not a sweep")
-        if "statistics" in data:
+        if statistics is not None:
+            data["statistics"] = statistics
+        elif "statistics" in data:
             data["statistics"] = _as_tuple(data["statistics"], str)
         if "quantile_probes" in data:
             data["quantile_probes"] = _as_tuple(data["quantile_probes"], float)
@@ -278,14 +281,14 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
         data.setdefault("workers", args.threads)
         if "p" not in data:
             raise UsageError("config must set p")
-        if "n" not in data:
-            if not ratios:
-                raise UsageError("config must set n (or ratios for a sweep)")
+        if ratios:
+            # a sweep sets n per ratio: the template gets one of its points' n,
+            # so a config n that the sweep replaces is never checked
             data["n"] = n_for_ratio(data["p"], max(ratios))
+        elif "n" not in data:
+            raise UsageError("config must set n (or ratios for a sweep)")
         cfg = ExperimentConfig(**data)
-        if statistics is not None:
-            cfg = replace(cfg, statistics=statistics)
-        configs = [replace(cfg, n=n_for_ratio(cfg.p, r)) for r in ratios] or [cfg]
+        configs = sweep_configs(cfg, ratios, cfg.p) if ratios else [cfg]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid experiment config: {exc}") from None
     return configs, raw_output

@@ -37,6 +37,7 @@ __all__ = [
     "PairedReport",
     "collect_samples",
     "run_experiment",
+    "sweep_configs",
     "sweep_ratios",
     "paired_bound_experiment",
     "reference_constant",
@@ -292,9 +293,16 @@ def summary_row(cfg: ExperimentConfig, raw_path: str | None = None) -> SweepRow:
     )
 
 
+def sweep_configs(
+    cfg_template: ExperimentConfig, ratios: Iterable[float], p: int
+) -> list[ExperimentConfig]:
+    """The template at each aspect ratio: p rows and n = n_for_ratio(p, ratio)."""
+    return [replace(cfg_template, p=p, n=n_for_ratio(p, r)) for r in ratios]
+
+
 def sweep_ratios(cfg_template: ExperimentConfig, ratios: Iterable[float], p: int) -> list[SweepRow]:
     """One summary row per aspect ratio with n = floor(p / ratio)."""
-    return [summary_row(replace(cfg_template, p=p, n=n_for_ratio(p, r))) for r in ratios]
+    return [summary_row(cfg) for cfg in sweep_configs(cfg_template, ratios, p)]
 
 
 @dataclass(frozen=True)
@@ -313,21 +321,16 @@ class PairedReport:
 _DOMINANCE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
-def gumbel_dominance(
-    centered: np.ndarray, model: GumbelModel, probe_levels: tuple[float, ...] = _DOMINANCE_LEVELS
-) -> DominanceReport | None:
-    """Dominance check of centered samples at the model's quantiles, or None
-    below the 500-sample floor of the check."""
+def gumbel_dominance(centered: np.ndarray, model: GumbelModel) -> DominanceReport | None:
+    """Dominance check of centered samples at the model's 0.05, 0.25, 0.5,
+    0.75 and 0.95 quantiles, or None below the 500-sample floor of the check."""
     if len(centered) < 500:
         return None
-    return dominance_check(centered, model, [gumbel_quantile(q, model) for q in probe_levels])
+    probes = [gumbel_quantile(q, model) for q in _DOMINANCE_LEVELS]
+    return dominance_check(centered, model, probes)
 
 
-def paired_bound_experiment(
-    cfg: ExperimentConfig,
-    slack: float = 1e-9,
-    probe_levels: tuple[float, ...] = _DOMINANCE_LEVELS,
-) -> PairedReport:
+def paired_bound_experiment(cfg: ExperimentConfig, slack: float = 1e-9) -> PairedReport:
     """Per-draw comparison of the squared norm with its computable lower bound.
 
     Both quantities come from the same DFT diagonal, so the finite-sample
@@ -349,7 +352,7 @@ def paired_bound_experiment(
         violations=int(np.sum(deficits > slack)),
         max_deficit=float(np.max(deficits)),
         model=model,
-        dominance=gumbel_dominance(centered, model, probe_levels),
+        dominance=gumbel_dominance(centered, model),
         sigma_sq=sigma_sq,
         bounds=bounds,
         centered_bounds=centered,

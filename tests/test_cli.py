@@ -269,14 +269,15 @@ ratios = 0.5, 1.0
 
 def test_paired_sweep(tmp_path):
     cfg = tmp_path / "paired.cfg"
-    cfg.write_text(PAIRED_CONFIG)
     outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"paired{threads}.csv"
+    # a sweep sets n per ratio, so an odd n next to ratios is never checked
+    for name, threads, extra in (("1", "1", ""), ("2", "2", ""), ("odd", "1", "\nn = 33")):
+        cfg.write_text(PAIRED_CONFIG + extra)
+        out = tmp_path / f"paired{name}.csv"
         code = run_cli("paired", "--config", str(cfg), "--threads", threads, "--output", str(out))
         assert code == EXIT_OK
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
     rows = read_csv(tmp_path / "paired1.csv")
     assert list(rows[0]) == [
         "ratio", "p", "n", "count", "violations", "q05_empirical", "q05_model",
