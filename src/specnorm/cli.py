@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -193,7 +194,7 @@ def cmd_norm(args) -> int:
     return code
 
 
-_CONFIG_ALIASES = {"seed": "base_seed", "probes": "quantile_probes"}
+_CONFIG_ALIASES = {"seed": "base_seed"}
 _CONFIG_EXTRAS = ("ratios", "raw_output")
 _CONFIG_FIELDS = (
     "family",
@@ -204,7 +205,6 @@ _CONFIG_FIELDS = (
     "replicates",
     "base_seed",
     "statistics",
-    "quantile_probes",
     "workers",
     "norm_tol",
     "norm_max_iter",
@@ -220,7 +220,8 @@ def _parse_scalar(text: str):
 
 
 def load_config(path: str) -> dict:
-    """Read an experiment config: JSON document or flat key=value lines."""
+    """Read an experiment config: JSON document or flat key=value lines, where
+    '#' starts a comment at the start of a line or after whitespace."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -239,6 +240,8 @@ def load_config(path: str) -> dict:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            # a '#' after whitespace starts a trailing comment
+            line = re.split(r"\s#", line, maxsplit=1)[0]
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
@@ -275,8 +278,6 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
             data["statistics"] = statistics
         elif "statistics" in data:
             data["statistics"] = _as_tuple(data["statistics"], str)
-        if "quantile_probes" in data:
-            data["quantile_probes"] = _as_tuple(data["quantile_probes"], float)
         data.setdefault("base_seed", _resolve_seed(args))
         data.setdefault("workers", args.threads)
         if "p" not in data:

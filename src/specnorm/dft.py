@@ -8,10 +8,14 @@ so that the forward transform of a real symbol vector directly yields the
 eigenvalue diagonal of the associated circulant (see `specnorm.structured`).
 Arbitrary lengths are supported at O(N log N) cost; the heavy lifting is
 delegated to numpy's pocketfft backend, which falls back to a Bluestein
-chirp-z reduction for lengths with large prime factors.
+chirp-z reduction for lengths with large prime factors. The two transforms
+act along the last axis, so a stack of vectors transforms row by row, each
+row bit-identical to its transform on its own.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +37,14 @@ def _as_vector(x, name: str) -> np.ndarray:
     return v
 
 
+def _as_stack(x, name: str) -> np.ndarray:
+    v = np.asarray(x)
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError(f"{name} must have a nonempty last axis, got shape {v.shape}")
+    return v
+
+
+@lru_cache(maxsize=256)
 def fast_length(n: int) -> int:
     """Smallest 5-smooth integer >= n (a cheap FFT-friendly padding size)."""
     if n <= 1:
@@ -54,25 +66,28 @@ def dft_forward(x) -> np.ndarray:
     Parameters
     ----------
     x : array_like
-        One-dimensional real or complex vector, any length N >= 1.
+        Real or complex vector of any length N >= 1, or a stack of them
+        along the leading axes.
 
     Returns
     -------
     numpy.ndarray of complex
-        y with y[s] = N**-0.5 * sum_t exp(2j*pi*s*t/N) * x[t].
-        Preserves the Euclidean norm of the input.
+        y with y[s] = N**-0.5 * sum_t exp(2j*pi*s*t/N) * x[t] along the last
+        axis. Preserves the Euclidean norm of each input vector.
     """
-    v = _as_vector(x, "x")
-    n = v.size
+    v = _as_stack(x, "x")
     # numpy's ifft carries the +2j*pi kernel and a 1/N factor
-    return np.fft.ifft(v) * np.sqrt(n)
+    y = np.fft.ifft(v)
+    y *= np.sqrt(v.shape[-1])
+    return y
 
 
 def dft_inverse(y) -> np.ndarray:
     """Inverse of :func:`dft_forward` (conjugate kernel, same normalization)."""
-    v = _as_vector(y, "y")
-    n = v.size
-    return np.fft.fft(v) / np.sqrt(n)
+    v = _as_stack(y, "y")
+    x = np.fft.fft(v)
+    x /= np.sqrt(v.shape[-1])
+    return x
 
 
 def convolve_full(a, b) -> np.ndarray:

@@ -121,12 +121,14 @@ def g_c_quantile(q: float, c: float, n: int, tol: float = 1e-10) -> float:
     return math.sqrt(radicand)
 
 
+@lru_cache(maxsize=8)
 def b_kernel(p: int, n: int) -> np.ndarray:
     """Moving-average weights of the quadratic forms along projection columns.
 
     w[0] = p and w[k] = sin^2(pi k p / n) / (p sin^2(pi k / n)) otherwise;
     identical to n^2/p times the squared modulus of the projection entries
-    in row 0.
+    in row 0. Every draw of one size shares the weights, so they are
+    cached per (p, n) and returned read-only.
     """
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
@@ -136,6 +138,7 @@ def b_kernel(p: int, n: int) -> np.ndarray:
     w = np.empty(n)
     w[0] = p
     w[1:] = (np.sin(np.pi * k * p / n) / den) ** 2 / p
+    w.flags.writeable = False
     return w
 
 

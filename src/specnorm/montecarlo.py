@@ -1,8 +1,11 @@
 """Reproducible Monte Carlo replication of scaled-norm statistics.
 
 Each replicate r draws its matrix from an independent Philox stream keyed
-by (base_seed, r), so results do not depend on execution order or worker
-count: reruns and parallel runs aggregate bit-identical values.
+by (base_seed, r). Replicates run in blocks of consecutive indices whose
+norms are solved together, and every operation of the solve acts on each
+replicate alone, so results depend neither on execution order, nor on the
+block size, nor on the worker count: reruns and parallel runs aggregate
+bit-identical values.
 """
 
 from __future__ import annotations
@@ -24,9 +27,15 @@ from .extremes import (
     gumbel_model,
     gumbel_quantile,
 )
-from .norms import scaled_norm, spectral_norm_fast
+from .norms import NormResult, scaled_norm, spectral_norms
 from .sinekernel import k_estimate
-from .structured import MatrixSpec, build_symbol, replicate_stream
+from .structured import (
+    MatrixSpec,
+    build_symbol,
+    embedding_size,
+    replicate_stream,
+    stack_symbols,
+)
 
 __all__ = [
     "STATISTICS",
@@ -136,36 +145,89 @@ class _Record:
     sigma_max: float  # nan when not computed
     b_value: float  # nan when not computed
     converged: bool
+    steps: int = 0  # Krylov steps of the norm solve, 0 when not computed
+    residual: float = 0.0  # its certified residual bound
 
 
-def _replicate(cfg: ExperimentConfig, r: int) -> _Record:
-    """Replicate r: the norm and/or the lower-bound statistic, as cfg.statistics need."""
+# bytes one block of replicates may hold (Krylov bases plus symbols and
+# spectra); a block has as many replicates as fit, and at least one
+_BLOCK_BYTES = 2**22
+
+
+def _block_rows(cfg: ExperimentConfig) -> int:
+    """Replicates per block: as many as fit in _BLOCK_BYTES, and no more than
+    an equal share of the replicates per worker."""
     spec = cfg.template_spec()
-    sym = build_symbol(spec, replicate_stream(cfg.base_seed, r))
-    sigma, converged = math.nan, True
-    if any(stat != "b_statistic" for stat in cfg.statistics):
-        res = spectral_norm_fast(sym, spec, tol=cfg.norm_tol, max_iter=cfg.norm_max_iter)
-        sigma, converged = res.sigma_max, res.converged
-    b_val = b_statistic(sym.diag, cfg.p).value if "b_statistic" in cfg.statistics else math.nan
-    return _Record(replicate=r, sigma_max=sigma, b_value=b_val, converged=converged)
+    # per replicate: its symbol and diagonal, their stacked copy, and the
+    # complex work arrays of one product (96 bytes per embedding entry)
+    row_bytes = 96 * embedding_size(spec)
+    if _needs_norm(cfg):
+        row_bytes += 8 * spec.p * min(cfg.norm_max_iter, spec.p)  # a full basis
+    fit = max(1, _BLOCK_BYTES // row_bytes)
+    return min(fit, math.ceil(cfg.replicates / cfg.workers))
+
+
+def _needs_norm(cfg: ExperimentConfig) -> bool:
+    return any(stat != "b_statistic" for stat in cfg.statistics)
+
+
+def _replicate(cfg: ExperimentConfig, block: range) -> list[_Record]:
+    """Replicates `block`: each drawn from its own stream, their norms solved
+    as one block, then the lower-bound statistic per replicate, as
+    cfg.statistics need."""
+    spec = cfg.template_spec()
+    syms = [build_symbol(spec, replicate_stream(cfg.base_seed, r)) for r in block]
+    norms = [NormResult(math.nan, 0, True, 0.0)] * len(syms)
+    if _needs_norm(cfg):
+        norms = spectral_norms(stack_symbols(syms), spec, cfg.norm_tol, cfg.norm_max_iter)
+    want_b = "b_statistic" in cfg.statistics
+    return [
+        _Record(
+            replicate=r,
+            sigma_max=res.sigma_max,
+            b_value=b_statistic(sym.diag, cfg.p).value if want_b else math.nan,
+            converged=res.converged,
+            steps=res.iterations,
+            residual=res.residual,
+        )
+        for r, sym, res in zip(block, syms, norms)
+    ]
 
 
 def _collect(cfg: ExperimentConfig) -> list[_Record]:
-    """All replicates in index order, serially or over cfg.workers processes."""
-    indices = range(cfg.replicates)
-    if cfg.workers == 1 or cfg.replicates == 1:
-        return [_replicate(cfg, r) for r in indices]
-    chunk = math.ceil(cfg.replicates / (4 * cfg.workers))
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(_replicate, repeat(cfg), indices, chunksize=chunk))
+    """All replicates in index order, block by block, serially or over
+    cfg.workers processes. A replicate's record does not depend on the
+    block it falls in, so neither the block size nor the worker count
+    changes any result."""
+    size = _block_rows(cfg)
+    blocks = [range(lo, min(lo + size, cfg.replicates)) for lo in range(0, cfg.replicates, size)]
+    if cfg.workers == 1 or len(blocks) == 1:
+        parts = [_replicate(cfg, block) for block in blocks]
+    else:
+        chunk = math.ceil(len(blocks) / (4 * cfg.workers))
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            parts = list(pool.map(_replicate, repeat(cfg), blocks, chunksize=chunk))
+    return [rec for part in parts for rec in part]
+
+
+# failed replicates named in an ExperimentError
+_NAMED_FAILURES = 5
 
 
 def _converged(cfg: ExperimentConfig, records: Sequence[_Record]) -> list[_Record]:
-    """The converged records; raises ExperimentError past the exclusion cap."""
+    """The converged records; raises ExperimentError past the exclusion cap,
+    naming the first failed replicates by their (base_seed, replicate) pair."""
     kept = [rec for rec in records if rec.converged]
-    excluded = cfg.replicates - len(kept)
-    if excluded > _EXCLUSION_CAP * cfg.replicates or not kept:
-        raise ExperimentError(f"{excluded} of {cfg.replicates} replicates failed to converge")
+    failed = [rec.replicate for rec in records if not rec.converged]
+    if len(failed) > _EXCLUSION_CAP * cfg.replicates or not kept:
+        pairs = ", ".join(f"({cfg.base_seed}, {r})" for r in failed[:_NAMED_FAILURES])
+        more = f" and {len(failed) - _NAMED_FAILURES} more" if len(failed) > _NAMED_FAILURES else ""
+        raise ExperimentError(
+            f"{len(failed)} of {cfg.replicates} replicates failed to converge; "
+            f"failed (base_seed, replicate): {pairs}{more}. Each replays as "
+            "spectral_norm_fast(build_symbol(spec, replicate_stream(base_seed, replicate)), "
+            "spec) with spec the config's matrix at seed base_seed"
+        )
     return kept
 
 

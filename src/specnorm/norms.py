@@ -14,12 +14,14 @@ from .structured import (
     SymbolVector,
     matvec,
     rmatvec,
+    stack_symbols,
 )
 
 __all__ = [
-    "GramEigenpair",
+    "GramEigenpairs",
     "NormResult",
     "gram_lanczos",
+    "spectral_norms",
     "spectral_norm_fast",
     "spectral_norm_dense",
     "scaled_norm",
@@ -33,6 +35,8 @@ _TOL_FLOOR = 16.0 * float(np.finfo(float).eps)
 # this many bytes
 _BASIS_CHUNK = 32
 _BASIS_BYTES = 2**29
+# relative shift past the top Ritz value for the inverse-iteration solve
+_SHIFT = 64.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -44,14 +48,14 @@ class NormResult:
 
 
 @dataclass(frozen=True)
-class GramEigenpair:
-    """Largest Ritz pair of a Gram operator and its residual bound."""
+class GramEigenpairs:
+    """Largest Ritz pair of each Gram operator of a block, one row per operator."""
 
-    value: float
-    vector: np.ndarray  # unit Ritz vector
-    steps: int
-    converged: bool
-    residual: float  # bounds ||G y - value y||; an eigenvalue of G lies this close
+    values: np.ndarray  # top Ritz values
+    vectors: np.ndarray  # unit Ritz vectors, one per row
+    steps: np.ndarray  # Krylov steps taken
+    converged: np.ndarray
+    residuals: np.ndarray  # bounds ||G y - value y||; an eigenvalue of G lies this close
 
 
 def _start_vector(seed: int, dim: int) -> np.ndarray:
@@ -60,106 +64,183 @@ def _start_vector(seed: int, dim: int) -> np.ndarray:
 
 
 def _grow(basis: np.ndarray, cap: int) -> np.ndarray:
-    used, dim = basis.shape
+    """The stacked basis with room for more vectors per row; the limit is per row."""
+    count, used, dim = basis.shape
     rows = min(cap, used + _BASIS_CHUNK, _BASIS_BYTES // (basis.itemsize * dim))
     if rows <= used:
         raise ResourceLimitError(
             f"Krylov basis of {used + 1} vectors of length {dim} exceeds {_BASIS_BYTES} bytes"
         )
-    grown = np.empty((rows, dim))
-    grown[:used] = basis
+    grown = np.empty((count, rows, dim))
+    grown[:, :used] = basis
     return grown
 
 
 def _top_ritz(
-    alphas: list[float], betas: list[float], guess: np.ndarray
-) -> tuple[float, np.ndarray, float]:
-    """Top eigenvalue theta of the Lanczos tridiagonal T, a unit vector s
-    near its eigenvector, and ``||T s - theta s||``.
+    alphas: np.ndarray, betas: np.ndarray, guess: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a stack of Lanczos tridiagonals T (diagonals `alphas`,
+    off-diagonals `betas`): the top eigenvalue theta, a unit vector s near
+    its eigenvector, and ``||T s - theta s||``.
 
     theta comes from LAPACK's eigenvalue-only path. s is one step of
-    inverse iteration from `guess`, solving ``(T - theta I) x = guess``
-    through its LDL^T factorization in O(k). By interlacing, every leading
-    block of ``T - theta I`` but the whole is negative definite, so no
-    pivoting is needed; an exactly zero pivot is replaced by a tiny one.
+    inverse iteration from `guess`: a solve with ``T - theta (1 + 64 eps) I``,
+    which the shift just past the top eigenvalue keeps nonsingular. Every
+    operation acts on each row alone, so a row's results do not depend on
+    the rest of the stack.
     """
-    tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    theta = max(float(np.linalg.eigvalsh(tri)[-1]), 0.0)
-    if len(alphas) == 1:
-        return theta, np.ones(1), 0.0
-    tiny = _TOL_FLOOR * theta
-    x = guess.tolist()
-    pivots = [alphas[0] - theta or tiny]
-    for j in range(1, len(x)):
-        mult = betas[j - 1] / pivots[-1]
-        x[j] -= mult * x[j - 1]
-        pivots.append(alphas[j] - theta - mult * betas[j - 1] or tiny)
-    x[-1] /= pivots[-1]
-    for j in range(len(x) - 2, -1, -1):
-        x[j] = (x[j] - betas[j] * x[j + 1]) / pivots[j]
-    s = np.array(x) / np.linalg.norm(x)
-    return theta, s, float(np.linalg.norm(tri @ s - theta * s))
+    count, k = alphas.shape
+    tri = np.zeros((count, k, k))
+    flat = tri.reshape(count, k * k)  # a view: diagonals are strided slices
+    flat[:, :: k + 1] = alphas
+    flat[:, 1 :: k + 1] = betas
+    flat[:, k :: k + 1] = betas
+    theta = np.maximum(np.linalg.eigvalsh(tri)[:, -1], 0.0)
+    if k == 1:
+        return theta, np.ones((count, 1)), np.zeros(count)
+    flat[:, :: k + 1] -= (theta * (1.0 + _SHIFT))[:, None]
+    x = np.linalg.solve(tri, guess[:, :, None])
+    s = x / _row_norms(x[:, :, 0])[:, None, None]
+    # T s - theta s, from the shifted T
+    ts = tri @ s + (theta * _SHIFT)[:, None, None] * s
+    return theta, s[:, :, 0], _row_norms(ts[:, :, 0])
 
 
-def gram_lanczos(apply, apply_adjoint, start, tol: float, max_iter: int) -> GramEigenpair:
-    """Largest eigenpair of the Gram operator ``x -> apply_adjoint(apply(x))``.
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (a pairwise sum along the row)."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
-    Lanczos with full reorthogonalization from `start`; on a Gram operator
-    this is Golub-Kahan bidiagonalization (Golub & Kahan 1965).
+
+def _project(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Coefficients of each row of w on that row's basis vectors."""
+    return (basis @ w[:, :, None])[:, :, 0]
+
+
+def _combine(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Per row, the combination of its basis vectors with the given coefficients."""
+    return (coef[:, None, :] @ basis)[:, 0]
+
+
+def gram_lanczos(gram, start, tol: float, max_iter: int) -> GramEigenpairs:
+    """Largest eigenpair of each Gram operator of a block, solved in lockstep.
+
+    `start` holds one start vector per row, shape (R, dim). ``gram(q, rows)``
+    returns the Gram products ``G_i q_i`` of the operators `rows` (indices
+    into the block, ascending) for the rows of q; `rows` is the same array
+    until a row leaves the active set.
+
+    Per row this is Lanczos with full reorthogonalization; on a Gram
+    operator it is Golub-Kahan bidiagonalization (Golub & Kahan 1965).
     After k steps the orthonormal basis Q and the tridiagonal T satisfy
     ``G Q = Q T + beta_k q_{k+1} e_k^T``. For the top eigenvalue theta of T
     and a unit vector s, the Ritz vector Q s therefore has residual norm
     at most ``beta_k |e_k^T s| + ||T s - theta s||``, and some eigenvalue of
     G lies within that bound of theta; the second term is at rounding level
-    once s has converged. Steps stop once the bound is at most
+    once s has converged. A row stops once its bound is at most
     ``tol * theta`` (tol floored at 16 eps), on exact termination (beta_k =
     0, or the basis spans the whole space; the residual is then 0), or
-    after `max_iter` steps with converged=False. Each step applies
-    `apply` and `apply_adjoint` once. From a random start the top Ritz value
-    approximates the largest eigenvalue, not a smaller one, with high
-    probability (Kuczynski & Wozniakowski 1992).
+    after `max_iter` steps with converged=False; stopped rows leave the
+    active set and the rest go on. Each step calls `gram` once. From a
+    random start the top Ritz value approximates the largest eigenvalue,
+    not a smaller one, with high probability (Kuczynski & Wozniakowski
+    1992).
 
-    The basis is held as rows of length ``start.size``, grown in chunks up
-    to ``min(max_iter, start.size)`` rows; a basis past `_BASIS_BYTES`
-    raises ResourceLimitError.
+    Every operation acts on each row alone (stacked products, reductions
+    along the last axis), so a row's results are bit-identical whatever
+    block it is solved in. The basis holds rows of length dim, grown in
+    chunks up to ``min(max_iter, dim)`` vectors per row; a row's basis past
+    `_BASIS_BYTES` raises ResourceLimitError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    q = np.asarray(start, dtype=float)
-    dim = q.size
-    q = q / np.linalg.norm(q)
+    # a C-ordered copy: a row's reductions must not see the block's strides
+    q = np.array(start, dtype=float, order="C")
+    if q.ndim != 2:
+        raise ValueError(f"start must hold one vector per row, got shape {q.shape}")
+    count, dim = q.shape
+    q = q / _row_norms(q)[:, None]
     cap = min(max_iter, dim)
     tol = max(tol, _TOL_FLOOR)
-    basis = np.empty((0, dim))
-    alphas: list[float] = []
-    betas: list[float] = []
-    s = np.empty(0)
+    out = GramEigenpairs(
+        values=np.zeros(count),
+        vectors=np.zeros((count, dim)),
+        steps=np.zeros(count, dtype=int),
+        converged=np.zeros(count, dtype=bool),
+        residuals=np.zeros(count),
+    )
+    active = np.arange(count)
+    basis = np.empty((count, 0, dim))
+    alphas = np.empty((count, 0))
+    betas = np.empty((count, 0))
+    s = np.empty((count, 0))
     for k in range(1, cap + 1):
-        if k > basis.shape[0]:
+        if k > basis.shape[1]:
             basis = _grow(basis, cap)
-        basis[k - 1] = q
-        q_k = basis[:k]
-        w = apply_adjoint(apply(q))
+        basis[:, k - 1] = q
+        q_k = basis[:, :k]
+        w = gram(q, active)
         # classical Gram-Schmidt against the whole basis, twice
-        h = q_k @ w
-        w = w - q_k.T @ h
-        w -= q_k.T @ (q_k @ w)
-        alphas.append(float(h[-1]))
-        beta = float(np.linalg.norm(w))
+        h = _project(q_k, w)
+        w = w - _combine(q_k, h)
+        w -= _combine(q_k, _project(q_k, w))
+        alphas = np.concatenate([alphas, h[:, -1:]], axis=1)
+        beta = _row_norms(w)
         # the previous Ritz vector, extended by 0, seeds the inverse iteration
-        theta, s, t_residual = _top_ritz(alphas, betas, np.append(s, 0.0))
+        guess = np.concatenate([s, np.zeros((len(active), 1))], axis=1)
+        theta, s, t_residual = _top_ritz(alphas, betas, guess)
+        residual = beta * np.abs(s[:, -1]) + t_residual
         # exact termination: the Krylov space is invariant or the whole space
-        exact = beta == 0.0 or k == dim
-        residual = 0.0 if exact else beta * abs(float(s[-1])) + t_residual
+        residual[(beta == 0.0) | (k == dim)] = 0.0
         converged = residual <= tol * theta
-        if converged or k == cap:
-            break
-        betas.append(beta)
-        q = w / beta
-    y = q_k.T @ s
-    return GramEigenpair(theta, y / np.linalg.norm(y), k, converged, residual)
+        done = converged | (k == cap)
+        if done.any():
+            rows = active[done]
+            y = _combine(q_k[done], s[done])
+            out.values[rows] = theta[done]
+            out.vectors[rows] = y / _row_norms(y)[:, None]
+            out.steps[rows] = k
+            out.converged[rows] = converged[done]
+            out.residuals[rows] = residual[done]
+            if done.all():
+                break
+            keep = ~done
+            active, basis, alphas, betas = active[keep], basis[keep], alphas[keep], betas[keep]
+            s, w, beta = s[keep], w[keep], beta[keep]
+        betas = np.concatenate([betas, beta[:, None]], axis=1)
+        q = w / beta[:, None]
+    return out
+
+
+def spectral_norms(
+    sym: SymbolVector,
+    spec: MatrixSpec,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+) -> list[NormResult]:
+    """Largest singular value of each row of a stacked symbol (see
+    :func:`spectral_norm_fast`), solved as one block of :func:`gram_lanczos`.
+
+    Every row starts from the vector of the spec seed, so row i gets
+    exactly the result ``spectral_norm_fast`` gives for symbol row i.
+    """
+    part = sym
+
+    def gram(y, rows):
+        nonlocal part
+        if part.diag.shape[0] != rows.size:  # rows left the active set
+            part = SymbolVector(values=sym.values[rows], size=sym.size, diag=sym.diag[rows])
+        return matvec(part, spec, rmatvec(part, spec, y))
+
+    start = np.broadcast_to(_start_vector(spec.seed, spec.p), (sym.diag.shape[0], spec.p))
+    top = gram_lanczos(gram, start, tol, max_iter)
+    return [
+        NormResult(math.sqrt(value), int(steps), bool(converged), float(residual))
+        for value, steps, converged, residual in zip(
+            top.values, top.steps, top.converged, top.residuals
+        )
+    ]
 
 
 def spectral_norm_fast(
@@ -181,14 +262,8 @@ def spectral_norm_fast(
     sigma_max^2; without that certificate after `max_iter` steps it has
     converged=False.
     """
-    top = gram_lanczos(
-        lambda y: rmatvec(sym, spec, y),
-        lambda x: matvec(sym, spec, x),
-        _start_vector(spec.seed, spec.p),
-        tol,
-        max_iter,
-    )
-    return NormResult(math.sqrt(top.value), top.steps, top.converged, top.residual)
+    (result,) = spectral_norms(stack_symbols([sym]), spec, tol, max_iter)
+    return result
 
 
 def spectral_norm_dense(dense) -> NormResult:

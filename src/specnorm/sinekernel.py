@@ -109,15 +109,15 @@ def principal_right_singular(
 ) -> PowerResult:
     """Top right singular pair of the banded convolution matrix W of w.
 
-    Runs the Lanczos core :func:`specnorm.norms.gram_lanczos` on the
-    cols x cols operator ``u -> W^T (W u)``, each step one `banded_matvec`
-    and one `banded_rmatvec`; the matrix itself is never formed. The result
-    is converged once the Ritz residual is at most ``tol * sigma^2``;
-    `iterations` counts Krylov steps (at most `cols`). `start` lets the
-    alternation warm-start from the previous iterate; the default start is
-    a fixed pseudo-random vector. (The Gram matrix is persymmetric, so a
-    structured start such as all-ones spans only flip-even Krylov vectors
-    and can miss a flip-odd principal vector.)
+    Runs the Lanczos core :func:`specnorm.norms.gram_lanczos`, as a block
+    of one row, on the cols x cols operator ``u -> W^T (W u)``, each step
+    one `banded_matvec` and one `banded_rmatvec`; the matrix itself is never
+    formed. The result is converged once the Ritz residual is at most
+    ``tol * sigma^2``; `iterations` counts Krylov steps (at most `cols`).
+    `start` lets the alternation warm-start from the previous iterate; the
+    default start is a fixed pseudo-random vector. (The Gram matrix is
+    persymmetric, so a structured start such as all-ones spans only
+    flip-even Krylov vectors and can miss a flip-odd principal vector.)
     """
     if cols < 1:
         raise ValueError("cols must be at least 1")
@@ -129,13 +129,17 @@ def principal_right_singular(
         if u.shape != (cols,):
             raise ValueError(f"start vector must have length {cols}")
     top = gram_lanczos(
-        lambda x: banded_matvec(wv, x),
-        lambda y: banded_rmatvec(wv, y, cols),
-        u,
+        lambda x, rows: banded_rmatvec(wv, banded_matvec(wv, x[0]), cols)[None],
+        u[None],
         tol,
         max_iter,
     )
-    return PowerResult(_fix_sign(top.vector), math.sqrt(top.value), top.steps, top.converged)
+    return PowerResult(
+        vector=_fix_sign(top.vectors[0]),
+        sigma=math.sqrt(top.values[0]),
+        iterations=int(top.steps[0]),
+        converged=bool(top.converged[0]),
+    )
 
 
 def _bracket_lo(i_value: float, p: int) -> float:

@@ -38,6 +38,7 @@ __all__ = [
     "embedding_size",
     "build_symbol",
     "symbol_from_values",
+    "stack_symbols",
     "matvec",
     "rmatvec",
     "dense_materialize",
@@ -92,7 +93,9 @@ class SymbolVector:
     """First row of the embedding circulant and its DFT diagonal.
 
     ``diag[j]`` is the unitary forward DFT of ``values``; for a real
-    symbol it satisfies diag[size - j] = conj(diag[j]).
+    symbol it satisfies diag[size - j] = conj(diag[j]). A stack of symbols
+    (see :func:`stack_symbols`) holds one row per draw in ``values`` and
+    ``diag``, both of shape (R, size).
     """
 
     values: np.ndarray
@@ -173,10 +176,42 @@ def symbol_from_values(values, spec: MatrixSpec) -> SymbolVector:
     return SymbolVector(values=v, size=size, diag=dft_forward(v))
 
 
+def stack_symbols(symbols) -> SymbolVector:
+    """One stacked symbol whose rows are the given symbols of one spec."""
+    symbols = list(symbols)
+    return SymbolVector(
+        values=np.stack([sym.values for sym in symbols]),
+        size=symbols[0].size,
+        diag=np.stack([sym.diag for sym in symbols]),
+    )
+
+
+def _operand(v, length: int, sym: SymbolVector, name: str) -> np.ndarray:
+    """`v` checked as one vector of `length`, or as one per row of a stacked `sym`."""
+    vv = np.asarray(v)
+    want = sym.diag.shape[:-1] + (length,)
+    if vv.shape != want:
+        raise ValueError(f"{name} must have shape {want}, got {vv.shape}")
+    return vv
+
+
 def _pad(x: np.ndarray, size: int) -> np.ndarray:
-    z = np.zeros(size, dtype=complex)
-    z[: x.size] = x
+    z = np.zeros(x.shape[:-1] + (size,), dtype=complex)
+    z[..., : x.shape[-1]] = x
     return z
+
+
+def _circulant_product(sym: SymbolVector, v: np.ndarray, first, second) -> np.ndarray:
+    """``sqrt(size) * second(diag * first(v))`` on the zero-padded v.
+
+    A complex product rounds differently with its operands swapped, and
+    numpy reuses a large temporary operand in place, first or second. The
+    products here name their output, so a row rounds the same in a stack of
+    any size.
+    """
+    spectrum = first(_pad(v, sym.size))
+    full = second(np.multiply(sym.diag, spectrum, out=spectrum))
+    return np.multiply(math.sqrt(sym.size), full, out=full)
 
 
 def matvec(sym: SymbolVector, spec: MatrixSpec, x) -> np.ndarray:
@@ -184,29 +219,26 @@ def matvec(sym: SymbolVector, spec: MatrixSpec, x) -> np.ndarray:
 
     Zero-pads x to the embedding size, multiplies in the Fourier domain by
     the symbol diagonal, and keeps the first p coordinates. Column-reversed
-    families read x back to front first.
+    families read x back to front first. For a stacked `sym`, x holds one
+    vector per row and row i of the result uses symbol row i.
     """
-    xv = np.asarray(x)
-    if xv.shape != (spec.n,):
-        raise ValueError(f"x must have length {spec.n}, got {xv.shape}")
+    xv = _operand(x, spec.n, sym, "x")
     real_input = np.isrealobj(xv)
     if spec.reversed_columns:
-        xv = xv[::-1]
-    full = math.sqrt(sym.size) * dft_forward(sym.diag * dft_inverse(_pad(xv, sym.size)))
-    out = full[: spec.p]
+        xv = xv[..., ::-1]
+    full = _circulant_product(sym, xv, dft_inverse, dft_forward)
+    out = full[..., : spec.p]
     return out.real if real_input else out
 
 
 def rmatvec(sym: SymbolVector, spec: MatrixSpec, y) -> np.ndarray:
     """Transposed product (length-n output); adjoint of :func:`matvec`."""
-    yv = np.asarray(y)
-    if yv.shape != (spec.p,):
-        raise ValueError(f"y must have length {spec.p}, got {yv.shape}")
+    yv = _operand(y, spec.p, sym, "y")
     real_input = np.isrealobj(yv)
-    full = math.sqrt(sym.size) * dft_inverse(sym.diag * dft_forward(_pad(yv, sym.size)))
-    out = full[: spec.n]
+    full = _circulant_product(sym, yv, dft_forward, dft_inverse)
+    out = full[..., : spec.n]
     if spec.reversed_columns:
-        out = out[::-1]
+        out = out[..., ::-1]
     return out.real if real_input else out
 
 

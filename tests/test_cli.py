@@ -190,6 +190,26 @@ def test_mc_unknown_key_rejected(tmp_path):
     assert run_cli("mc", "--config", str(cfg)) == EXIT_USAGE
 
 
+def test_mc_trailing_comment_is_not_part_of_the_value(tmp_path):
+    plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+    plain.write_text(MC_CONFIG)
+    commented.write_text(MC_CONFIG.replace("p = 16\n", "p = 16  # rows\n")
+                         .replace("seed = 5\n", "seed = 5\t# base seed\n"))
+    outs = [tmp_path / "plain.csv", tmp_path / "commented.csv"]
+    for cfg, out in zip((plain, commented), outs):
+        assert run_cli("mc", "--config", str(cfg), "--output", str(out)) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_mc_probes_key_is_unknown(tmp_path, capsys):
+    # the CLI summaries print fixed quantile levels, so probes would change nothing
+    cfg = tmp_path / "mc.cfg"
+    for key in ("probes", "quantile_probes"):
+        cfg.write_text(MC_CONFIG + f"{key} = 0.1\n")
+        assert run_cli("mc", "--config", str(cfg)) == EXIT_USAGE
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
 def test_mc_missing_config():
     assert run_cli("mc", "--config", "/nonexistent/mc.cfg") == EXIT_USAGE
 

@@ -150,6 +150,14 @@ def test_product_polynomial_identity(seed, p, n):
     assert abs(total - energy) <= 1e-10 * max(1.0, energy)
 
 
+@pytest.mark.parametrize("op", [dft_forward, dft_inverse])
+def test_stacked_transform_is_row_by_row(op):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((6, 45)) + 1j * rng.standard_normal((6, 45))
+    y = op(x)
+    assert all(y[i].tobytes() == op(x[i]).tobytes() for i in range(6))
+
+
 @pytest.mark.parametrize("op", [dft_forward, dft_inverse, autocorrelate])
 def test_empty_input_rejected(op):
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import specnorm.montecarlo as mc
+import specnorm.norms as norms
 from specnorm.extremes import gumbel_model, gumbel_quantile, theta_c
 from specnorm.montecarlo import (
     ExperimentConfig,
@@ -20,7 +21,7 @@ from specnorm.montecarlo import (
 )
 from specnorm.norms import scaled_norm, spectral_norm_fast
 from specnorm.sinekernel import k_estimate
-from specnorm.structured import MatrixSpec, build_symbol, replicate_stream
+from specnorm.structured import MatrixSpec, ResourceLimitError, build_symbol, replicate_stream
 
 TINY = ExperimentConfig(
     family="circulant", p=16, n=32, replicates=40, base_seed=91, statistics=("scaled_norm",)
@@ -69,9 +70,9 @@ def test_exclusion_accounting(monkeypatch):
     # the bookkeeping instead of failing the run
     monkeypatch.setattr(mc, "_EXCLUSION_CAP", 1.0)
 
-    def fake_replicate(cfg, r):
-        return mc._Record(replicate=r, sigma_max=1.0 + r, b_value=math.nan,
-                          converged=(r % 5 != 0))
+    def fake_replicate(cfg, block):
+        return [mc._Record(replicate=r, sigma_max=1.0 + r, b_value=math.nan,
+                           converged=(r % 5 != 0)) for r in block]
 
     monkeypatch.setattr(mc, "_replicate", fake_replicate)
     cfg = replace(TINY, replicates=20)
@@ -253,3 +254,73 @@ def test_center_offset_override():
     shifted = run_experiment(cfg)["centered_norm_sq"]
     default = run_experiment(base)["centered_norm_sq"]
     assert shifted.mean == pytest.approx(default.mean + math.log(8.0), abs=1e-12)
+
+
+C7 = ExperimentConfig(family="circulant", p=64, n=128, replicates=100, base_seed=101)
+
+
+def test_engine_records_equal_single_solves_bit_for_bit():
+    spec = C7.template_spec()
+    for rec in mc._collect(C7):
+        sym = build_symbol(spec, replicate_stream(C7.base_seed, rec.replicate))
+        res = spectral_norm_fast(sym, spec, tol=C7.norm_tol, max_iter=C7.norm_max_iter)
+        assert np.float64(rec.sigma_max).tobytes() == np.float64(res.sigma_max).tobytes()
+        assert (rec.steps, rec.converged) == (res.iterations, res.converged)
+        assert np.float64(rec.residual).tobytes() == np.float64(res.residual).tobytes()
+
+
+def _paired_bytes(cfg):
+    rep = paired_bound_experiment(cfg)
+    return rep.sigma_sq.tobytes(), rep.bounds.tobytes()
+
+
+def test_block_size_and_workers_do_not_change_paired_arrays(monkeypatch):
+    cfg = replace(C7, replicates=60)
+    want = _paired_bytes(cfg)
+    for rows in (1, 7, cfg.replicates):
+        monkeypatch.setattr(mc, "_block_rows", lambda _cfg, rows=rows: rows)
+        assert _paired_bytes(cfg) == want
+    monkeypatch.undo()
+    assert mc._block_rows(replace(cfg, workers=2)) == 30
+    assert _paired_bytes(replace(cfg, workers=2)) == want
+
+
+def test_block_keeps_exclusions_per_row(monkeypatch):
+    # rows of one block stop at different steps; the slowest hit max_iter
+    monkeypatch.setattr(mc, "_EXCLUSION_CAP", 1.0)
+    cfg = replace(TINY, replicates=24)
+    steps = [rec.steps for rec in mc._collect(cfg)]
+    cap = max(steps) - 1
+    assert min(steps) < cap
+    capped = replace(cfg, norm_max_iter=cap)
+    assert mc._block_rows(capped) == capped.replicates
+    records = mc._collect(capped)
+    assert [rec.converged for rec in records] == [s <= cap for s in steps]
+    assert [rec.steps for rec in records] == [min(s, cap) for s in steps]
+    summary = run_experiment(capped)["scaled_norm"]
+    assert summary.excluded == sum(s > cap for s in steps) >= 1
+    assert summary.count + summary.excluded == capped.replicates
+
+
+def test_small_block_budget_gives_one_row_blocks(monkeypatch):
+    want = run_experiment(TINY)["scaled_norm"]
+    monkeypatch.setattr(mc, "_BLOCK_BYTES", 1)
+    assert mc._block_rows(TINY) == 1
+    assert run_experiment(TINY)["scaled_norm"] == want
+    monkeypatch.setattr(norms, "_BASIS_BYTES", 8 * TINY.p)
+    with pytest.raises(ResourceLimitError):
+        run_experiment(TINY)
+
+
+def test_experiment_error_names_replayable_replicates():
+    cfg = replace(TINY, replicates=8, norm_max_iter=1)
+    with pytest.raises(ExperimentError) as exc:
+        run_experiment(cfg)
+    message = str(exc.value)
+    assert message.startswith("8 of 8 replicates failed to converge")
+    assert "(91, 0), (91, 1), (91, 2), (91, 3), (91, 4) and 3 more" in message
+    # each named pair replays the failure on its own
+    spec = cfg.template_spec()
+    for r in range(5):
+        sym = build_symbol(spec, replicate_stream(91, r))
+        assert not spectral_norm_fast(sym, spec, max_iter=cfg.norm_max_iter).converged

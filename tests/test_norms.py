@@ -13,6 +13,7 @@ from specnorm.structured import (
     build_symbol,
     dense_materialize,
     replicate_stream,
+    stack_symbols,
     symbol_from_values,
 )
 
@@ -250,3 +251,53 @@ def test_dense_size_guard():
     big = np.broadcast_to(0.0, (4000, 3000))
     with pytest.raises(ResourceLimitError):
         spectral_norm_dense(big)
+
+
+def _bits(result):
+    return (
+        np.float64(result.sigma_max).tobytes(),
+        result.iterations,
+        result.converged,
+        np.float64(result.residual).tobytes(),
+    )
+
+
+def test_block_rows_equal_their_single_solves_bit_for_bit():
+    spec = MatrixSpec("toeplitz", p=40, n=90, seed=1)
+    syms = [build_symbol(spec, replicate_stream(40, r)) for r in range(9)]
+    single = [spectral_norm_fast(sym, spec) for sym in syms]
+    # rows leave the block at different steps
+    assert len({res.iterations for res in single}) > 1
+    for size in (1, 4, 9):
+        block = []
+        for lo in range(0, 9, size):
+            block += norms.spectral_norms(stack_symbols(syms[lo : lo + size]), spec)
+        assert [_bits(res) for res in block] == [_bits(res) for res in single]
+
+
+def test_block_row_stopped_by_max_iter_is_flagged_alone():
+    spec = MatrixSpec("circulant", p=16, n=32, seed=5)
+    syms = [build_symbol(spec, replicate_stream(5, r)) for r in range(12)]
+    steps = [spectral_norm_fast(sym, spec).iterations for sym in syms]
+    cap = max(steps) - 1
+    assert min(steps) < cap
+    block = norms.spectral_norms(stack_symbols(syms), spec, max_iter=cap)
+    assert [res.converged for res in block] == [s <= cap for s in steps]
+    assert [res.iterations for res in block] == [min(s, cap) for s in steps]
+    capped = [spectral_norm_fast(sym, spec, max_iter=cap) for sym in syms]
+    assert [_bits(res) for res in block] == [_bits(res) for res in capped]
+
+
+def test_block_basis_past_its_byte_budget_is_refused(monkeypatch):
+    spec = MatrixSpec("toeplitz", p=12, n=25, seed=1)
+    stack = stack_symbols([build_symbol(spec, replicate_stream(1, r)) for r in range(3)])
+    # the budget holds per row: three vectors each, whatever the block size
+    monkeypatch.setattr(norms, "_BASIS_BYTES", 3 * 12 * 8)
+    assert [res.iterations for res in norms.spectral_norms(stack, spec, max_iter=3)] == [3] * 3
+    with pytest.raises(ResourceLimitError):
+        norms.spectral_norms(stack, spec)
+
+
+def test_gram_lanczos_wants_one_start_vector_per_row():
+    with pytest.raises(ValueError):
+        norms.gram_lanczos(lambda q, rows: q, np.ones(4), 1e-10, 10)

@@ -15,6 +15,7 @@ from specnorm.structured import (
     projection_entry,
     replicate_stream,
     rmatvec,
+    stack_symbols,
     symbol_from_values,
 )
 
@@ -222,6 +223,21 @@ def test_spec_validation():
         MatrixSpec("butterfly", p=2, n=5)
     with pytest.raises(ValueError):
         MatrixSpec("toeplitz", p=2, n=5, dist="cauchy")
+
+
+@pytest.mark.parametrize("family", ["toeplitz", "hankel", "circulant", "reverse_circulant"])
+def test_stacked_products_equal_row_products_bit_for_bit(family):
+    spec = MatrixSpec(family, p=7, n=19)
+    syms = [build_symbol(spec, replicate_stream(17, r)) for r in range(5)]
+    stack = stack_symbols(syms)
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((5, spec.n)), rng.standard_normal((5, spec.p))
+    ax, aty = matvec(stack, spec, x), rmatvec(stack, spec, y)
+    for i, sym in enumerate(syms):
+        assert ax[i].tobytes() == matvec(sym, spec, x[i]).tobytes()
+        assert aty[i].tobytes() == rmatvec(sym, spec, y[i]).tobytes()
+    with pytest.raises(ValueError):
+        matvec(stack, spec, x[0])
 
 
 def test_matvec_shape_checks():
