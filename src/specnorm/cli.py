@@ -9,8 +9,10 @@ or the Krylov basis past its limit). CSV output uses '.' decimals and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import logging
 import math
 import os
 import re
@@ -33,7 +35,7 @@ from .montecarlo import (
     summary_row,
     sweep_configs,
 )
-from .norms import scaled_norm, spectral_norm_dense, spectral_norm_fast
+from .norms import check_solver_settings, scaled_norm, spectral_norm_dense, spectral_norm_fast
 from .sinekernel import k_table
 from .structured import (
     DISTRIBUTIONS,
@@ -149,7 +151,10 @@ def cmd_theta(args) -> int:
     for c in grid:
         if not 0 < c <= 1:
             raise UsageError(f"aspect ratios must lie in (0, 1], got {c}")
-    rows = [{"c": c, "theta": theta_c(c, args.tol)} for c in grid]
+    try:
+        rows = [{"c": c, "theta": theta_c(c, args.tol)} for c in grid]
+    except ValueError as exc:  # a tol that is not positive, or a c past the term cap
+        raise UsageError(str(exc)) from None
     _emit(rows, ["c", "theta"], args)
     return EXIT_OK
 
@@ -164,6 +169,7 @@ def cmd_norm(args) -> int:
             dist=args.dist,
             seed=_resolve_seed(args),
         )
+        check_solver_settings(args.tol, args.max_iter)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     sym = build_symbol(spec)
@@ -376,7 +382,8 @@ def build_parser() -> _Parser:
                         help="seed (default: $SPECNORM_SEED or %d)" % _DEFAULT_SEED)
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker processes for Monte Carlo commands")
-    common.add_argument("-v", "--verbose", action="count", default=0)
+    common.add_argument("-v", "--verbose", action="count", default=0,
+                        help="log each Monte Carlo run to stderr")
 
     sub = root.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -427,11 +434,30 @@ def build_parser() -> _Parser:
     return root
 
 
+@contextlib.contextmanager
+def _log_to_stderr(verbose: int):
+    """With -v, the package's INFO records go to stderr."""
+    if not verbose:
+        yield
+        return
+    logger = logging.getLogger("specnorm")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _log_to_stderr(args.verbose):
+            return args.func(args)
     except UsageError as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"specnorm: error: {exc}", file=sys.stderr)

@@ -48,6 +48,27 @@ class GumbelModel:
             raise ValueError("theta must be nonnegative")
 
 
+# truncation lengths past this many terms are refused; summing this many
+# takes about 2.4 s on one Xeon core
+_THETA_MAX_TERMS = 2**26
+
+
+def _theta_terms(c: float, tol: float) -> float:
+    """Truncation length J of theta_c at (c, tol); inf past the float range."""
+    bound = 3.0 * (c * math.pi) ** 4 * tol
+    j = max(10.0 / c, (4.0 / bound) ** (1.0 / 3.0) if bound > 0 else math.inf, 8)
+    return math.ceil(j) if j < math.inf else j
+
+
+def _theta_c_floor(tol: float) -> float:
+    """Smallest aspect ratio whose truncation fits in _THETA_MAX_TERMS at tol."""
+    cap = _THETA_MAX_TERMS
+    c = max(10.0 / cap, (4.0 / (3.0 * tol * cap**3)) ** 0.25 / math.pi)
+    while _theta_terms(c, tol) > cap:  # undo rounding in the closed form
+        c = math.nextafter(c, math.inf)
+    return c
+
+
 @lru_cache(maxsize=512)
 def theta_c(c: float, tol: float = 1e-10) -> float:
     """Location shift theta(c) = -2 sum_{j>=1} log(1 - (sin(c pi j)/(c pi j))^2).
@@ -60,17 +81,25 @@ def theta_c(c: float, tol: float = 1e-10) -> float:
     so only the quadratic-and-higher remainder needs bounding. Each term
     obeys -log(1-x) - x <= x^2/(1-x) with x <= 1/(c pi j)^2, giving a
     remainder below 2/(3 (c pi)^4 J^3); J is chosen so this is under tol/2.
-    Accuracy is limited to ~1e-12 by double-precision summation.
+    J grows like c^(-4/3) tol^(-1/3); past _THETA_MAX_TERMS terms the call
+    is refused with ValueError. Accuracy is limited to ~1e-12 by
+    double-precision summation.
     """
     if not 0 < c <= 1:
         raise ValueError(f"aspect ratio must lie in (0, 1], got {c}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    big_j = _theta_terms(c, tol)
+    if big_j > _THETA_MAX_TERMS:
+        floor = _theta_c_floor(tol)
+        accepted = (f"the smallest c accepted at this tol is {floor!r}" if floor <= 1
+                    else "no c in (0, 1] is accepted at this tol")
+        raise ValueError(
+            f"theta(c) at c={c}, tol={tol} needs {big_j:.3g} terms, past the cap of "
+            f"{_THETA_MAX_TERMS}; {accepted}"
+        )
 
     cpi = c * math.pi
-    j_tail = math.ceil((4.0 / (3.0 * cpi**4 * tol)) ** (1.0 / 3.0))
-    big_j = max(math.ceil(10.0 / c), j_tail, 8)
-
     head = 0.0
     linear = 0.0
     lo = 1

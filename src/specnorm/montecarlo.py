@@ -6,13 +6,24 @@ norms are solved together, and every operation of the solve acts on each
 replicate alone, so results depend neither on execution order, nor on the
 block size, nor on the worker count: reruns and parallel runs aggregate
 bit-identical values.
+
+Pooled runs share one worker pool per process (see `_pool`): it starts on
+the first pooled call and serves every later call with the same worker
+count, so a sweep pays process start-up once. Workers keep the module
+state they started with; a global changed in the parent afterwards does
+not reach them.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -57,6 +68,8 @@ __all__ = [
 
 STATISTICS = ("scaled_norm", "centered_norm_sq", "b_statistic")
 
+_log = logging.getLogger(__name__)
+
 # fraction of non-converged replicates tolerated before the run is failed
 _EXCLUSION_CAP = 1e-3
 
@@ -96,6 +109,10 @@ class ExperimentConfig:
                 raise ValueError(f"quantile probes must lie in (0, 1), got {q}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if not self.norm_tol > 0:
+            raise ValueError(f"norm_tol must be positive, got {self.norm_tol}")
+        if self.norm_max_iter < 1:
+            raise ValueError(f"norm_max_iter must be at least 1, got {self.norm_max_iter}")
         if "b_statistic" in self.statistics:
             _require_b_compatible(self)
 
@@ -194,19 +211,66 @@ def _replicate(cfg: ExperimentConfig, block: range) -> list[_Record]:
     ]
 
 
+# this process's worker pool, ((pid, workers), pool), or None before the
+# first pooled call; _POOL_LOCK guards it and serializes pooled calls
+_POOL: tuple[tuple[int, int], ProcessPoolExecutor] | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
+    """This process's pool of `workers` processes, and whether it was just
+    started. A pool of another size is shut down first; a pool inherited
+    through fork belongs to the parent and is left to it."""
+    global _POOL
+    key = (os.getpid(), workers)
+    if _POOL is not None and _POOL[0] == key:
+        return _POOL[1], False
+    _drop_pool()
+    _POOL = (key, ProcessPoolExecutor(max_workers=workers))
+    return _POOL[1], True
+
+
+def _drop_pool() -> None:
+    """Shut down this process's pool, if any, and forget the pool."""
+    global _POOL
+    if _POOL is not None and _POOL[0][0] == os.getpid():
+        _POOL[1].shutdown()
+    _POOL = None
+
+
+def _pooled(cfg: ExperimentConfig, blocks: list[range]) -> tuple[list[list[_Record]], bool]:
+    """The blocks' records in block order over the pool, and whether the
+    pool was started for this call. A broken pool is dropped; a reused one
+    (a worker died since the last call) is replaced once, while one started
+    for this call raises BrokenProcessPool."""
+    chunk = math.ceil(len(blocks) / (4 * cfg.workers))
+    with _POOL_LOCK:
+        while True:
+            pool, started = _pool(cfg.workers)
+            try:
+                return list(pool.map(_replicate, repeat(cfg), blocks, chunksize=chunk)), started
+            except BrokenProcessPool:
+                _drop_pool()
+                if started:
+                    raise
+
+
 def _collect(cfg: ExperimentConfig) -> list[_Record]:
     """All replicates in index order, block by block, serially or over
     cfg.workers processes. A replicate's record does not depend on the
     block it falls in, so neither the block size nor the worker count
     changes any result."""
+    t0 = time.perf_counter()
     size = _block_rows(cfg)
     blocks = [range(lo, min(lo + size, cfg.replicates)) for lo in range(0, cfg.replicates, size)]
     if cfg.workers == 1 or len(blocks) == 1:
         parts = [_replicate(cfg, block) for block in blocks]
+        how = "serial"
     else:
-        chunk = math.ceil(len(blocks) / (4 * cfg.workers))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(_replicate, repeat(cfg), blocks, chunksize=chunk))
+        parts, started = _pooled(cfg, blocks)
+        how = f"{cfg.workers} workers, pool {'started' if started else 'reused'}"
+    _log.info("%d replicates in %d blocks, %s: %.3f s",
+              cfg.replicates, len(blocks), how, time.perf_counter() - t0)
     return [rec for part in parts for rec in part]
 
 

@@ -20,6 +20,7 @@ from .structured import (
 __all__ = [
     "GramEigenpairs",
     "NormResult",
+    "check_solver_settings",
     "gram_lanczos",
     "spectral_norms",
     "spectral_norm_fast",
@@ -121,6 +122,14 @@ def _combine(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return (coef[:, None, :] @ basis)[:, 0]
 
 
+def check_solver_settings(tol: float, max_iter: int) -> None:
+    """Refuse a tolerance that is not positive or a step cap below one."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def gram_lanczos(gram, start, tol: float, max_iter: int) -> GramEigenpairs:
     """Largest eigenpair of each Gram operator of a block, solved in lockstep.
 
@@ -151,10 +160,7 @@ def gram_lanczos(gram, start, tol: float, max_iter: int) -> GramEigenpairs:
     chunks up to ``min(max_iter, dim)`` vectors per row; a row's basis past
     `_BASIS_BYTES` raises ResourceLimitError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_solver_settings(tol, max_iter)
     # a C-ordered copy: a row's reductions must not see the block's strides
     q = np.array(start, dtype=float, order="C")
     if q.ndim != 2:

@@ -83,6 +83,18 @@ def test_theta_rejects_zero_ratio():
     assert run_cli("theta", "--grid", "0:0.1:0.5") == EXIT_USAGE
 
 
+def test_theta_rejects_zero_tol(capsys):
+    assert run_cli("theta", "--grid", "0.5:0:0.5", "--tol", "0") == EXIT_USAGE
+    assert "specnorm: error: tol must be positive" in capsys.readouterr().err
+
+
+def test_theta_refuses_ratio_past_the_term_cap(capsys):
+    assert run_cli("theta", "--grid", "0.0001:0:0.0001") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "c=0.0001, tol=1e-10" in err
+    assert "smallest c accepted at this tol is 0.000145" in err
+
+
 def test_norm_dense_check_agrees(tmp_path):
     out = tmp_path / "norm.csv"
     code = run_cli("norm", "--family", "toeplitz", "--p", "12", "--n", "30",
@@ -108,6 +120,16 @@ def test_norm_square_circulant_identity(tmp_path):
 
 def test_norm_rejects_wide_p(capsys):
     assert run_cli("norm", "--family", "toeplitz", "--p", "10", "--n", "5") == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "0", "tol must be positive"),
+    ("--max-iter", "0", "max_iter must be at least 1"),
+])
+def test_norm_rejects_invalid_solver_settings(flag, value, message, capsys):
+    assert run_cli("norm", "--family", "toeplitz", "--p", "8", "--n", "16",
+                   flag, value) == EXIT_USAGE
+    assert f"specnorm: error: {message}" in capsys.readouterr().err
 
 
 def test_norm_loose_solver_trips_oracle_exit(tmp_path):
@@ -220,6 +242,13 @@ def test_mc_experiment_failure_exit(tmp_path):
     assert run_cli("mc", "--config", str(cfg)) == EXIT_NUMERIC
 
 
+def test_mc_rejects_zero_norm_tol(tmp_path, capsys):
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(MC_CONFIG + "norm_tol = 0\n")
+    assert run_cli("mc", "--config", str(cfg), "--threads", "2") == EXIT_USAGE
+    assert "invalid experiment config: norm_tol must be positive" in capsys.readouterr().err
+
+
 def test_mc_krylov_basis_refusal_is_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(norms, "_BASIS_BYTES", 8 * 16)
     cfg = tmp_path / "mc.cfg"
@@ -238,6 +267,24 @@ def test_sweep_refuses_raw_output(tmp_path, command):
     cfg.write_text(SWEEP_CONFIG + f"raw_output = {raw}\n")
     assert run_cli(command, "--config", str(cfg)) == EXIT_USAGE
     assert not raw.exists()
+
+
+@pytest.mark.parametrize("command", ["mc", "paired"])
+def test_verbose_logs_runs_to_stderr_and_leaves_stdout_alone(tmp_path, capsys, command):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    assert run_cli(command, "--config", str(cfg), "--threads", "2") == EXIT_OK
+    quiet = capsys.readouterr()
+    assert run_cli(command, "--config", str(cfg), "--threads", "2", "-v") == EXIT_OK
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert quiet.err == ""
+    lines = loud.err.splitlines()
+    assert len(lines) == 2  # one per ratio
+    for line in lines:
+        assert re.fullmatch(r"specnorm\.montecarlo: 10 replicates in 2 blocks, 2 workers, "
+                            r"pool (started|reused): \d+\.\d{3} s", line), line
+    assert "pool reused" in lines[1]
 
 
 def test_gumbel_compare(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import specnorm.extremes as extremes
 from specnorm.extremes import (
     GumbelModel,
     b_kernel,
@@ -62,6 +63,42 @@ def test_theta_domain():
         theta_c(1.2)
     with pytest.raises(ValueError):
         theta_c(0.5, tol=0.0)
+    with pytest.raises(ValueError):
+        theta_c(0.5, tol=math.nan)
+
+
+def _theta_floor_from_message(c, tol):
+    with pytest.raises(ValueError) as exc:
+        theta_c(c, tol)
+    message = str(exc.value)
+    assert f"c={c}" in message and f"tol={tol}" in message
+    return float(message.rsplit(" ", 1)[1])
+
+
+def test_theta_term_cap_boundary(monkeypatch):
+    # a small cap puts the boundary near c = 0.21 at tol 1e-10
+    monkeypatch.setattr(extremes, "_THETA_MAX_TERMS", 2**12)
+    floor = _theta_floor_from_message(0.1, 1e-10)
+    assert 0.2 < floor < 0.25
+    assert extremes._theta_terms(floor, 1e-10) <= 2**12
+    assert math.isfinite(theta_c(floor, 1e-10))
+    assert _theta_floor_from_message(floor * (1 - 1e-9), 1e-10) == floor
+
+
+def test_theta_refuses_past_the_real_cap_and_sums_up_to_it():
+    floor = _theta_floor_from_message(1e-4, 1e-10)
+    assert 1.4e-4 < floor < 1.5e-4
+    with pytest.raises(ValueError):
+        theta_c(floor * (1 - 1e-9))
+    # at the cap: 2**26 terms, about 2.4 s
+    assert theta_c(floor) > theta_c(1e-3) > 0
+
+
+def test_theta_refuses_a_tol_no_ratio_can_meet():
+    with pytest.raises(ValueError, match="no c in"):
+        theta_c(1.0, tol=1e-30)
+    with pytest.raises(ValueError, match="no c in"):
+        theta_c(1e-3, tol=5e-324)
 
 
 def test_gumbel_cdf_at_location():

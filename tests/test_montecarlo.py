@@ -1,6 +1,13 @@
 import csv
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +245,12 @@ def test_config_validation():
         replace(TINY, replicates=0)
     with pytest.raises(ValueError):
         replace(TINY, workers=0)
+    with pytest.raises(ValueError, match="norm_tol"):
+        replace(TINY, norm_tol=0.0)
+    with pytest.raises(ValueError, match="norm_tol"):
+        replace(TINY, norm_tol=math.nan)
+    with pytest.raises(ValueError, match="norm_max_iter"):
+        replace(TINY, norm_max_iter=0)
     with pytest.raises(ValueError):
         ExperimentConfig(family="circulant", p=3, n=9, statistics=("b_statistic",))
 
@@ -324,3 +337,109 @@ def test_experiment_error_names_replayable_replicates():
     for r in range(5):
         sym = build_symbol(spec, replicate_stream(91, r))
         assert not spectral_norm_fast(sym, spec, max_iter=cfg.norm_max_iter).converged
+
+
+@pytest.fixture
+def fresh_pool():
+    """No worker pool before the test, and none left after it."""
+    mc._drop_pool()
+    yield
+    mc._drop_pool()
+
+
+def _worker_pids():
+    return sorted(proc.pid for proc in multiprocessing.active_children())
+
+
+def _exited(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+POOLED = replace(C7, replicates=40, workers=2)
+
+
+def test_pooled_calls_reuse_the_workers(fresh_pool):
+    want = _paired_bytes(replace(POOLED, workers=1))
+    assert _paired_bytes(POOLED) == want
+    first = _worker_pids()
+    assert len(first) == 2
+    assert _paired_bytes(POOLED) == want
+    assert _worker_pids() == first
+
+
+def test_new_worker_count_replaces_the_pool(fresh_pool):
+    mc._collect(POOLED)
+    old = _worker_pids()
+    mc._collect(replace(POOLED, workers=3))
+    new = _worker_pids()
+    assert len(new) == 3 and not set(old) & set(new)
+    assert all(_exited(pid) for pid in old)
+
+
+def test_killed_worker_does_not_fail_the_next_call(fresh_pool):
+    want = _paired_bytes(replace(POOLED, workers=1))
+    mc._collect(POOLED)
+    old = _worker_pids()
+    os.kill(old[0], signal.SIGKILL)
+    assert _paired_bytes(POOLED) == want
+    # the broken pool is gone by now, whether that call or this one found it
+    assert _paired_bytes(POOLED) == want
+    assert not set(old) & set(_worker_pids())
+
+
+def test_pool_that_breaks_in_its_first_call_raises(fresh_pool, monkeypatch):
+    # a pool whose workers cannot start breaks in the call that started it
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda max_workers: ProcessPoolExecutor(
+        max_workers, initializer=os._exit, initargs=(1,)))
+    with pytest.raises(mc.BrokenProcessPool):
+        mc._collect(POOLED)
+    assert mc._POOL is None
+    monkeypatch.undo()
+    assert _paired_bytes(POOLED) == _paired_bytes(replace(POOLED, workers=1))
+
+
+def test_worker_exception_leaves_the_pool_usable(fresh_pool, monkeypatch):
+    # workers started after the patch refuse a basis past 4 vectors of 32 entries
+    monkeypatch.setattr(norms, "_BASIS_BYTES", 8 * 32 * 4)
+    small = replace(TINY, p=8, n=16, replicates=8, workers=2)
+    mc._collect(small)
+    pids = _worker_pids()
+    with pytest.raises(ResourceLimitError):
+        mc._collect(replace(small, p=32, n=64))
+    records = mc._collect(small)
+    assert [rec.sigma_max for rec in records] == [
+        rec.sigma_max for rec in mc._collect(replace(small, workers=1))]
+    assert _worker_pids() == pids
+
+
+def test_forked_child_starts_its_own_pool(fresh_pool):
+    want = _paired_bytes(replace(POOLED, workers=1))
+    mc._collect(POOLED)
+    parent_pids = _worker_pids()
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit code only
+        code = 1
+        try:
+            ok = _paired_bytes(POOLED) == want and mc._POOL[0] == (os.getpid(), 2)
+            mc._drop_pool()
+            code = 0 if ok else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert _paired_bytes(POOLED) == want
+    assert _worker_pids() == parent_pids
+
+
+def test_import_starts_no_process():
+    src = Path(mc.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "import multiprocessing, threading, specnorm, specnorm.montecarlo as mc\n"
+            "print(mc._POOL, multiprocessing.active_children(), threading.active_count())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.split() == ["None", "[]", "1"]
