@@ -26,6 +26,7 @@ from .montecarlo import (
     collect_samples,
     paired_bound_experiment,
     run_experiment,
+    shutdown_pool,
     sweep_ratios,
 )
 from .norms import NormResult, scaled_norm, spectral_norm_dense, spectral_norm_fast

@@ -9,9 +9,10 @@ bit-identical values.
 
 Pooled runs share one worker pool per process (see `_pool`): it starts on
 the first pooled call and serves every later call with the same worker
-count, so a sweep pays process start-up once. Workers keep the module
-state they started with; a global changed in the parent afterwards does
-not reach them.
+count, so a sweep pays process start-up once. Its workers stay until
+`shutdown_pool` or interpreter exit. Workers keep the module state they
+started with; a global changed in the parent afterwards does not reach
+them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .extremes import (
     gumbel_model,
     gumbel_quantile,
 )
-from .norms import NormResult, scaled_norm, spectral_norms
+from .norms import NormResult, check_solver_settings, scaled_norm, spectral_norms
 from .sinekernel import k_estimate
 from .structured import (
     MatrixSpec,
@@ -64,6 +65,7 @@ __all__ = [
     "n_for_ratio",
     "summary_row",
     "gumbel_dominance",
+    "shutdown_pool",
 ]
 
 STATISTICS = ("scaled_norm", "centered_norm_sq", "b_statistic")
@@ -109,10 +111,10 @@ class ExperimentConfig:
                 raise ValueError(f"quantile probes must lie in (0, 1), got {q}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if not self.norm_tol > 0:
-            raise ValueError(f"norm_tol must be positive, got {self.norm_tol}")
-        if self.norm_max_iter < 1:
-            raise ValueError(f"norm_max_iter must be at least 1, got {self.norm_max_iter}")
+        try:
+            check_solver_settings(self.norm_tol, self.norm_max_iter)
+        except ValueError as exc:  # name the config keys, norm_tol and norm_max_iter
+            raise ValueError(f"norm_{exc}") from None
         if "b_statistic" in self.statistics:
             _require_b_compatible(self)
 
@@ -212,9 +214,10 @@ def _replicate(cfg: ExperimentConfig, block: range) -> list[_Record]:
 
 
 # this process's worker pool, ((pid, workers), pool), or None before the
-# first pooled call; _POOL_LOCK guards it and serializes pooled calls
+# first pooled call; _POOL_LOCK guards it and serializes pooled calls, and
+# is reentrant because a pooled call shuts a stale pool down under it
 _POOL: tuple[tuple[int, int], ProcessPoolExecutor] | None = None
-_POOL_LOCK = threading.Lock()
+_POOL_LOCK = threading.RLock()
 
 
 def _pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
@@ -225,24 +228,28 @@ def _pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
     key = (os.getpid(), workers)
     if _POOL is not None and _POOL[0] == key:
         return _POOL[1], False
-    _drop_pool()
+    shutdown_pool()
     _POOL = (key, ProcessPoolExecutor(max_workers=workers))
     return _POOL[1], True
 
 
-def _drop_pool() -> None:
-    """Shut down this process's pool, if any, and forget the pool."""
+def shutdown_pool() -> None:
+    """Shut down this process's Monte Carlo worker pool, if any, releasing
+    its workers; the next pooled call starts a new one."""
     global _POOL
-    if _POOL is not None and _POOL[0][0] == os.getpid():
-        _POOL[1].shutdown()
-    _POOL = None
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL[0][0] == os.getpid():
+            _POOL[1].shutdown()
+        _POOL = None
 
 
 def _pooled(cfg: ExperimentConfig, blocks: list[range]) -> tuple[list[list[_Record]], bool]:
     """The blocks' records in block order over the pool, and whether the
-    pool was started for this call. A broken pool is dropped; a reused one
-    (a worker died since the last call) is replaced once, while one started
-    for this call raises BrokenProcessPool."""
+    pool was started for this call. A pool that raises BrokenProcessPool is
+    dropped. If it was reused, the whole call reruns once on a new pool,
+    whatever broke it: a worker that died since the last call, or a worker
+    crashed by this call's own blocks, which then costs the call twice
+    before it raises. A pool started for this call raises at once."""
     chunk = math.ceil(len(blocks) / (4 * cfg.workers))
     with _POOL_LOCK:
         while True:
@@ -250,7 +257,7 @@ def _pooled(cfg: ExperimentConfig, blocks: list[range]) -> tuple[list[list[_Reco
             try:
                 return list(pool.map(_replicate, repeat(cfg), blocks, chunksize=chunk)), started
             except BrokenProcessPool:
-                _drop_pool()
+                shutdown_pool()
                 if started:
                     raise
 

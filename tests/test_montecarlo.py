@@ -342,9 +342,9 @@ def test_experiment_error_names_replayable_replicates():
 @pytest.fixture
 def fresh_pool():
     """No worker pool before the test, and none left after it."""
-    mc._drop_pool()
+    mc.shutdown_pool()
     yield
-    mc._drop_pool()
+    mc.shutdown_pool()
 
 
 def _worker_pids():
@@ -391,6 +391,15 @@ def test_killed_worker_does_not_fail_the_next_call(fresh_pool):
     assert not set(old) & set(_worker_pids())
 
 
+def test_shutdown_pool_releases_the_workers(fresh_pool):
+    mc._collect(POOLED)
+    old = _worker_pids()
+    mc.shutdown_pool()
+    assert mc._POOL is None and all(_exited(pid) for pid in old)
+    mc._collect(POOLED)
+    assert not set(old) & set(_worker_pids())
+
+
 def test_pool_that_breaks_in_its_first_call_raises(fresh_pool, monkeypatch):
     # a pool whose workers cannot start breaks in the call that started it
     monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda max_workers: ProcessPoolExecutor(
@@ -425,7 +434,7 @@ def test_forked_child_starts_its_own_pool(fresh_pool):
         code = 1
         try:
             ok = _paired_bytes(POOLED) == want and mc._POOL[0] == (os.getpid(), 2)
-            mc._drop_pool()
+            mc.shutdown_pool()
             code = 0 if ok else 1
         finally:
             os._exit(code)
