@@ -5,7 +5,7 @@ Toeplitz norm with rigorous brackets, the shifted-Gumbel second-order
 theory for Gaussian circulants, and a reproducible Monte Carlo harness.
 """
 
-from .dft import autocorrelate, convolve_full, dft_forward, dft_inverse
+from .dft import autocorrelate, convolve_full, dft_forward
 from .extremes import (
     BStatistic,
     DominanceReport,
@@ -27,7 +27,6 @@ from .montecarlo import (
     paired_bound_experiment,
     run_experiment,
     shutdown_pool,
-    sweep_ratios,
 )
 from .norms import NormResult, scaled_norm, spectral_norm_dense, spectral_norm_fast
 from .sinekernel import (

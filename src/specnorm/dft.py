@@ -1,15 +1,18 @@
-"""Unitary discrete Fourier transforms, full convolution, autocorrelation.
+"""Unitary DFT, real circular convolution, full convolution, autocorrelation.
 
-All transforms use the unitary convention with a positive-sign kernel,
+The unitary transform uses a positive-sign kernel,
 
     forward:  y[s] = N**-0.5 * sum_t exp(+2j*pi*s*t/N) * x[t],
 
 so that the forward transform of a real symbol vector directly yields the
 eigenvalue diagonal of the associated circulant (see `specnorm.structured`).
+Every real product in the package (structured matrix products, the
+lower-bound statistic's quadratic forms, real full convolutions) is one
+:func:`circular_convolve`, with the kernel held by its half spectrum.
 Arbitrary lengths are supported at O(N log N) cost; the heavy lifting is
 delegated to numpy's pocketfft backend, which falls back to a Bluestein
-chirp-z reduction for lengths with large prime factors. The two transforms
-act along the last axis, so a stack of vectors transforms row by row, each
+chirp-z reduction for lengths with large prime factors. Transforms act
+along the last axis, so a stack of vectors transforms row by row, each
 row bit-identical to its transform on its own.
 """
 
@@ -21,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "dft_forward",
-    "dft_inverse",
     "convolve_full",
     "autocorrelate",
     "fast_length",
@@ -82,12 +84,26 @@ def dft_forward(x) -> np.ndarray:
     return y
 
 
-def dft_inverse(y) -> np.ndarray:
-    """Inverse of :func:`dft_forward` (conjugate kernel, same normalization)."""
-    v = _as_stack(y, "y")
-    x = np.fft.fft(v)
-    x /= np.sqrt(v.shape[-1])
-    return x
+def half_spectrum(x, size: int) -> np.ndarray:
+    """First size//2 + 1 DFT coefficients (negative-sign kernel, no scaling)
+    of the real x zero-padded to `size`, along the last axis."""
+    v = _as_stack(x, "x")
+    if v.shape[-1] > size:
+        raise ValueError(f"x has {v.shape[-1]} entries, more than size {size}")
+    return np.fft.rfft(v, size)
+
+
+def circular_convolve(spectrum, x, size: int) -> np.ndarray:
+    """Circular convolution of the real x, zero-padded to `size`, with the
+    real kernel whose :func:`half_spectrum` is `spectrum`.
+
+    Computes irfft(spectrum * rfft(x, size), size) along the last axis;
+    `spectrum` broadcasts against the stack of x. A complex product can
+    round differently with its operands swapped, so the product keeps this
+    operand order and a row rounds the same in a stack of any size.
+    """
+    f = half_spectrum(x, size)
+    return np.fft.irfft(np.multiply(spectrum, f, out=f), size)
 
 
 def convolve_full(a, b) -> np.ndarray:
@@ -101,7 +117,7 @@ def convolve_full(a, b) -> np.ndarray:
     n = u.size + v.size - 1
     m = fast_length(n)
     if np.isrealobj(u) and np.isrealobj(v):
-        return np.fft.irfft(np.fft.rfft(u, m) * np.fft.rfft(v, m), m)[:n]
+        return circular_convolve(half_spectrum(u, m), v, m)[:n]
     return np.fft.ifft(np.fft.fft(u, m) * np.fft.fft(v, m))[:n]
 
 

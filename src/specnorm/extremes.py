@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dft import circular_convolve, half_spectrum
 from .structured import projection_entry
 
 __all__ = [
@@ -193,7 +194,7 @@ def b_statistic(diag, p: int) -> BStatistic:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
     power = np.abs(d) ** 2
     w = b_kernel(p, n)
-    forms = np.fft.irfft(np.fft.rfft(w) * np.fft.rfft(power), n)
+    forms = circular_convolve(half_spectrum(w, n), power, n)
     half = forms[: n // 2 + 1]
     j = int(np.argmax(half))
     value = float(half[j] / p)

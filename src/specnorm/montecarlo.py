@@ -59,7 +59,6 @@ __all__ = [
     "collect_samples",
     "run_experiment",
     "sweep_configs",
-    "sweep_ratios",
     "paired_bound_experiment",
     "reference_constant",
     "n_for_ratio",
@@ -92,7 +91,6 @@ class ExperimentConfig:
     replicates: int = 1000
     base_seed: int = 0
     statistics: tuple[str, ...] = ("scaled_norm",)
-    quantile_probes: tuple[float, ...] = (0.05, 0.5, 0.95)
     workers: int = 1
     norm_tol: float = 1e-10
     norm_max_iter: int = 100_000  # cap on the norm solver's Krylov steps
@@ -106,9 +104,6 @@ class ExperimentConfig:
         for stat in self.statistics:
             if stat not in STATISTICS:
                 raise ValueError(f"unknown statistic {stat!r}")
-        for q in self.quantile_probes:
-            if not 0 < q < 1:
-                raise ValueError(f"quantile probes must lie in (0, 1), got {q}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         try:
@@ -155,7 +150,7 @@ class McSummary:
         for prob, value in self.quantiles:
             if prob == q:
                 return value
-        raise KeyError(f"quantile {q} was not requested")
+        raise KeyError(f"quantile {q} is not summarized")
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,8 @@ def _block_rows(cfg: ExperimentConfig) -> int:
     an equal share of the replicates per worker."""
     spec = cfg.template_spec()
     # per replicate: its symbol and diagonal, their stacked copy, and the
-    # complex work arrays of one product (96 bytes per embedding entry)
+    # work arrays of one product, about 72 bytes per embedding entry; the
+    # older count of 96 stays until block sizing is measured again
     row_bytes = 96 * embedding_size(spec)
     if _needs_norm(cfg):
         row_bytes += 8 * spec.p * min(cfg.norm_max_iter, spec.p)  # a full basis
@@ -323,10 +319,9 @@ def _quantile(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[lo] + (h - lo) * (sorted_values[hi] - sorted_values[lo]))
 
 
-def _summarize(cfg: ExperimentConfig, stat: str, values: np.ndarray, excluded: int,
-               raw_path: str | None) -> McSummary:
+def _summarize(stat: str, values: np.ndarray, excluded: int, raw_path: str | None) -> McSummary:
     s = np.sort(values)
-    quantiles = tuple((q, _quantile(s, q)) for q in cfg.quantile_probes)
+    quantiles = tuple((q, _quantile(s, q)) for q in (0.05, 0.5, 0.95))
     return McSummary(
         statistic=stat,
         count=int(s.size),
@@ -374,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig, raw_path: str | None = None) -> dict[s
     """
     samples, excluded = collect_samples(cfg, raw_path)
     return {
-        stat: _summarize(cfg, stat, values, excluded, raw_path)
+        stat: _summarize(stat, values, excluded, raw_path)
         for stat, values in samples.items()
     }
 
@@ -431,11 +426,6 @@ def sweep_configs(
 ) -> list[ExperimentConfig]:
     """The template at each aspect ratio: p rows and n = n_for_ratio(p, ratio)."""
     return [replace(cfg_template, p=p, n=n_for_ratio(p, r)) for r in ratios]
-
-
-def sweep_ratios(cfg_template: ExperimentConfig, ratios: Iterable[float], p: int) -> list[SweepRow]:
-    """One summary row per aspect ratio with n = floor(p / ratio)."""
-    return [summary_row(cfg) for cfg in sweep_configs(cfg_template, ratios, p)]
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 A p-by-n member of any supported family is the upper-left corner of an
 N-by-N circulant whose first row (the "symbol") is laid out from one draw
-of i.i.d. entries. The circulant diagonalizes under the unitary DFT, so
-matrix-vector products cost O(N log N); a dense construction of the same
-matrix is kept as an independent oracle.
+of i.i.d. entries. The circulant diagonalizes under the unitary DFT, and
+the first half of its diagonal is the half spectrum of a real circular
+convolution, so products cost O(N log N) in real FFTs; a dense
+construction of the same matrix is kept as an independent oracle.
 
 Families and their embeddings:
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import dft_forward, dft_inverse
+from .dft import circular_convolve, dft_forward
 
 __all__ = [
     "FAMILIES",
@@ -187,59 +188,45 @@ def stack_symbols(symbols) -> SymbolVector:
 
 
 def _operand(v, length: int, sym: SymbolVector, name: str) -> np.ndarray:
-    """`v` checked as one vector of `length`, or as one per row of a stacked `sym`."""
+    """`v` checked as one real vector of `length`, or one per row of a stacked `sym`."""
     vv = np.asarray(v)
+    if np.iscomplexobj(vv):
+        raise ValueError(f"{name} must be real, got dtype {vv.dtype}")
     want = sym.diag.shape[:-1] + (length,)
     if vv.shape != want:
         raise ValueError(f"{name} must have shape {want}, got {vv.shape}")
     return vv
 
 
-def _pad(x: np.ndarray, size: int) -> np.ndarray:
-    z = np.zeros(x.shape[:-1] + (size,), dtype=complex)
-    z[..., : x.shape[-1]] = x
-    return z
-
-
-def _circulant_product(sym: SymbolVector, v: np.ndarray, first, second) -> np.ndarray:
-    """``sqrt(size) * second(diag * first(v))`` on the zero-padded v.
-
-    A complex product rounds differently with its operands swapped, and
-    numpy reuses a large temporary operand in place, first or second. The
-    products here name their output, so a row rounds the same in a stack of
-    any size.
-    """
-    spectrum = first(_pad(v, sym.size))
-    full = second(np.multiply(sym.diag, spectrum, out=spectrum))
-    return np.multiply(math.sqrt(sym.size), full, out=full)
+def _half_diag(sym: SymbolVector) -> np.ndarray:
+    return sym.diag[..., : sym.size // 2 + 1]
 
 
 def matvec(sym: SymbolVector, spec: MatrixSpec, x) -> np.ndarray:
-    """Product of the p-by-n matrix with x, via the embedding circulant.
+    """Product of the p-by-n matrix with real x, via the embedding circulant.
 
-    Zero-pads x to the embedding size, multiplies in the Fourier domain by
-    the symbol diagonal, and keeps the first p coordinates. Column-reversed
-    families read x back to front first. For a stacked `sym`, x holds one
-    vector per row and row i of the result uses symbol row i.
+    The first p entries of the circulant times x zero-padded to the
+    embedding size: a circular convolution whose kernel has the half
+    spectrum sqrt(size) * diag[: size//2 + 1]. Column-reversed families
+    read x back to front first. For a stacked `sym`, x holds one vector
+    per row and row i of the result uses symbol row i.
     """
     xv = _operand(x, spec.n, sym, "x")
-    real_input = np.isrealobj(xv)
     if spec.reversed_columns:
         xv = xv[..., ::-1]
-    full = _circulant_product(sym, xv, dft_inverse, dft_forward)
-    out = full[..., : spec.p]
-    return out.real if real_input else out
+    out = circular_convolve(_half_diag(sym), xv, sym.size)[..., : spec.p]
+    out *= math.sqrt(sym.size)
+    return out
 
 
 def rmatvec(sym: SymbolVector, spec: MatrixSpec, y) -> np.ndarray:
     """Transposed product (length-n output); adjoint of :func:`matvec`."""
     yv = _operand(y, spec.p, sym, "y")
-    real_input = np.isrealobj(yv)
-    full = _circulant_product(sym, yv, dft_forward, dft_inverse)
-    out = full[..., : spec.n]
+    out = circular_convolve(np.conj(_half_diag(sym)), yv, sym.size)[..., : spec.n]
+    out *= math.sqrt(sym.size)
     if spec.reversed_columns:
         out = out[..., ::-1]
-    return out.real if real_input else out
+    return out
 
 
 def dense_materialize(sym: SymbolVector, spec: MatrixSpec) -> np.ndarray:

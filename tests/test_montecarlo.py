@@ -24,7 +24,7 @@ from specnorm.montecarlo import (
     reference_constant,
     run_experiment,
     summary_row,
-    sweep_ratios,
+    sweep_configs,
 )
 from specnorm.norms import scaled_norm, spectral_norm_fast
 from specnorm.sinekernel import k_estimate
@@ -136,14 +136,15 @@ def test_sweep_reference_wiring():
         replicates=12,
         norm_tol=1e-6,
     )
-    rows = sweep_ratios(cfg, [1.0, 0.5], p=12)
+    rows = [summary_row(c) for c in sweep_configs(cfg, [1.0, 0.5], p=12)]
     assert [row.n for row in rows] == [12, 24]
     for row in rows:
         assert row.ratio == row.p / row.n
         assert row.reference == pytest.approx(k_estimate(row.p, row.n)[0].k_value, abs=1e-9)
         assert row.q05 <= row.median <= row.q95
 
-    circ = sweep_ratios(replace(cfg, family="circulant"), [1.0, 0.5], p=12)
+    circ_cfg = replace(cfg, family="circulant")
+    circ = [summary_row(c) for c in sweep_configs(circ_cfg, [1.0, 0.5], p=12)]
     assert all(row.reference == 1.0 for row in circ)
 
 
@@ -186,10 +187,11 @@ def test_paired_bound_worker_count_is_bit_identical():
 def test_summary_row_matches_run_experiment():
     cfg = replace(TINY, family="toeplitz", replicates=12, norm_tol=1e-6)
     row = summary_row(cfg)
-    summary = run_experiment(replace(cfg, quantile_probes=(0.05, 0.95)))["scaled_norm"]
+    summary = run_experiment(cfg)["scaled_norm"]
     assert (row.ratio, row.p, row.n, row.count) == (0.5, 16, 32, 12)
     assert (row.mean, row.median) == (summary.mean, summary.median)
     assert (row.q05, row.q95) == (summary.quantile(0.05), summary.quantile(0.95))
+    assert [q for q, _ in summary.quantiles] == [0.05, 0.5, 0.95]
     assert row.reference == reference_constant(cfg.template_spec())
 
 
@@ -239,8 +241,6 @@ def test_paired_bound_requires_gaussian_circulant():
 def test_config_validation():
     with pytest.raises(ValueError):
         replace(TINY, statistics=("sigma",))
-    with pytest.raises(ValueError):
-        replace(TINY, quantile_probes=(0.0,))
     with pytest.raises(ValueError):
         replace(TINY, replicates=0)
     with pytest.raises(ValueError):

@@ -140,15 +140,21 @@ def test_fast_matches_dense_fixed_size():
         assert err < 1e-10
 
 
-@pytest.mark.parametrize("spec", all_specs(p=11, n=28, seed=3), ids=str)
+# n = 27 gives odd circulant embeddings, so both real-FFT parities are checked
+@pytest.mark.parametrize(
+    "spec", all_specs(p=11, n=28, seed=3) + all_specs(p=11, n=27, seed=3), ids=str
+)
 def test_fast_matches_dense_all_families(spec):
-    rng = np.random.default_rng(spec.seed + hash(spec.family) % 1000)
+    rng = np.random.default_rng([spec.seed, FAMILIES.index(spec.family), spec.n])
     sym = build_symbol(spec)
     dense = dense_materialize(sym, spec)
     for _ in range(10):
         x = rng.standard_normal(spec.n)
         ref = dense @ x
         assert np.linalg.norm(matvec(sym, spec, x) - ref) <= 1e-10 * np.linalg.norm(ref)
+        y = rng.standard_normal(spec.p)
+        ref = dense.T @ y
+        assert np.linalg.norm(rmatvec(sym, spec, y) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("spec", all_specs(p=9, n=20, seed=21), ids=str)
@@ -247,6 +253,11 @@ def test_matvec_shape_checks():
         matvec(sym, spec, [1.0, 2.0])
     with pytest.raises(ValueError):
         rmatvec(sym, spec, [1.0, 2.0, 3.0])
+    # a complex operand is refused, not silently cast to its real part
+    with pytest.raises(ValueError, match="x must be real"):
+        matvec(sym, spec, [1.0, 2.0, 3.0j])
+    with pytest.raises(ValueError, match="y must be real"):
+        rmatvec(sym, spec, np.array([1.0, 2.0], dtype=complex))
     with pytest.raises(ValueError):
         symbol_from_values([1.0, 2.0], spec)
 
