@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +26,12 @@ from .extremes import g_c_quantile, gumbel_model, theta_c
 from .montecarlo import (
     ExperimentConfig,
     ExperimentError,
-    SweepRow,
     collect_samples,
     gumbel_dominance,
     n_for_ratio,
     paired_bound_experiment,
     reference_constant,
-    summary_row,
-    sweep_configs,
+    run_experiment,
 )
 from .norms import check_solver_settings, scaled_norm, spectral_norm_dense, spectral_norm_fast
 from .sinekernel import k_table
@@ -118,13 +116,9 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_ktable(args) -> int:
-    grid = _parse_grid(args.grid)
-    for r in grid:
-        if not 0 < r <= 1:
-            raise UsageError(f"ratios must lie in (0, 1], got {r}")
     try:
         rows = k_table(
-            sorted(grid, reverse=True),
+            sorted(_parse_grid(args.grid), reverse=True),
             p_base=args.p_base,
             p_step=args.p_step,
             outer_tol=args.outer_tol,
@@ -202,20 +196,7 @@ def cmd_norm(args) -> int:
 
 _CONFIG_ALIASES = {"seed": "base_seed"}
 _CONFIG_EXTRAS = ("ratios", "raw_output")
-_CONFIG_FIELDS = (
-    "family",
-    "p",
-    "n",
-    "symmetric",
-    "dist",
-    "replicates",
-    "base_seed",
-    "statistics",
-    "workers",
-    "norm_tol",
-    "norm_max_iter",
-    "center_offset",
-)
+_CONFIG_FIELDS = tuple(field.name for field in fields(ExperimentConfig))
 
 
 def _parse_scalar(text: str):
@@ -295,18 +276,25 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
         elif "n" not in data:
             raise UsageError("config must set n (or ratios for a sweep)")
         cfg = ExperimentConfig(**data)
-        configs = sweep_configs(cfg, ratios, cfg.p) if ratios else [cfg]
+        configs = [replace(cfg, n=n_for_ratio(cfg.p, r)) for r in ratios] if ratios else [cfg]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid experiment config: {exc}") from None
     return configs, raw_output
+
+
+_MC_COLUMNS = ["ratio", "p", "n", "count", "mean", "q05", "median", "q95", "reference"]
 
 
 def cmd_mc(args) -> int:
     configs, raw_output = _experiment_configs(args)
     if len(configs[0].statistics) != 1:
         raise UsageError("the mc summary covers one statistic per run")
-    rows = [asdict(summary_row(cfg, raw_output)) for cfg in configs]
-    _emit(rows, [field.name for field in fields(SweepRow)], args)
+    rows = []
+    for cfg in configs:
+        (summary,) = run_experiment(cfg, raw_output).values()
+        rows.append({"ratio": cfg.p / cfg.n, "p": cfg.p, "n": cfg.n, **asdict(summary),
+                     "reference": reference_constant(cfg)})
+    _emit(rows, _MC_COLUMNS, args)
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,15 +54,12 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentError",
     "McSummary",
-    "SweepRow",
     "PairedReport",
     "collect_samples",
     "run_experiment",
-    "sweep_configs",
     "paired_bound_experiment",
     "reference_constant",
     "n_for_ratio",
-    "summary_row",
     "gumbel_dominance",
     "shutdown_pool",
 ]
@@ -138,19 +135,16 @@ def _require_b_compatible(cfg: ExperimentConfig) -> None:
 
 @dataclass(frozen=True)
 class McSummary:
+    """One statistic over the converged replicates: its mean and its 0.05,
+    0.5 and 0.95 quantiles (linear interpolation between order statistics)."""
+
     statistic: str
     count: int
     excluded: int
     mean: float
+    q05: float
     median: float
-    quantiles: tuple[tuple[float, float], ...]
-    raw_path: str | None = None
-
-    def quantile(self, q: float) -> float:
-        for prob, value in self.quantiles:
-            if prob == q:
-                return value
-        raise KeyError(f"quantile {q} is not summarized")
+    q95: float
 
 
 @dataclass(frozen=True)
@@ -298,50 +292,42 @@ def _converged(cfg: ExperimentConfig, records: Sequence[_Record]) -> list[_Recor
     return kept
 
 
-def _statistic_value(cfg: ExperimentConfig, stat: str, rec: _Record) -> float:
+def _statistic_value(cfg: ExperimentConfig, stat: str, records: Sequence[_Record]) -> np.ndarray:
+    """The statistic of each record, in record order."""
     if stat == "scaled_norm":
-        return scaled_norm(rec.sigma_max, cfg.template_spec())
+        return scaled_norm(np.array([rec.sigma_max for rec in records]), cfg.template_spec())
     if stat == "centered_norm_sq":
-        return rec.sigma_max**2 / cfg.p - cfg.center()
+        # squared as Python floats (libm pow), as paired_bound_experiment
+        # does: numpy's square rounds about one value in a thousand differently
+        return np.array([rec.sigma_max**2 for rec in records]) / cfg.p - cfg.center()
     if stat == "b_statistic":
-        return rec.b_value - cfg.center()
+        return np.array([rec.b_value for rec in records]) - cfg.center()
     raise ValueError(f"unknown statistic {stat!r}")
 
 
-def _quantile(sorted_values: np.ndarray, q: float) -> float:
-    # linear interpolation between order statistics
-    m = sorted_values.size
-    h = (m - 1) * q
-    lo = math.floor(h)
-    hi = math.ceil(h)
-    if lo == hi:
-        return float(sorted_values[lo])
-    return float(sorted_values[lo] + (h - lo) * (sorted_values[hi] - sorted_values[lo]))
-
-
-def _summarize(stat: str, values: np.ndarray, excluded: int, raw_path: str | None) -> McSummary:
+def _summarize(stat: str, values: np.ndarray, excluded: int) -> McSummary:
     s = np.sort(values)
-    quantiles = tuple((q, _quantile(s, q)) for q in (0.05, 0.5, 0.95))
+    q05, median, q95 = np.quantile(s, (0.05, 0.5, 0.95)).tolist()
     return McSummary(
         statistic=stat,
         count=int(s.size),
         excluded=excluded,
         mean=float(np.mean(s)),
-        median=_quantile(s, 0.5),
-        quantiles=quantiles,
-        raw_path=raw_path,
+        q05=q05,
+        median=median,
+        q95=q95,
     )
 
 
 def _write_raw(path: str, cfg: ExperimentConfig, records: Sequence[_Record]) -> None:
+    columns = [_statistic_value(cfg, stat, records).tolist() for stat in cfg.statistics]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "statistic", "value", "flag"])
-        for rec in records:
+        for i, rec in enumerate(records):
             flag = "ok" if rec.converged else "excluded"
-            for stat in cfg.statistics:
-                value = _statistic_value(cfg, stat, rec)
-                writer.writerow([rec.replicate, stat, format(value, ".12g"), flag])
+            for stat, values in zip(cfg.statistics, columns):
+                writer.writerow([rec.replicate, stat, format(values[i], ".12g"), flag])
 
 
 def collect_samples(
@@ -353,10 +339,7 @@ def collect_samples(
     if raw_path is not None:
         _write_raw(raw_path, cfg, records)
     kept = _converged(cfg, records)
-    samples = {
-        stat: np.array([_statistic_value(cfg, stat, rec) for rec in kept])
-        for stat in cfg.statistics
-    }
+    samples = {stat: _statistic_value(cfg, stat, kept) for stat in cfg.statistics}
     return samples, cfg.replicates - len(kept)
 
 
@@ -368,10 +351,7 @@ def run_experiment(cfg: ExperimentConfig, raw_path: str | None = None) -> dict[s
     if they exceed 0.1% of the total the experiment raises ExperimentError.
     """
     samples, excluded = collect_samples(cfg, raw_path)
-    return {
-        stat: _summarize(stat, values, excluded, raw_path)
-        for stat, values in samples.items()
-    }
+    return {stat: _summarize(stat, values, excluded) for stat, values in samples.items()}
 
 
 def reference_constant(cfg: ExperimentConfig | MatrixSpec) -> float:
@@ -388,44 +368,6 @@ def n_for_ratio(p: int, ratio: float) -> int:
     if not 0 < ratio <= 1:
         raise ValueError(f"ratios must lie in (0, 1], got {ratio}")
     return math.floor(p / ratio)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    ratio: float
-    p: int
-    n: int
-    count: int
-    mean: float
-    q05: float
-    median: float
-    q95: float
-    reference: float
-
-
-def summary_row(cfg: ExperimentConfig, raw_path: str | None = None) -> SweepRow:
-    """The first statistic's mean and 0.05/0.5/0.95 quantiles next to the
-    asymptotic reference constant."""
-    samples, _ = collect_samples(cfg, raw_path)
-    s = np.sort(samples[cfg.statistics[0]])
-    return SweepRow(
-        ratio=cfg.p / cfg.n,
-        p=cfg.p,
-        n=cfg.n,
-        count=int(s.size),
-        mean=float(np.mean(s)),
-        q05=_quantile(s, 0.05),
-        median=_quantile(s, 0.5),
-        q95=_quantile(s, 0.95),
-        reference=reference_constant(cfg),
-    )
-
-
-def sweep_configs(
-    cfg_template: ExperimentConfig, ratios: Iterable[float], p: int
-) -> list[ExperimentConfig]:
-    """The template at each aspect ratio: p rows and n = n_for_ratio(p, ratio)."""
-    return [replace(cfg_template, p=p, n=n_for_ratio(p, r)) for r in ratios]
 
 
 @dataclass(frozen=True)

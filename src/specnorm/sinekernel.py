@@ -30,7 +30,7 @@ from .norms import gram_lanczos
 __all__ = [
     "ExtremalPair",
     "KEstimate",
-    "PowerResult",
+    "SingularPair",
     "banded_matvec",
     "banded_rmatvec",
     "principal_right_singular",
@@ -65,7 +65,7 @@ class KEstimate:
 
 
 @dataclass(frozen=True)
-class PowerResult:
+class SingularPair:
     vector: np.ndarray
     sigma: float
     iterations: int
@@ -106,7 +106,7 @@ def principal_right_singular(
     tol: float = 1e-12,
     max_iter: int = 100_000,
     start: np.ndarray | None = None,
-) -> PowerResult:
+) -> SingularPair:
     """Top right singular pair of the banded convolution matrix W of w.
 
     Runs the Lanczos core :func:`specnorm.norms.gram_lanczos`, as a block
@@ -134,7 +134,7 @@ def principal_right_singular(
         tol,
         max_iter,
     )
-    return PowerResult(
+    return SingularPair(
         vector=_fix_sign(top.vectors[0]),
         sigma=math.sqrt(top.values[0]),
         iterations=int(top.steps[0]),

@@ -12,6 +12,8 @@ import specnorm.norms as norms
 import specnorm.structured as structured
 from specnorm.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, build_parser, main
 from specnorm.extremes import g_c_quantile
+from specnorm.montecarlo import ExperimentConfig, reference_constant, run_experiment
+from specnorm.sinekernel import k_estimate
 from specnorm.structured import MatrixSpec, build_symbol
 
 
@@ -53,6 +55,12 @@ def test_ktable_malformed_grid(capsys):
     assert run_cli("ktable", "--grid", "a:b:c") == EXIT_USAGE
     err = capsys.readouterr().err
     assert "usage" in err
+
+
+def test_ktable_ratio_out_of_range(capsys):
+    # k_table checks the ratios from the largest down, so it names 2.0
+    assert run_cli("ktable", "--grid", "0.5:0.5:2") == EXIT_USAGE
+    assert "ratios must lie in (0, 1], got 2.0" in capsys.readouterr().err
 
 
 def test_ktable_json_format(tmp_path):
@@ -194,6 +202,44 @@ def test_mc_json_config_sweep(tmp_path):
     assert run_cli("mc", "--config", str(cfg), "--output", str(out)) == EXIT_OK
     rows = read_csv(out)
     assert [row["n"] for row in rows] == ["12", "24"]
+
+
+def test_mc_row_is_the_run_experiment_summary(tmp_path):
+    cfg = ExperimentConfig(family="toeplitz", p=16, n=32, replicates=12, base_seed=91,
+                           norm_tol=1e-6)
+    path = tmp_path / "mc.cfg"
+    path.write_text("family = toeplitz\np = 16\nn = 32\nreplicates = 12\nseed = 91\n"
+                    "norm_tol = 1e-6\n")
+    out = tmp_path / "mc.json"
+    assert run_cli("mc", "--config", str(path), "--format", "json", "--threads", "1",
+                   "--output", str(out)) == EXIT_OK
+    summary = run_experiment(cfg)["scaled_norm"]
+    # JSON floats round-trip, so equality here is equality of the bits
+    assert json.loads(out.read_text()) == [{
+        "ratio": 0.5, "p": 16, "n": 32, "count": 12, "mean": summary.mean,
+        "q05": summary.q05, "median": summary.median, "q95": summary.q95,
+        "reference": reference_constant(cfg),
+    }]
+
+
+def test_mc_sweep_reference_wiring(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.json"
+    for family in ("toeplitz", "circulant"):
+        path.write_text(f"family = {family}\np = 12\nreplicates = 12\nseed = 91\n"
+                        "norm_tol = 1e-6\nratios = 1.0, 0.5\n")
+        assert run_cli("mc", "--config", str(path), "--format", "json",
+                       "--output", str(out)) == EXIT_OK
+        rows = json.loads(out.read_text())
+        assert [row["n"] for row in rows] == [12, 24]
+        for row in rows:
+            assert row["ratio"] == row["p"] / row["n"]
+            assert row["q05"] <= row["median"] <= row["q95"]
+            if family == "circulant":
+                assert row["reference"] == 1.0
+            else:
+                want = k_estimate(row["p"], row["n"])[0].k_value
+                assert row["reference"] == pytest.approx(want, abs=1e-9)
 
 
 def test_mc_raw_output(tmp_path):

@@ -21,13 +21,9 @@ from specnorm.montecarlo import (
     collect_samples,
     n_for_ratio,
     paired_bound_experiment,
-    reference_constant,
     run_experiment,
-    summary_row,
-    sweep_configs,
 )
 from specnorm.norms import scaled_norm, spectral_norm_fast
-from specnorm.sinekernel import k_estimate
 from specnorm.structured import MatrixSpec, ResourceLimitError, build_symbol, replicate_stream
 
 TINY = ExperimentConfig(
@@ -44,8 +40,7 @@ def test_single_replicate_summary_is_the_statistic():
     summary = run_experiment(cfg)["scaled_norm"]
     assert summary.count == 1
     assert summary.mean == want
-    assert summary.median == want
-    assert all(value == want for _, value in summary.quantiles)
+    assert (summary.q05, summary.median, summary.q95) == (want, want, want)
 
 
 def test_worker_count_does_not_change_results():
@@ -64,12 +59,12 @@ def test_quantiles_match_sort_oracle():
     rng = np.random.default_rng(123)
     values = rng.standard_normal(501)
     s = np.sort(values)
-    for q in (0.05, 0.25, 0.5, 0.9):
+    summary = mc._summarize("scaled_norm", values, excluded=0)
+    for q, got in ((0.05, summary.q05), (0.5, summary.median), (0.95, summary.q95)):
         h = (s.size - 1) * q
         lo, hi = math.floor(h), math.ceil(h)
         want = s[lo] + (h - lo) * (s[hi] - s[lo])
-        assert mc._quantile(s, q) == pytest.approx(want, abs=1e-12)
-        assert mc._quantile(s, q) == pytest.approx(float(np.quantile(values, q)), abs=1e-12)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_exclusion_accounting(monkeypatch):
@@ -129,25 +124,6 @@ def test_centered_norm_median_small_scale():
     assert 0.1 < summary.median < 0.9
 
 
-def test_sweep_reference_wiring():
-    cfg = replace(
-        TINY,
-        family="toeplitz",
-        replicates=12,
-        norm_tol=1e-6,
-    )
-    rows = [summary_row(c) for c in sweep_configs(cfg, [1.0, 0.5], p=12)]
-    assert [row.n for row in rows] == [12, 24]
-    for row in rows:
-        assert row.ratio == row.p / row.n
-        assert row.reference == pytest.approx(k_estimate(row.p, row.n)[0].k_value, abs=1e-9)
-        assert row.q05 <= row.median <= row.q95
-
-    circ_cfg = replace(cfg, family="circulant")
-    circ = [summary_row(c) for c in sweep_configs(circ_cfg, [1.0, 0.5], p=12)]
-    assert all(row.reference == 1.0 for row in circ)
-
-
 def test_b_only_statistics_skip_norm_solver():
     cfg = ExperimentConfig(
         family="circulant",
@@ -182,17 +158,6 @@ def test_paired_bound_worker_count_is_bit_identical():
     pooled = paired_bound_experiment(replace(cfg, workers=2))
     assert serial.sigma_sq.tobytes() == pooled.sigma_sq.tobytes()
     assert serial.bounds.tobytes() == pooled.bounds.tobytes()
-
-
-def test_summary_row_matches_run_experiment():
-    cfg = replace(TINY, family="toeplitz", replicates=12, norm_tol=1e-6)
-    row = summary_row(cfg)
-    summary = run_experiment(cfg)["scaled_norm"]
-    assert (row.ratio, row.p, row.n, row.count) == (0.5, 16, 32, 12)
-    assert (row.mean, row.median) == (summary.mean, summary.median)
-    assert (row.q05, row.q95) == (summary.quantile(0.05), summary.quantile(0.95))
-    assert [q for q, _ in summary.quantiles] == [0.05, 0.5, 0.95]
-    assert row.reference == reference_constant(cfg.template_spec())
 
 
 def test_n_for_ratio():
