@@ -126,8 +126,7 @@ def autocorrelate(a) -> np.ndarray:
 
     Returns alpha with alpha[j] = sum_v a[j+v] * conj(a[v]), stored so that
     lag j sits at index j + L - 1. For any input, alpha at lag 0 equals
-    ||a||_2**2 and alpha[-j] = conj(alpha[j]).
+    ||a||_2**2 and alpha[-j] = conj(alpha[j]); real input gives real output.
     """
     v = _as_vector(a, "a")
-    flipped = np.conj(v[::-1])
-    return convolve_full(v, flipped).astype(complex)
+    return convolve_full(v, np.conj(v[::-1]))

@@ -297,9 +297,8 @@ def _statistic_value(cfg: ExperimentConfig, stat: str, records: Sequence[_Record
     if stat == "scaled_norm":
         return scaled_norm(np.array([rec.sigma_max for rec in records]), cfg.template_spec())
     if stat == "centered_norm_sq":
-        # squared as Python floats (libm pow), as paired_bound_experiment
-        # does: numpy's square rounds about one value in a thousand differently
-        return np.array([rec.sigma_max**2 for rec in records]) / cfg.p - cfg.center()
+        sigma = np.array([rec.sigma_max for rec in records])
+        return sigma * sigma / cfg.p - cfg.center()
     if stat == "b_statistic":
         return np.array([rec.b_value for rec in records]) - cfg.center()
     raise ValueError(f"unknown statistic {stat!r}")
@@ -406,7 +405,8 @@ def paired_bound_experiment(cfg: ExperimentConfig, slack: float = 1e-9) -> Paire
     cfg = replace(cfg, statistics=("scaled_norm", "b_statistic"))
     kept = _converged(cfg, _collect(cfg))
 
-    sigma_sq = np.array([rec.sigma_max**2 for rec in kept])
+    sigma = np.array([rec.sigma_max for rec in kept])
+    sigma_sq = sigma * sigma
     bounds = np.array([cfg.p * rec.b_value for rec in kept])
     deficits = bounds - sigma_sq
     centered = bounds / cfg.p - cfg.center()

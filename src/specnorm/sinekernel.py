@@ -13,8 +13,10 @@ I / sqrt(p), with the rigorous two-sided bracket
 
     sqrt(I^2/p - 1/(3p))  <=  constant  <=  I / sqrt(p).
 
-Convolution matrices are never materialized; all products run through the
-FFT convolution of `specnorm.dft`.
+Convolution matrices are never materialized. The Gram matrix W^T W of the
+convolution matrix W of a frozen vector is the Toeplitz matrix of that
+vector's autocorrelation, so each inner Lanczos step is one FFT circular
+convolution (`specnorm.dft`) with a kernel spectrum taken once per solve.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import convolve_full
+from .dft import autocorrelate, circular_convolve, convolve_full, fast_length, half_spectrum
 from .norms import gram_lanczos
 
 __all__ = [
@@ -76,12 +78,17 @@ def banded_matvec(w, x) -> np.ndarray:
     """Apply the banded convolution matrix of w: columns are shifted copies.
 
     Equals the full convolution of w and x (output length len(w)+len(x)-1).
+    A reference operator: the solver applies the Gram matrix directly
+    (see :func:`principal_right_singular`).
     """
     return convolve_full(w, x)
 
 
 def banded_rmatvec(w, y, cols: int) -> np.ndarray:
-    """Adjoint product: valid cross-correlation of y against w, length `cols`."""
+    """Adjoint product: valid cross-correlation of y against w, length `cols`.
+
+    A reference operator, like :func:`banded_matvec`.
+    """
     wv = np.asarray(w)
     yv = np.asarray(y)
     if yv.ndim != 1 or yv.size != wv.size + cols - 1:
@@ -90,6 +97,26 @@ def banded_rmatvec(w, y, cols: int) -> np.ndarray:
         )
     c = convolve_full(np.conj(wv[::-1]), yv)
     return c[wv.size - 1 : wv.size - 1 + cols]
+
+
+def _gram_operator(w: np.ndarray, cols: int):
+    """The map x -> W^T W x for the banded convolution matrix W of w, on a
+    stack of length-`cols` rows.
+
+    W^T W is the symmetric Toeplitz matrix of w's autocorrelation at lags
+    -(K-1)..K-1, K = min(len(w), cols). Those lags sit in an even circular
+    kernel of size m >= cols + K - 1, where no wrapped lag reaches the
+    cols x cols window, so one circular convolution applies the matrix.
+    """
+    r = autocorrelate(w)
+    lead = w.size - 1  # index of lag 0
+    k = min(w.size, cols)
+    m = fast_length(cols + k - 1)
+    kernel = np.zeros(m)
+    kernel[:k] = r[lead : lead + k]
+    kernel[m - k + 1 :] = r[lead + 1 : lead + k][::-1]
+    spectrum = half_spectrum(kernel, m)
+    return lambda x: circular_convolve(spectrum, x, m)[:, :cols]
 
 
 def _fix_sign(u: np.ndarray) -> np.ndarray:
@@ -110,12 +137,13 @@ def principal_right_singular(
     """Top right singular pair of the banded convolution matrix W of w.
 
     Runs the Lanczos core :func:`specnorm.norms.gram_lanczos`, as a block
-    of one row, on the cols x cols operator ``u -> W^T (W u)``, each step
-    one `banded_matvec` and one `banded_rmatvec`; the matrix itself is never
-    formed. The result is converged once the Ritz residual is at most
-    ``tol * sigma^2``; `iterations` counts Krylov steps (at most `cols`).
-    `start` lets the alternation warm-start from the previous iterate; the
-    default start is a fixed pseudo-random vector. (The Gram matrix is
+    of one row, on the cols x cols Gram matrix W^T W. That matrix is the
+    Toeplitz matrix of w's autocorrelation; each step applies it by one
+    circular convolution with a kernel spectrum taken once per call, and
+    neither matrix is ever formed. The result is converged once the Ritz
+    residual is at most ``tol * sigma^2``; `iterations` counts Krylov steps
+    (at most `cols`). `start` lets the alternation warm-start from the
+    previous iterate; the default start is a fixed pseudo-random vector. (The Gram matrix is
     persymmetric, so a structured start such as all-ones spans only
     flip-even Krylov vectors and can miss a flip-odd principal vector.)
     """
@@ -128,8 +156,9 @@ def principal_right_singular(
         u = np.asarray(start, dtype=float)
         if u.shape != (cols,):
             raise ValueError(f"start vector must have length {cols}")
+    gram = _gram_operator(wv, cols)
     top = gram_lanczos(
-        lambda x, rows: banded_rmatvec(wv, banded_matvec(wv, x[0]), cols)[None],
+        lambda x, rows: gram(x),
         u[None],
         tol,
         max_iter,

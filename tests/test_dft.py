@@ -127,6 +127,15 @@ def test_autocorrelate_pair():
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 50))
+def test_autocorrelate_real_input_matches_np_correlate(seed, n):
+    a = np.random.default_rng(seed).standard_normal(n)
+    alpha = autocorrelate(a)
+    assert np.isrealobj(alpha)
+    want = np.correlate(a, a, "full")
+    assert np.linalg.norm(alpha - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 50))
 def test_autocorrelate_zero_lag_is_energy(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)

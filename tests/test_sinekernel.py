@@ -13,6 +13,7 @@ from specnorm.sinekernel import (
     k_lower_bound,
     k_table,
     principal_right_singular,
+    _gram_operator,
 )
 
 
@@ -68,6 +69,33 @@ def test_banded_adjoint_against_dense():
 def test_banded_adjoint_dimension_check():
     with pytest.raises(ValueError):
         banded_rmatvec([1.0, 2.0], [1.0, 2.0], cols=4)
+
+
+# (len(w), cols), with m = fast_length(cols + min(len(w), cols) - 1) the size
+# of the circular kernel: each case is covered at both parities of m
+@pytest.mark.parametrize(
+    "length, cols",
+    [
+        (6, 4),  # cols < len(w), m = 8
+        (7, 5),  # cols < len(w), m = 9
+        (9, 9),  # cols == len(w), m = 18
+        (8, 8),  # cols == len(w), m = 15
+        (5, 30),  # cols > len(w), m = 36 (padded past cols + 4 = 34)
+        (5, 23),  # cols > len(w), m = 27
+        (1, 6),  # len(w) == 1: the kernel is the single lag 0, m = 6
+        (1, 9),  # len(w) == 1, m = 9
+        (12, 1),  # cols == 1: W^T W is the scalar ||w||^2, m = 1
+    ],
+)
+def test_gram_operator_matches_banded_reference(length, cols):
+    rng = np.random.default_rng(100 * length + cols)
+    w = rng.standard_normal(length)
+    x = rng.standard_normal((3, cols))
+    got = _gram_operator(w, cols)(x)
+    assert got.shape == (3, cols)
+    for row, xi in zip(got, x):
+        want = banded_rmatvec(w, banded_matvec(w, xi), cols)
+        assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_principal_singular_identity_padding():
