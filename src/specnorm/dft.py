@@ -6,6 +6,8 @@ The unitary transform uses a positive-sign kernel,
 
 so that the forward transform of a real symbol vector directly yields the
 eigenvalue diagonal of the associated circulant (see `specnorm.structured`).
+For a real vector it is one real FFT: the conjugate of the half spectrum,
+mirrored onto the upper half by Hermitian symmetry.
 Every real product in the package (structured matrix products, the
 lower-bound statistic's quadratic forms, real full convolutions) is one
 :func:`circular_convolve`, with the kernel held by its half spectrum.
@@ -65,6 +67,10 @@ def fast_length(n: int) -> int:
 def dft_forward(x) -> np.ndarray:
     """Unitary DFT with the positive-sign kernel.
 
+    A real x takes one scaled ``rfft`` (negative-sign kernel): its conjugate
+    is y[s] for s <= N//2, and its mirror is the rest, as y[N - s] =
+    conj(y[s]) holds exactly. A complex x takes one ``ifft``.
+
     Parameters
     ----------
     x : array_like
@@ -78,9 +84,14 @@ def dft_forward(x) -> np.ndarray:
         axis. Preserves the Euclidean norm of each input vector.
     """
     v = _as_stack(x, "x")
-    # numpy's ifft carries the +2j*pi kernel and a 1/N factor
-    y = np.fft.ifft(v)
-    y *= np.sqrt(v.shape[-1])
+    if np.iscomplexobj(v):
+        return np.fft.ifft(v, norm="ortho")  # numpy's ifft has the +2j*pi kernel
+    n = v.shape[-1]
+    r = np.fft.rfft(v, norm="ortho")
+    h = r.shape[-1]
+    y = np.empty(v.shape, dtype=r.dtype)
+    np.conjugate(r, out=y[..., :h])
+    y[..., h:] = r[..., n - h:0:-1]
     return y
 
 

@@ -3,7 +3,9 @@
 Contains the aspect-ratio-dependent location shift of the limiting shifted
 Gumbel law, its CDF/quantile, the square-root quantile transform used to
 compare against scaled norms, and the computable lower-bound statistic
-built from the DFT diagonal of one Gaussian circulant draw.
+built from the DFT diagonal of one Gaussian circulant draw. Its quadratic
+forms share one Fejer-kernel weight sequence, a finite trigonometric sum
+whose spectrum is exactly a triangle, so no transform of it is taken.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dft import circular_convolve, half_spectrum
+from .dft import circular_convolve
 from .structured import projection_entry
 
 __all__ = [
@@ -27,7 +29,6 @@ __all__ = [
     "gumbel_cdf",
     "gumbel_quantile",
     "g_c_quantile",
-    "b_kernel",
     "b_statistic",
     "dominance_check",
 ]
@@ -152,24 +153,20 @@ def g_c_quantile(q: float, c: float, n: int, tol: float = 1e-10) -> float:
 
 
 @lru_cache(maxsize=8)
-def b_kernel(p: int, n: int) -> np.ndarray:
-    """Moving-average weights of the quadratic forms along projection columns.
+def _kernel_spectrum(p: int, n: int) -> np.ndarray:
+    """Half spectrum of the weights of the quadratic forms, cached read-only.
 
-    w[0] = p and w[k] = sin^2(pi k p / n) / (p sin^2(pi k / n)) otherwise;
-    identical to n^2/p times the squared modulus of the projection entries
-    in row 0. Every draw of one size shares the weights, so they are
-    cached per (p, n) and returned read-only.
+    The weights w[k] = sin^2(pi k p / n) / (p sin^2(pi k / n)), w[0] = p
+    (:func:`kernel_from_projection`), are the Fejer kernel
+    sum_{|m|<p} (1 - |m|/p) e^{2 pi i m k / n}. Their DFT at s = 0..n/2 keeps
+    the terms m = s and m = s - n, so it is exactly the triangle
+    n (max(0, 1 - s/p) + max(0, 1 - (n - s)/p)), formed from integers with
+    one rounding.
     """
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    k = np.arange(1, n, dtype=float)
-    den = np.sin(np.pi * k / n)
-    assert np.all(den > 0.0), "interior grid angles cannot hit a sine zero"
-    w = np.empty(n)
-    w[0] = p
-    w[1:] = (np.sin(np.pi * k * p / n) / den) ** 2 / p
-    w.flags.writeable = False
-    return w
+    s = np.arange(n // 2 + 1)
+    spectrum = (np.maximum(p - s, 0) + np.maximum(s - (n - p), 0)) * n / p
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -183,18 +180,21 @@ def b_statistic(diag, p: int) -> BStatistic:
     """Lower-bound statistic for the squared norm of a Gaussian circulant draw.
 
     Evaluates all n quadratic forms as one circular convolution of |diag|^2
-    with the fixed kernel (O(n log n)), then maximizes over j = 0..n/2;
-    forms at j and n-j coincide because |diag| is even.
+    with the fixed Fejer kernel, whose spectrum is a closed-form triangle
+    (O(n log n)), then maximizes over j = 0..n/2; forms at j and n-j
+    coincide because |diag| is even.
     """
     d = np.asarray(diag)
+    if d.ndim != 1:
+        raise ValueError(f"diag must be one-dimensional, got shape {d.shape}")
     n = d.size
     if n % 2 != 0:
         raise ValueError(f"even embedding size required, got n={n}")
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    power = np.abs(d) ** 2
-    w = b_kernel(p, n)
-    forms = circular_convolve(half_spectrum(w, n), power, n)
+    power = np.abs(d)
+    power *= power
+    forms = circular_convolve(_kernel_spectrum(p, n), power, n)
     half = forms[: n // 2 + 1]
     j = int(np.argmax(half))
     value = float(half[j] / p)
@@ -245,7 +245,8 @@ def dominance_check(samples, model: GumbelModel, probes, n_se: float = 3.0) -> D
 
 
 def kernel_from_projection(p: int, n: int) -> np.ndarray:
-    """Same weights as :func:`b_kernel`, assembled entry-wise (cross-check path)."""
+    """Weights of the quadratic forms in :func:`b_statistic`, the inverse DFT
+    of :func:`_kernel_spectrum`, assembled entry-wise (cross-check path)."""
     return np.array(
         [n * n / p * abs(projection_entry(p, n, 0, k)) ** 2 for k in range(n)]
     )

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import specnorm
 from specnorm.dft import (
     autocorrelate,
     circular_convolve,
@@ -168,14 +172,42 @@ def test_product_polynomial_identity(seed, p, n):
     assert abs(total - energy) <= 1e-10 * max(1.0, energy)
 
 
-@pytest.mark.parametrize("op", [dft_forward, ramp_convolve])
-def test_stacked_transform_is_row_by_row(op):
+@pytest.mark.parametrize(
+    "op, complex_input", [(dft_forward, True), (dft_forward, False), (ramp_convolve, False)]
+)
+def test_stacked_transform_is_row_by_row(op, complex_input):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((6, 45))
-    if op is dft_forward:
+    if complex_input:
         x = x + 1j * rng.standard_normal((6, 45))
     y = op(x)
     assert all(y[i].tobytes() == op(x[i]).tobytes() for i in range(6))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 45, 128])
+def test_real_input_matches_complex_transform(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    y = dft_forward(x)
+    want = np.fft.ifft(x) * np.sqrt(n)
+    assert np.linalg.norm(y - want) <= 1e-15 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 45, 128])
+def test_real_input_diagonal_is_an_exact_hermitian_mirror(n):
+    y = dft_forward(np.random.default_rng(n).standard_normal(n))
+    for j in range(1, n):
+        if j < n - j:
+            assert y[n - j].tobytes() == np.conj(y[j]).tobytes(), j
+        elif j == n - j:
+            assert y[j].imag == 0.0  # its own mirror: real up to the sign of zero
+    assert y[0].imag == 0.0
+
+
+def test_fft_is_called_only_in_the_dft_module():
+    package = Path(specnorm.__file__).parent
+    calls = re.compile(r"\b(np|numpy)\.fft\b")
+    users = [f.name for f in sorted(package.glob("*.py")) if calls.search(f.read_text())]
+    assert users == ["dft.py"]
 
 
 @pytest.mark.parametrize("op", [dft_forward, ramp_convolve, autocorrelate])

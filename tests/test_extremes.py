@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 import specnorm.extremes as extremes
 from specnorm.extremes import (
     GumbelModel,
-    b_kernel,
     b_statistic,
     dominance_check,
     g_c_quantile,
@@ -17,7 +16,7 @@ from specnorm.extremes import (
     kernel_from_projection,
     theta_c,
 )
-from specnorm.structured import MatrixSpec, build_symbol
+from specnorm.structured import MatrixSpec, build_symbol, stack_symbols
 
 TABLE = {
     0.1: 18.42,
@@ -163,16 +162,20 @@ def test_g_c_quantile_negative_radicand_raises():
         g_c_quantile(1e-9, 1.0, 2)
 
 
-def test_b_kernel_matches_projection_entries():
-    p, n = 5, 16
-    np.testing.assert_allclose(b_kernel(p, n), kernel_from_projection(p, n), atol=1e-12)
-    assert np.all(b_kernel(p, n) >= 0.0)
+@pytest.mark.parametrize("p", [1, 5, 8, 11, 16])
+def test_kernel_spectrum_inverts_to_projection_entries(p):
+    # p = 1, below n/2, at n/2, above n/2 and at n
+    n = 16
+    w = np.fft.irfft(extremes._kernel_spectrum(p, n), n)
+    np.testing.assert_allclose(w, kernel_from_projection(p, n), atol=1e-12)
 
 
-def test_b_kernel_vanishes_off_zero_at_square_ratio():
-    w = b_kernel(8, 8)
-    assert w[0] == pytest.approx(8.0)
-    np.testing.assert_allclose(w[1:], 0.0, atol=1e-12)
+@pytest.mark.parametrize("n", [2, 10, 16, 90, 1000])
+def test_kernel_spectrum_is_flat_at_square_ratio(n):
+    # weights vanish off zero at p = n, so the spectrum is n everywhere
+    spectrum = extremes._kernel_spectrum(n, n)
+    assert spectrum.shape == (n // 2 + 1,)
+    assert np.all(spectrum == n)
 
 
 def test_b_statistic_square_ratio_reduces_to_max_power():
@@ -220,6 +223,13 @@ def test_b_statistic_dominates_max_power():
     sym = build_symbol(spec)
     stat = b_statistic(sym.diag, 12)
     assert stat.value >= float(np.max(np.abs(sym.diag) ** 2)) - 1e-12
+
+
+def test_b_statistic_rejects_a_stack_of_diagonals():
+    spec = MatrixSpec("circulant", p=4, n=8, seed=2)
+    stacked = stack_symbols([build_symbol(spec), build_symbol(spec)])
+    with pytest.raises(ValueError, match=r"\(2, 8\)"):
+        b_statistic(stacked.diag, 4)
 
 
 def test_b_statistic_rejects_odd_or_oversized():
