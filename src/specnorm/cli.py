@@ -120,7 +120,6 @@ def cmd_ktable(args) -> int:
         rows = k_table(
             sorted(_parse_grid(args.grid), reverse=True),
             p_base=args.p_base,
-            p_step=args.p_step,
             outer_tol=args.outer_tol,
         )
     except ValueError as exc:
@@ -379,7 +378,6 @@ def build_parser() -> _Parser:
                        help="limiting-constant table over a ratio grid")
     p.add_argument("--grid", required=True, help="ratio grid start:step:stop")
     p.add_argument("--p-base", type=int, default=1000, dest="p_base")
-    p.add_argument("--p-step", type=int, default=10, dest="p_step")
     p.add_argument("--outer-tol", type=float, default=1e-13, dest="outer_tol")
     p.set_defaults(func=cmd_ktable)
 
@@ -394,7 +392,8 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="norm solver's relative residual, clamped to [16 eps, 1e-8]")
     p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter",
                    help="cap on the norm solver's Krylov steps")
     p.add_argument("--dense-check", action="store_true", dest="dense_check",

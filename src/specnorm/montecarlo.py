@@ -89,7 +89,7 @@ class ExperimentConfig:
     base_seed: int = 0
     statistics: tuple[str, ...] = ("scaled_norm",)
     workers: int = 1
-    norm_tol: float = 1e-10
+    norm_tol: float = 1e-10  # norm solver's relative residual, clamped to [16 eps, 1e-8]
     norm_max_iter: int = 100_000  # cap on the norm solver's Krylov steps
     center_offset: float | None = None  # None uses log(n/2)
 

@@ -32,6 +32,9 @@ __all__ = [
 _START_STREAM = 2**63
 # smallest relative residual the stopping rule asks for (rounding floor)
 _TOL_FLOOR = 16.0 * float(np.finfo(float).eps)
+# largest: a looser stop can certify the second eigenvalue of a Gram operator
+# before the top Ritz value has separated from it
+_TOL_CAP = 1e-8
 # the Krylov basis grows by this many rows at a time and is refused past
 # this many bytes
 _BASIS_CHUNK = 32
@@ -146,10 +149,12 @@ def gram_lanczos(gram, start, tol: float, max_iter: int) -> GramEigenpairs:
     at most ``beta_k |e_k^T s| + ||T s - theta s||``, and some eigenvalue of
     G lies within that bound of theta; the second term is at rounding level
     once s has converged. A row stops once its bound is at most
-    ``tol * theta`` (tol floored at 16 eps), on exact termination (beta_k =
-    0, or the basis spans the whole space; the residual is then 0), or
-    after `max_iter` steps with converged=False; stopped rows leave the
-    active set and the rest go on. Each step calls `gram` once. From a
+    ``tol * theta``, on exact termination (beta_k = 0, or the basis spans
+    the whole space; the residual is then 0), or after `max_iter` steps
+    with converged=False; stopped rows leave the active set and the rest go
+    on. Each step calls `gram` once. tol is clamped to [16 eps, 1e-8]: the
+    floor is rounding level, and above the cap a row can stop on the second
+    eigenvalue before the top Ritz value has separated from it. From a
     random start the top Ritz value approximates the largest eigenvalue,
     not a smaller one, with high probability (Kuczynski & Wozniakowski
     1992).
@@ -168,7 +173,7 @@ def gram_lanczos(gram, start, tol: float, max_iter: int) -> GramEigenpairs:
     count, dim = q.shape
     q = q / _row_norms(q)[:, None]
     cap = min(max_iter, dim)
-    tol = max(tol, _TOL_FLOOR)
+    tol = min(max(tol, _TOL_FLOOR), _TOL_CAP)
     out = GramEigenpairs(
         values=np.zeros(count),
         vectors=np.zeros((count, dim)),
@@ -265,8 +270,8 @@ def spectral_norm_fast(
     sigma^2: an eigenvalue of A A^T lies within `residual` of
     sigma_max^2, and from the random start it is the largest one with high
     probability. The result is converged once `residual` <= tol *
-    sigma_max^2; without that certificate after `max_iter` steps it has
-    converged=False.
+    sigma_max^2, with tol clamped to [16 eps, 1e-8]; without that
+    certificate after `max_iter` steps it has converged=False.
     """
     (result,) = spectral_norms(stack_symbols([sym]), spec, tol, max_iter)
     return result

@@ -17,6 +17,9 @@ Convolution matrices are never materialized. The Gram matrix W^T W of the
 convolution matrix W of a frozen vector is the Toeplitz matrix of that
 vector's autocorrelation, so each inner Lanczos step is one FFT circular
 convolution (`specnorm.dft`) with a kernel spectrum taken once per solve.
+
+Every estimate starts cold, from flat unit vectors, and converges in a few
+sweeps; a table over a ratio grid is one such estimate per ratio.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ __all__ = [
     "ExtremalPair",
     "KEstimate",
     "SingularPair",
-    "banded_matvec",
-    "banded_rmatvec",
     "principal_right_singular",
     "k_estimate",
     "k_lower_bound",
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+# cap on the alternation sweeps of one estimate
+_OUTER_MAX = 5000
 
 
 @dataclass(frozen=True)
@@ -72,31 +75,6 @@ class SingularPair:
     sigma: float
     iterations: int
     converged: bool
-
-
-def banded_matvec(w, x) -> np.ndarray:
-    """Apply the banded convolution matrix of w: columns are shifted copies.
-
-    Equals the full convolution of w and x (output length len(w)+len(x)-1).
-    A reference operator: the solver applies the Gram matrix directly
-    (see :func:`principal_right_singular`).
-    """
-    return convolve_full(w, x)
-
-
-def banded_rmatvec(w, y, cols: int) -> np.ndarray:
-    """Adjoint product: valid cross-correlation of y against w, length `cols`.
-
-    A reference operator, like :func:`banded_matvec`.
-    """
-    wv = np.asarray(w)
-    yv = np.asarray(y)
-    if yv.ndim != 1 or yv.size != wv.size + cols - 1:
-        raise ValueError(
-            f"adjoint input must have length {wv.size + cols - 1}, got {yv.shape}"
-        )
-    c = convolve_full(np.conj(wv[::-1]), yv)
-    return c[wv.size - 1 : wv.size - 1 + cols]
 
 
 def _gram_operator(w: np.ndarray, cols: int):
@@ -131,7 +109,6 @@ def principal_right_singular(
     w,
     cols: int,
     tol: float = 1e-12,
-    max_iter: int = 100_000,
     start: np.ndarray | None = None,
 ) -> SingularPair:
     """Top right singular pair of the banded convolution matrix W of w.
@@ -141,11 +118,12 @@ def principal_right_singular(
     Toeplitz matrix of w's autocorrelation; each step applies it by one
     circular convolution with a kernel spectrum taken once per call, and
     neither matrix is ever formed. The result is converged once the Ritz
-    residual is at most ``tol * sigma^2``; `iterations` counts Krylov steps
-    (at most `cols`). `start` lets the alternation warm-start from the
-    previous iterate; the default start is a fixed pseudo-random vector. (The Gram matrix is
-    persymmetric, so a structured start such as all-ones spans only
-    flip-even Krylov vectors and can miss a flip-odd principal vector.)
+    residual is at most ``tol * sigma^2`` (tol clamped as there);
+    `iterations` counts Krylov steps (at most `cols`). `start` lets the
+    alternation warm-start from the previous iterate; the default start is
+    a fixed pseudo-random vector. (The Gram matrix is persymmetric, so a
+    structured start such as all-ones spans only flip-even Krylov vectors
+    and can miss a flip-odd principal vector.)
     """
     if cols < 1:
         raise ValueError("cols must be at least 1")
@@ -157,12 +135,7 @@ def principal_right_singular(
         if u.shape != (cols,):
             raise ValueError(f"start vector must have length {cols}")
     gram = _gram_operator(wv, cols)
-    top = gram_lanczos(
-        lambda x, rows: gram(x),
-        u[None],
-        tol,
-        max_iter,
-    )
+    top = gram_lanczos(lambda x, rows: gram(x), u[None], tol, cols)
     return SingularPair(
         vector=_fix_sign(top.vectors[0]),
         sigma=math.sqrt(top.values[0]),
@@ -175,32 +148,20 @@ def _bracket_lo(i_value: float, p: int) -> float:
     return math.sqrt(max(i_value**2 / p - 1.0 / (3.0 * p), 0.0))
 
 
-def k_estimate(
-    p: int,
-    n: int,
-    init: ExtremalPair | None = None,
-    outer_tol: float = 1e-13,
-    outer_max: int = 5000,
-) -> tuple[KEstimate, ExtremalPair]:
+def k_estimate(p: int, n: int, outer_tol: float = 1e-13) -> tuple[KEstimate, ExtremalPair]:
     """Alternating maximization of the product-polynomial norm.
 
-    Starting from vectors proportional to ones (or a warm-start pair),
-    alternately replaces w by the principal right singular vector of the
-    convolution matrix of v, then v by that of the matrix of w, until the
-    singular value changes by at most `outer_tol` between sweeps. The
+    Starting from vectors proportional to ones, alternately replaces w by
+    the principal right singular vector of the convolution matrix of v,
+    then v by that of the matrix of w, until the singular value changes by
+    at most `outer_tol` between sweeps (at most `_OUTER_MAX` sweeps). The
     default tolerance sits above the double-precision noise floor of the
     singular value, which the stopping rule also guards against explicitly.
     """
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    if init is None:
-        w = np.full(n, 1.0 / math.sqrt(n))
-        v = np.full(p, 1.0 / math.sqrt(p))
-    else:
-        w = np.asarray(init.w, dtype=float)
-        v = np.asarray(init.v, dtype=float)
-        if w.shape != (n,) or v.shape != (p,):
-            raise ValueError("warm-start pair has wrong dimensions")
+    w = np.full(n, 1.0 / math.sqrt(n))
+    v = np.full(p, 1.0 / math.sqrt(p))
 
     inner_tol = outer_tol / 10.0
     i_prev = None
@@ -208,7 +169,7 @@ def k_estimate(
     converged = False
     sweeps = 0
     inner_ok = True
-    for sweeps in range(1, outer_max + 1):
+    for sweeps in range(1, _OUTER_MAX + 1):
         rw = principal_right_singular(v, n, tol=inner_tol, start=w)
         w = rw.vector
         rv = principal_right_singular(w, p, tol=inner_tol, start=v)
@@ -255,21 +216,21 @@ def i_value_direct(pair: ExtremalPair) -> float:
 def k_table(
     ratios,
     p_base: int,
-    p_step: int = 10,
+    *,
     outer_tol: float = 1e-13,
-    outer_max: int = 5000,
+    p_step: int | None = None,
 ) -> list[KEstimate]:
     """Estimates of the limiting constant on a grid of aspect ratios.
 
-    Runs a continuation: the row count starts at p = n = p_base and is
-    decreased in steps of `p_step` (visiting every requested ratio), each
-    stage warm-started from the previous converged w together with the
-    principal right singular vector of its convolution matrix at the new
-    width. Rows are returned for the requested ratios, descending.
+    Each ratio r in (0, 1] must give an integral row count p = r * p_base;
+    its row is the cold ``k_estimate(p, p_base)``. Rows are returned in
+    descending ratio, one per distinct row count. `p_step` is accepted and
+    ignored: it set the step of a continuation that no longer runs, and
+    stays only while the benchmark's `ktable` workload still passes it.
     """
     if p_base < 1:
         raise ValueError("p_base must be positive")
-    targets: dict[int, float] = {}
+    counts: set[int] = set()
     for r in ratios:
         if not 0 < r <= 1:
             raise ValueError(f"ratios must lie in (0, 1], got {r}")
@@ -277,18 +238,5 @@ def k_table(
         pi = round(pr)
         if abs(pr - pi) > 1e-9 or pi < 1:
             raise ValueError(f"ratio {r} does not give an integral row count at p_base={p_base}")
-        targets[pi] = r
-
-    p_min = min(targets)
-    schedule = sorted(set(range(p_base, p_min - 1, -p_step)) | set(targets), reverse=True)
-
-    rows: list[KEstimate] = []
-    pair: ExtremalPair | None = None
-    for p in schedule:
-        if pair is not None and pair.v.size != p:
-            v0 = principal_right_singular(pair.w, p, tol=outer_tol / 10.0).vector
-            pair = ExtremalPair(w=pair.w, v=v0)
-        est, pair = k_estimate(p, p_base, init=pair, outer_tol=outer_tol, outer_max=outer_max)
-        if p in targets:
-            rows.append(est)
-    return rows
+        counts.add(pi)
+    return [k_estimate(p, p_base, outer_tol=outer_tol)[0] for p in sorted(counts, reverse=True)]

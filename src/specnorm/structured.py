@@ -133,26 +133,21 @@ def embedding_size(spec: MatrixSpec) -> int:
 
 
 def _layout(spec: MatrixSpec, entries: np.ndarray) -> np.ndarray:
-    """Arrange the i.i.d. draws into the first row of the embedding circulant."""
-    n, p = spec.n, spec.p
-    if spec.family in _CIRCULANT_LIKE:
-        if spec.symmetric:
-            # entries a[0..n//2], mirrored along the row
-            k = np.arange(n)
-            return entries[np.minimum(k, n - k)]
+    """Arrange the i.i.d. draws into the first row of the embedding circulant.
+
+    A symmetric symbol mirrors its N//2 + 1 draws along the N-point row;
+    otherwise the draws are the row itself (for Toeplitz, the positive
+    diagonals a_0..a_{n-1} and then a_{-p}..a_{-1}).
+    """
+    if not spec.symmetric:
         return entries
-    if spec.symmetric:
-        # entries a[0..n], mirrored in a 2n-point circulant
-        k = np.arange(2 * n)
-        return entries[np.minimum(k, 2 * n - k)]
-    # independent positive and negative diagonals: (a_0..a_{n-1}, a_{-p}..a_{-1})
-    return entries
+    k = np.arange(embedding_size(spec))
+    return entries[np.minimum(k, k.size - k)]
 
 
 def _entry_count(spec: MatrixSpec) -> int:
-    if spec.family in _CIRCULANT_LIKE:
-        return spec.n // 2 + 1 if spec.symmetric else spec.n
-    return spec.n + 1 if spec.symmetric else spec.n + spec.p
+    size = embedding_size(spec)
+    return size // 2 + 1 if spec.symmetric else size
 
 
 def build_symbol(spec: MatrixSpec, rng: np.random.Generator | None = None) -> SymbolVector:

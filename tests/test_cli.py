@@ -63,6 +63,12 @@ def test_ktable_ratio_out_of_range(capsys):
     assert "ratios must lie in (0, 1], got 2.0" in capsys.readouterr().err
 
 
+def test_ktable_p_step_is_refused(capsys):
+    # k_table solves each ratio cold; there is no continuation step to set
+    assert run_cli("ktable", "--grid", "1:0:1", "--p-base", "40", "--p-step", "10") == EXIT_USAGE
+    assert "unrecognized arguments: --p-step" in capsys.readouterr().err
+
+
 def test_ktable_json_format(tmp_path):
     out = tmp_path / "k.json"
     code = run_cli("ktable", "--grid", "1:0:1", "--p-base", "40", "--format", "json",

@@ -6,8 +6,6 @@ import pytest
 from specnorm.dft import autocorrelate, convolve_full
 from specnorm.sinekernel import (
     ExtremalPair,
-    banded_matvec,
-    banded_rmatvec,
     i_value_direct,
     k_estimate,
     k_lower_bound,
@@ -23,6 +21,13 @@ def conv_matrix(w, cols):
     for j in range(cols):
         m[j : j + len(w), j] = w
     return m
+
+
+def banded_rmatvec(w, y, cols):
+    """Reference adjoint of the banded convolution matrix of w (which applies
+    as ``convolve_full(w, x)``): valid cross-correlation of y, length `cols`."""
+    w = np.asarray(w)
+    return convolve_full(w[::-1], y)[w.size - 1 : w.size - 1 + cols]
 
 
 def dense_alternation(p, n, sweeps=500):
@@ -42,15 +47,11 @@ def dense_alternation(p, n, sweeps=500):
     return sigma
 
 
-def test_banded_matvec_first_column():
-    np.testing.assert_allclose(banded_matvec([1, 1], [1, 0, 0]), [1, 1, 0, 0], atol=1e-14)
-
-
-def test_banded_matvec_is_convolution():
+def test_convolution_matrix_applies_full_convolution():
     rng = np.random.default_rng(2)
     w = rng.standard_normal(6)
     x = rng.standard_normal(4)
-    np.testing.assert_allclose(banded_matvec(w, x), convolve_full(w, x), atol=1e-12)
+    np.testing.assert_allclose(conv_matrix(w, 4) @ x, convolve_full(w, x), atol=1e-12)
 
 
 def test_banded_adjoint_against_dense():
@@ -60,15 +61,10 @@ def test_banded_adjoint_against_dense():
     m = conv_matrix(w, cols)
     x = rng.standard_normal(cols)
     y = rng.standard_normal(m.shape[0])
-    lhs = float(np.dot(banded_matvec(w, x), y))
+    lhs = float(np.dot(convolve_full(w, x), y))
     rhs = float(np.dot(x, banded_rmatvec(w, y, cols)))
     assert abs(lhs - rhs) < 1e-11
     np.testing.assert_allclose(banded_rmatvec(w, y, cols), m.T @ y, atol=1e-12)
-
-
-def test_banded_adjoint_dimension_check():
-    with pytest.raises(ValueError):
-        banded_rmatvec([1.0, 2.0], [1.0, 2.0], cols=4)
 
 
 # (len(w), cols), with m = fast_length(cols + min(len(w), cols) - 1) the size
@@ -94,7 +90,7 @@ def test_gram_operator_matches_banded_reference(length, cols):
     got = _gram_operator(w, cols)(x)
     assert got.shape == (3, cols)
     for row, xi in zip(got, x):
-        want = banded_rmatvec(w, banded_matvec(w, xi), cols)
+        want = banded_rmatvec(w, convolve_full(w, xi), cols)
         assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -155,15 +151,18 @@ def test_lower_bound_values():
 
 
 def test_fixed_point_self_consistency():
+    # one more alternation sweep from the converged pair leaves I in place
     outer_tol = 1e-13
     est, pair = k_estimate(30, 70, outer_tol=outer_tol)
-    rerun, _ = k_estimate(30, 70, init=pair, outer_tol=outer_tol, outer_max=1)
-    assert abs(rerun.i_value - est.i_value) <= 10 * outer_tol
+    w = principal_right_singular(pair.v, 70, tol=outer_tol / 10, start=pair.w).vector
+    sweep = principal_right_singular(w, 30, tol=outer_tol / 10, start=pair.v)
+    assert sweep.converged
+    assert abs(sweep.sigma - est.i_value) <= 10 * outer_tol
 
 
 def test_product_identity_at_converged_pair():
     _, pair = k_estimate(14, 33)
-    energy = float(np.linalg.norm(banded_matvec(pair.w, pair.v)) ** 2)
+    energy = float(np.linalg.norm(convolve_full(pair.w, pair.v)) ** 2)
     av = autocorrelate(pair.v)
     aw = autocorrelate(pair.w)
     p, n = pair.v.size, pair.w.size
@@ -212,7 +211,16 @@ def test_k_estimate_near_square_reference_value():
     assert est.k_value == pytest.approx(0.831, abs=2e-3)
 
 
-def test_k_table_monotone_and_warm_started():
+def test_k_table_rows_are_cold_estimates():
+    # p_step is accepted and ignored
+    rows = k_table([0.25, 1.0, 0.5, 0.5], p_base=120, p_step=7)
+    assert [est.p for est in rows] == [120, 60, 30]  # descending, one per ratio
+    for est in rows:
+        assert est == k_estimate(est.p, 120)[0]  # every field, bit for bit
+        assert est.converged and est.outer_iterations <= 5
+
+
+def test_k_table_monotone_in_ratio():
     rows = k_table([1.0, 0.8, 0.6, 0.4, 0.2], p_base=200)
     values = [est.k_value for est in rows]  # descending ratio order
     assert all(est.converged for est in rows)
