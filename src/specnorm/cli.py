@@ -152,6 +152,12 @@ def cmd_theta(args) -> int:
     return EXIT_OK
 
 
+def _require_scalable(n: int) -> None:
+    """Refuse a column count the sqrt(p log n) scaling cannot take."""
+    if n < 2:
+        raise UsageError(f"n must be at least 2 (the scaled norm divides by log n), got n={n}")
+
+
 def cmd_norm(args) -> int:
     try:
         spec = MatrixSpec(
@@ -165,6 +171,7 @@ def cmd_norm(args) -> int:
         check_solver_settings(args.tol, args.max_iter)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _require_scalable(spec.n)
     sym = build_symbol(spec)
     result = spectral_norm_fast(sym, spec, tol=args.tol, max_iter=args.max_iter)
     row = {
@@ -278,6 +285,8 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
         configs = [replace(cfg, n=n_for_ratio(cfg.p, r)) for r in ratios] if ratios else [cfg]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid experiment config: {exc}") from None
+    for cfg in configs:
+        _require_scalable(cfg.n)
     return configs, raw_output
 
 

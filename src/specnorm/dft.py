@@ -1,4 +1,5 @@
-"""Unitary DFT, real circular convolution, full convolution, autocorrelation.
+"""Unitary DFT, real circular convolution, Toeplitz kernels, full convolution,
+autocorrelation.
 
 The unitary transform uses a positive-sign kernel,
 
@@ -8,9 +9,11 @@ so that the forward transform of a real symbol vector directly yields the
 eigenvalue diagonal of the associated circulant (see `specnorm.structured`).
 For a real vector it is one real FFT: the conjugate of the half spectrum,
 mirrored onto the upper half by Hermitian symmetry.
-Every real product in the package (structured matrix products, the
-lower-bound statistic's quadratic forms, real full convolutions) is one
-:func:`circular_convolve`, with the kernel held by its half spectrum.
+Every real product in the package (structured matrix products, Toeplitz
+sections such as the Gram operators of the norm solver and the sine-kernel
+constant, the lower-bound statistic's quadratic forms, real full
+convolutions) is one :func:`circular_convolve`, with the kernel held by its
+half spectrum; :func:`toeplitz_spectrum` lays out the Toeplitz kernels.
 Arbitrary lengths are supported at O(N log N) cost; the heavy lifting is
 delegated to numpy's pocketfft backend, which falls back to a Bluestein
 chirp-z reduction for lengths with large prime factors. Transforms act
@@ -29,6 +32,7 @@ __all__ = [
     "convolve_full",
     "autocorrelate",
     "fast_length",
+    "toeplitz_spectrum",
 ]
 
 
@@ -109,12 +113,37 @@ def circular_convolve(spectrum, x, size: int) -> np.ndarray:
     real kernel whose :func:`half_spectrum` is `spectrum`.
 
     Computes irfft(spectrum * rfft(x, size), size) along the last axis;
-    `spectrum` broadcasts against the stack of x. A complex product can
-    round differently with its operands swapped, so the product keeps this
-    operand order and a row rounds the same in a stack of any size.
+    `spectrum` broadcasts against the stack of x, and may stack more
+    kernels than x has rows: x of shape (R, 1, L) against a spectrum of
+    shape (R, k, h) takes one forward transform per row for its k products.
+    A complex product can round differently with its operands swapped, so
+    the product keeps this operand order and a row rounds the same in a
+    stack of any size.
     """
     f = half_spectrum(x, size)
-    return np.fft.irfft(np.multiply(spectrum, f, out=f), size)
+    out = f if np.broadcast_shapes(np.shape(spectrum), f.shape) == f.shape else None
+    return np.fft.irfft(np.multiply(spectrum, f, out=out), size)
+
+
+def toeplitz_spectrum(column, size: int, row=None) -> tuple[np.ndarray, int]:
+    """Circular kernel of the size x size Toeplitz matrix with first column
+    `column` and first row `row` (default `column`: a symmetric matrix).
+
+    Returns the kernel's :func:`half_spectrum` and its length m; the matrix
+    applies to x as ``circular_convolve(spectrum, x, m)[..., :size]``. With
+    K = min(len(column), size) entries (zero past them), lag d >= 0 sits at
+    kernel index d and lag -d at m - d, with m = fast_length(size + K - 1),
+    so no wrapped lag reaches the size x size window. A stack of columns
+    (and rows) gives one kernel per matrix, along the leading axes.
+    """
+    c = _as_stack(column, "column")
+    r = c if row is None else _as_stack(row, "row")
+    k = min(c.shape[-1], size)
+    m = fast_length(size + k - 1)
+    kernel = np.zeros(np.broadcast_shapes(c.shape[:-1], r.shape[:-1]) + (m,))
+    kernel[..., :k] = c[..., :k]
+    kernel[..., m - k + 1 :] = r[..., 1:k][..., ::-1]
+    return half_spectrum(kernel, m), m
 
 
 def convolve_full(a, b) -> np.ndarray:

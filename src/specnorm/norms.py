@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dft import circular_convolve, fast_length, toeplitz_spectrum
 from .structured import (
+    _CIRCULANT_LIKE,
     _DENSE_ENTRY_LIMIT,
     MatrixSpec,
     ResourceLimitError,
     SymbolVector,
+    embedding_size,
     matvec,
     rmatvec,
     stack_symbols,
@@ -27,6 +31,8 @@ __all__ = [
     "spectral_norm_dense",
     "scaled_norm",
 ]
+
+_log = logging.getLogger(__name__)
 
 # stream tag for Lanczos start vectors; replicate streams use small ids
 _START_STREAM = 2**63
@@ -224,6 +230,64 @@ def gram_lanczos(gram, start, tol: float, max_iter: int) -> GramEigenpairs:
     return out
 
 
+def _short_side_length(spec: MatrixSpec) -> int | None:
+    """Kernel length m of the short-side Gram operator of `spec`, or None
+    where the full embedding's product pair takes fewer transform points.
+
+    A step there costs k circular convolutions of length m =
+    fast_length(2p - 1): k = 1 for circulant-like families, 3 for
+    non-symmetric Toeplitz and Hankel; the product pair costs two of the
+    embedding length N. A symmetric Toeplitz or Hankel embedding
+    drops a p x n block of columns, so it always takes the product pair.
+    """
+    if spec.family in _CIRCULANT_LIKE:
+        k = 1
+    elif spec.symmetric:
+        return None
+    else:
+        k = 3
+    m = fast_length(2 * spec.p - 1)
+    return m if k * m < 2 * embedding_size(spec) else None
+
+
+def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
+    """Kernel spectra of the p x p Gram matrices A A^T of a stacked symbol,
+    one row per draw, and the map (spectra, y) -> A A^T y on the rows of y.
+
+    A A^T does not depend on the column order. For circulant-like families
+    it is the p x p section of the circulant C C^T: the symmetric Toeplitz
+    matrix whose first column is A A^T e_0, one convolution per step. For
+    Toeplitz and Hankel it is T - B B^T: T is the section of the
+    (p + n)-point embedding's C C^T, and B the p x p Toeplitz block of
+    dropped columns, B[i, j] = values[n + j - i], so that T e_0 =
+    A A^T e_0 + B B^T e_0. B's diagonal values[n] is in no entry of A, so
+    the embedding may hold 0 there instead; B then vanishes at p = 1, and
+    less of A A^T cancels in T - B B^T. A step applies T and B^T to y from
+    one forward transform, then B: three convolutions of length
+    fast_length(2p - 1).
+    """
+    p, n = spec.p, spec.n
+    e0 = np.zeros(sym.diag.shape[:-1] + (p,))
+    e0[..., 0] = 1.0
+    first = matvec(sym, spec, rmatvec(sym, spec, e0))
+    if spec.family in _CIRCULANT_LIKE:
+        spectrum, m = toeplitz_spectrum(first, p)
+        return (spectrum,), lambda spectra, y: circular_convolve(spectra[0], y, m)[:, :p]
+    right = sym.values[:, n : n + p].copy()  # B^T e_0: values[n + j]
+    left = sym.values[:, n - p + 1 : n + 1][:, ::-1].copy()  # B e_0: values[n - i]
+    right[:, 0] = left[:, 0] = 0.0  # values[n] is in no entry of A
+    bt, m = toeplitz_spectrum(right, p, row=left)
+    b = np.conj(bt)  # B is B^T with its kernel reversed
+    t, _ = toeplitz_spectrum(first + circular_convolve(b, right, m)[:, :p], p)
+
+    def apply(spectra, y):
+        t_and_bt, b = spectra
+        both = circular_convolve(t_and_bt, y[:, None], m)  # T y and B^T y
+        return both[:, 0, :p] - circular_convolve(b, both[:, 1, :p], m)[:, :p]
+
+    return (np.stack([t, bt], axis=1), b), apply
+
+
 def spectral_norms(
     sym: SymbolVector,
     spec: MatrixSpec,
@@ -233,19 +297,41 @@ def spectral_norms(
     """Largest singular value of each row of a stacked symbol (see
     :func:`spectral_norm_fast`), solved as one block of :func:`gram_lanczos`.
 
-    Every row starts from the vector of the spec seed, so row i gets
-    exactly the result ``spectral_norm_fast`` gives for symbol row i.
+    The Gram operator A A^T is applied on the short side, as p x p Toeplitz
+    sections by :func:`_short_side_gram`, where that takes fewer transform
+    points than the product pair ``A (A^T y)`` on the embedding (see
+    :func:`_short_side_length`), and as the product pair elsewhere. Its
+    kernels are taken once per block and shrunk once each time rows leave
+    the active set. Every row starts from the vector of the spec seed, so
+    row i gets exactly the result ``spectral_norm_fast`` gives for symbol
+    row i.
     """
-    part = sym
+    m = _short_side_length(spec)
+    if m is None:
+        kernels = (sym.values, sym.diag)
+
+        def apply(kernels, y):
+            part = SymbolVector(values=kernels[0], size=sym.size, diag=kernels[1])
+            return matvec(part, spec, rmatvec(part, spec, y))
+
+    else:
+        kernels, apply = _short_side_gram(sym, spec)
+    part = kernels
 
     def gram(y, rows):
         nonlocal part
-        if part.diag.shape[0] != rows.size:  # rows left the active set
-            part = SymbolVector(values=sym.values[rows], size=sym.size, diag=sym.diag[rows])
-        return matvec(part, spec, rmatvec(part, spec, y))
+        if part[0].shape[0] != rows.size:  # rows left the active set
+            part = tuple(kernel[rows] for kernel in kernels)
+        return apply(part, y)
 
-    start = np.broadcast_to(_start_vector(spec.seed, spec.p), (sym.diag.shape[0], spec.p))
+    count = sym.diag.shape[0]
+    start = np.broadcast_to(_start_vector(spec.seed, spec.p), (count, spec.p))
     top = gram_lanczos(gram, start, tol, max_iter)
+    _log.info(
+        "norm block of %d rows: %s, kernel length %d against N = %d, steps median %g max %d",
+        count, "full embedding" if m is None else "short side", m or sym.size, sym.size,
+        np.median(top.steps), top.steps.max(),
+    )
     return [
         NormResult(math.sqrt(value), int(steps), bool(converged), float(residual))
         for value, steps, converged, residual in zip(
@@ -262,14 +348,17 @@ def spectral_norm_fast(
 ) -> NormResult:
     """Largest singular value, certified by Lanczos on the Gram operator A A^T.
 
-    Runs :func:`gram_lanczos` on the p x p operator ``y -> A (A^T y)`` of
-    the shorter side, each step one FFT product with A^T and one with A, so
-    a step costs O(N log N). The start vector is a deterministic
-    pseudo-random vector derived from the spec seed. `iterations` counts
-    Krylov steps (at most p). `residual` is the certified bound, in units of
-    sigma^2: an eigenvalue of A A^T lies within `residual` of
-    sigma_max^2, and from the random start it is the largest one with high
-    probability. The result is converged once `residual` <= tol *
+    Runs :func:`gram_lanczos` on the p x p Gram operator A A^T of the
+    shorter side. A step applies it as one circular convolution of length
+    m = fast_length(2p - 1) for circulant-like families, three for Toeplitz
+    and Hankel, where that takes fewer transform points than one FFT
+    product with A^T and one with A on the embedding of size N, and as
+    that product pair elsewhere (see :func:`spectral_norms`). The start
+    vector is a deterministic pseudo-random vector derived from the spec
+    seed. `iterations` counts Krylov steps (at most p). `residual` is the
+    certified bound, in units of sigma^2: an eigenvalue of A A^T lies
+    within `residual` of sigma_max^2, and from the random start it is the
+    largest one with high probability. The result is converged once `residual` <= tol *
     sigma_max^2, with tol clamped to [16 eps, 1e-8]; without that
     certificate after `max_iter` steps it has converged=False.
     """

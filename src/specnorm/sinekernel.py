@@ -16,7 +16,9 @@ I / sqrt(p), with the rigorous two-sided bracket
 Convolution matrices are never materialized. The Gram matrix W^T W of the
 convolution matrix W of a frozen vector is the Toeplitz matrix of that
 vector's autocorrelation, so each inner Lanczos step is one FFT circular
-convolution (`specnorm.dft`) with a kernel spectrum taken once per solve.
+convolution with a kernel spectrum taken once per solve, laid out by
+:func:`specnorm.dft.toeplitz_spectrum`, the helper that also applies the
+norm solver's short-side Gram operators (`specnorm.norms`).
 
 Every estimate starts cold, from flat unit vectors, and converges in a few
 sweeps; a table over a ratio grid is one such estimate per ratio.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import autocorrelate, circular_convolve, convolve_full, fast_length, half_spectrum
+from .dft import autocorrelate, circular_convolve, convolve_full, toeplitz_spectrum
 from .norms import gram_lanczos
 
 __all__ = [
@@ -79,21 +81,9 @@ class SingularPair:
 
 def _gram_operator(w: np.ndarray, cols: int):
     """The map x -> W^T W x for the banded convolution matrix W of w, on a
-    stack of length-`cols` rows.
-
-    W^T W is the symmetric Toeplitz matrix of w's autocorrelation at lags
-    -(K-1)..K-1, K = min(len(w), cols). Those lags sit in an even circular
-    kernel of size m >= cols + K - 1, where no wrapped lag reaches the
-    cols x cols window, so one circular convolution applies the matrix.
-    """
-    r = autocorrelate(w)
-    lead = w.size - 1  # index of lag 0
-    k = min(w.size, cols)
-    m = fast_length(cols + k - 1)
-    kernel = np.zeros(m)
-    kernel[:k] = r[lead : lead + k]
-    kernel[m - k + 1 :] = r[lead + 1 : lead + k][::-1]
-    spectrum = half_spectrum(kernel, m)
+    stack of length-`cols` rows: W^T W is the symmetric cols x cols Toeplitz
+    matrix of w's autocorrelation at lags 0..len(w)-1 (zero past them)."""
+    spectrum, m = toeplitz_spectrum(autocorrelate(w)[w.size - 1 :], cols)
     return lambda x: circular_convolve(spectrum, x, m)[:, :cols]
 
 

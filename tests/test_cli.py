@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specnorm.montecarlo as montecarlo
 import specnorm.norms as norms
 import specnorm.structured as structured
 from specnorm.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, build_parser, main
@@ -170,6 +171,34 @@ def test_norm_dense_refusal_is_a_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_norm_refuses_a_single_column(capsys):
+    # the sqrt(p log n) scaling of the output row divides by log n
+    assert run_cli("norm", "--family", "toeplitz", "--p", "1", "--n", "1") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "specnorm: error: n must be at least 2" in err and "got n=1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family,symmetric,path,m,size", [
+    ("toeplitz", False, "short side", 40, 220),
+    ("circulant", True, "short side", 40, 200),
+    ("hankel", True, "full embedding", 400, 400),
+])
+def test_norm_verbose_logs_the_block_solve(family, symmetric, path, m, size, capsys):
+    argv = ["norm", "--family", family, "--p", "20", "--n", "200", "--seed", "4"]
+    argv += ["--symmetric"] if symmetric else []
+    assert run_cli(*argv) == EXIT_OK
+    quiet = capsys.readouterr()
+    assert run_cli(*argv, "-v") == EXIT_OK
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out and quiet.err == ""
+    steps = next(csv.DictReader(quiet.out.splitlines()))["iterations"]
+    assert loud.err.splitlines() == [
+        f"specnorm.norms: norm block of 1 rows: {path}, kernel length {m} against N = {size}, "
+        f"steps median {steps} max {steps}"
+    ]
+
+
 MC_CONFIG = """# tiny smoke experiment
 family = circulant
 p = 16
@@ -307,6 +336,32 @@ def test_mc_krylov_basis_refusal_is_a_usage_error(tmp_path, monkeypatch, capsys)
     cfg.write_text(MC_CONFIG)
     assert run_cli("mc", "--config", str(cfg), "--threads", "1") == EXIT_USAGE
     assert "specnorm: error: Krylov basis" in capsys.readouterr().err
+
+
+def test_mc_refuses_a_single_column(tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("family = toeplitz\np = 1\nreplicates = 4\nratios = [1.0]\n")
+    assert run_cli("mc", "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "specnorm: error: n must be at least 2" in err and "got n=1" in err
+    assert "Traceback" not in err
+
+
+def test_serial_mc_logs_each_block_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1)  # one replicate per block
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(MC_CONFIG)
+    assert run_cli("mc", "--config", str(cfg), "--threads", "1") == EXIT_OK
+    quiet = capsys.readouterr()
+    assert run_cli("mc", "--config", str(cfg), "--threads", "1", "-v") == EXIT_OK
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out and quiet.err == ""
+    lines = loud.err.splitlines()
+    assert len(lines) == 11  # ten blocks, then the run
+    for line in lines[:10]:
+        assert re.fullmatch(r"specnorm\.norms: norm block of 1 rows: short side, kernel length "
+                            r"32 against N = 32, steps median \d+ max \d+", line), line
+    assert lines[10].startswith("specnorm.montecarlo: 10 replicates in 10 blocks, serial")
 
 
 SWEEP_CONFIG = 'family = circulant\np = 8\nreplicates = 10\nratios = "1.0, 0.5"\n'

@@ -130,9 +130,9 @@ def test_loose_tol_certifies_the_top_eigenvalue(replicate):
     assert abs(loose.sigma_max**2 - top_sq) <= tol * top_sq
 
 
-def test_one_product_pair_per_step(monkeypatch):
-    calls = {"matvec": 0, "rmatvec": 0}
-    for name in calls:
+def _count_products_and_gram_calls(monkeypatch):
+    calls = {"matvec": 0, "rmatvec": 0, "gram": 0}
+    for name in ("matvec", "rmatvec"):
         original = getattr(norms, name)
 
         def counted(*args, _name=name, _original=original):
@@ -140,9 +140,107 @@ def test_one_product_pair_per_step(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(norms, name, counted)
-    spec = MatrixSpec("toeplitz", p=20, n=50, seed=3)
+    lanczos = norms.gram_lanczos
+
+    def counted_lanczos(gram, *args):
+        def counted_gram(*gram_args):
+            calls["gram"] += 1
+            return gram(*gram_args)
+
+        return lanczos(counted_gram, *args)
+
+    monkeypatch.setattr(norms, "gram_lanczos", counted_lanczos)
+    return calls
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_short_side_makes_one_product_pair_per_solve(monkeypatch, family):
+    calls = _count_products_and_gram_calls(monkeypatch)
+    spec = MatrixSpec(family, p=20, n=50, seed=3)
+    assert norms._short_side_length(spec) is not None
+    stack = stack_symbols([build_symbol(spec, replicate_stream(3, r)) for r in range(6)])
+    block = norms.spectral_norms(stack, spec)
+    # one stacked pair for the first columns, then one Gram call per step
+    assert calls == {"matvec": 1, "rmatvec": 1, "gram": max(res.iterations for res in block)}
+
+
+@pytest.mark.parametrize("family", ["toeplitz", "hankel"])
+def test_full_embedding_makes_one_product_pair_per_step(monkeypatch, family):
+    calls = _count_products_and_gram_calls(monkeypatch)
+    spec = MatrixSpec(family, p=20, n=50, symmetric=True, seed=3)
+    assert norms._short_side_length(spec) is None
     res = spectral_norm_fast(build_symbol(spec), spec)
-    assert calls == {"matvec": res.iterations, "rmatvec": res.iterations}
+    steps = res.iterations
+    assert calls == {"matvec": steps, "rmatvec": steps, "gram": steps}
+
+
+def _gram_shapes():
+    """(family, symmetric, p, n): p = 1, p = n, both sides of the path
+    rule's boundary, and a Bluestein embedding, N = 1214 = 2 * 607."""
+    shapes = []
+    for family in FAMILIES:
+        for symmetric in (False, True):
+            if family in ("toeplitz", "hankel"):
+                if symmetric:
+                    continue  # the dropped block is p x n: always the full embedding
+                sizes = [(1, 1), (1, 7), (8, 8), (200, 400), (200, 401), (200, 1014), (33, 70)]
+            else:
+                sizes = [(1, 1), (1, 7), (8, 8), (9, 9), (200, 200), (200, 201), (200, 1214),
+                         (33, 70)]
+            shapes += [(family, symmetric, p, n) for p, n in sizes]
+    return shapes
+
+
+@pytest.mark.parametrize("family,symmetric,p,n", _gram_shapes())
+def test_short_side_gram_matches_dense(family, symmetric, p, n):
+    spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=11)
+    syms = [build_symbol(spec, replicate_stream(11, r)) for r in range(3)]
+    kernels, apply = norms._short_side_gram(stack_symbols(syms), spec)
+    y = np.random.default_rng(p + n).standard_normal((3, p))
+    got = apply(kernels, y)
+    for sym, row, out in zip(syms, y, got):
+        dense = dense_materialize(sym, spec)
+        gram = dense @ dense.T
+        want = gram @ row
+        assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(row)
+
+
+@pytest.mark.parametrize("family,p,n,short", [
+    # m = fast_length(399) = 400 transform points per convolution
+    ("toeplitz", 200, 401, True),  # 3 m = 1200 < 2 N = 1202
+    ("toeplitz", 200, 400, False),  # 1200 = 2 N
+    ("hankel", 200, 401, True),
+    ("hankel", 200, 400, False),
+    ("circulant", 200, 201, True),  # m = 400 < 2 N = 402
+    ("circulant", 200, 200, False),
+    ("reverse_circulant", 200, 201, True),
+    ("reverse_circulant", 200, 200, False),
+    ("circulant", 8, 8, True),  # 2p - 1 = 15 is 5-smooth: 15 < 16
+    ("circulant", 9, 9, False),  # fast_length(17) = 18
+    ("toeplitz", 1, 1, True),  # 3 < 4
+])
+def test_short_side_when_it_takes_fewer_transform_points(family, p, n, short):
+    for symmetric in (False, True):
+        spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric)
+        m = norms._short_side_length(spec)
+        if symmetric and family in ("toeplitz", "hankel"):
+            assert m is None
+        else:
+            assert m == (norms.fast_length(2 * p - 1) if short else None)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_every_row_of_a_block_of_20_matches_dense_and_its_single_solve(family, symmetric):
+    spec = MatrixSpec(family, p=24, n=60, symmetric=symmetric, seed=31)
+    syms = [build_symbol(spec, replicate_stream(31, r)) for r in range(20)]
+    block = norms.spectral_norms(stack_symbols(syms), spec)
+    assert len({res.iterations for res in block}) > 1  # the kernels shrink on the way
+    for r, (sym, res) in enumerate(zip(syms, block)):
+        oracle = spectral_norm_dense(dense_materialize(sym, spec)).sigma_max
+        assert res.converged, r
+        assert abs(res.sigma_max - oracle) <= 1e-8 * oracle, r
+        assert _bits(spectral_norm_fast(sym, spec)) == _bits(res), r
 
 
 def test_krylov_basis_past_its_byte_budget_is_refused(monkeypatch):
