@@ -33,7 +33,8 @@ from .montecarlo import (
     reference_constant,
     run_experiment,
 )
-from .norms import check_solver_settings, scaled_norm, spectral_norm_dense, spectral_norm_fast
+from .norms import ScalingError, check_solver_settings, require_scalable, scaled_norm
+from .norms import spectral_norm_dense, spectral_norm_fast
 from .sinekernel import k_table
 from .structured import (
     DISTRIBUTIONS,
@@ -152,12 +153,6 @@ def cmd_theta(args) -> int:
     return EXIT_OK
 
 
-def _require_scalable(n: int) -> None:
-    """Refuse a column count the sqrt(p log n) scaling cannot take."""
-    if n < 2:
-        raise UsageError(f"n must be at least 2 (the scaled norm divides by log n), got n={n}")
-
-
 def cmd_norm(args) -> int:
     try:
         spec = MatrixSpec(
@@ -169,9 +164,9 @@ def cmd_norm(args) -> int:
             seed=_resolve_seed(args),
         )
         check_solver_settings(args.tol, args.max_iter)
+        require_scalable(spec.n)  # MatrixSpec allows n = 1
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _require_scalable(spec.n)
     sym = build_symbol(spec)
     result = spectral_norm_fast(sym, spec, tol=args.tol, max_iter=args.max_iter)
     row = {
@@ -283,10 +278,10 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
             raise UsageError("config must set n (or ratios for a sweep)")
         cfg = ExperimentConfig(**data)
         configs = [replace(cfg, n=n_for_ratio(cfg.p, r)) for r in ratios] if ratios else [cfg]
+    except ScalingError as exc:  # worded as in `norm`
+        raise UsageError(str(exc)) from None
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid experiment config: {exc}") from None
-    for cfg in configs:
-        _require_scalable(cfg.n)
     return configs, raw_output
 
 

@@ -39,7 +39,7 @@ from .extremes import (
     gumbel_model,
     gumbel_quantile,
 )
-from .norms import NormResult, check_solver_settings, scaled_norm, spectral_norms
+from .norms import NormResult, check_solver_settings, require_scalable, scaled_norm, spectral_norms
 from .sinekernel import k_estimate
 from .structured import (
     MatrixSpec,
@@ -91,11 +91,11 @@ class ExperimentConfig:
     workers: int = 1
     norm_tol: float = 1e-10  # norm solver's relative residual, clamped to [16 eps, 1e-8]
     norm_max_iter: int = 100_000  # cap on the norm solver's Krylov steps
-    center_offset: float | None = None  # None uses log(n/2)
 
     def __post_init__(self):
         # reuse the spec validation for the template fields
         self.template_spec()
+        require_scalable(self.n)  # before any solve: each statistic needs log n or log(n/2)
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         for stat in self.statistics:
@@ -121,8 +121,6 @@ class ExperimentConfig:
         )
 
     def center(self) -> float:
-        if self.center_offset is not None:
-            return self.center_offset
         return math.log(self.n / 2.0)
 
 

@@ -24,12 +24,14 @@ from .structured import (
 __all__ = [
     "GramEigenpairs",
     "NormResult",
+    "ScalingError",
     "check_solver_settings",
     "gram_lanczos",
     "spectral_norms",
     "spectral_norm_fast",
     "spectral_norm_dense",
     "scaled_norm",
+    "require_scalable",
 ]
 
 _log = logging.getLogger(__name__)
@@ -139,13 +141,13 @@ def check_solver_settings(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
-def gram_lanczos(gram, start, tol: float, max_iter: int) -> GramEigenpairs:
+def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenpairs:
     """Largest eigenpair of each Gram operator of a block, solved in lockstep.
 
-    `start` holds one start vector per row, shape (R, dim). ``gram(q, rows)``
-    returns the Gram products ``G_i q_i`` of the operators `rows` (indices
-    into the block, ascending) for the rows of q; `rows` is the same array
-    until a row leaves the active set.
+    `kernels` is a tuple of arrays with one leading row per operator, and
+    `start` one start vector per row, shape (R, dim). ``apply(kernels, q)``
+    is a pure map to the products ``G_i q_i``; a stopped row leaves
+    `kernels` with its basis, so row i of each stays paired.
 
     Per row this is Lanczos with full reorthogonalization; on a Gram
     operator it is Golub-Kahan bidiagonalization (Golub & Kahan 1965).
@@ -158,7 +160,7 @@ def gram_lanczos(gram, start, tol: float, max_iter: int) -> GramEigenpairs:
     ``tol * theta``, on exact termination (beta_k = 0, or the basis spans
     the whole space; the residual is then 0), or after `max_iter` steps
     with converged=False; stopped rows leave the active set and the rest go
-    on. Each step calls `gram` once. tol is clamped to [16 eps, 1e-8]: the
+    on. Each step calls `apply` once. tol is clamped to [16 eps, 1e-8]: the
     floor is rounding level, and above the cap a row can stop on the second
     eigenvalue before the top Ritz value has separated from it. From a
     random start the top Ritz value approximates the largest eigenvalue,
@@ -197,7 +199,7 @@ def gram_lanczos(gram, start, tol: float, max_iter: int) -> GramEigenpairs:
             basis = _grow(basis, cap)
         basis[:, k - 1] = q
         q_k = basis[:, :k]
-        w = gram(q, active)
+        w = apply(kernels, q)
         # classical Gram-Schmidt against the whole basis, twice
         h = _project(q_k, w)
         w = w - _combine(q_k, h)
@@ -225,6 +227,7 @@ def gram_lanczos(gram, start, tol: float, max_iter: int) -> GramEigenpairs:
             keep = ~done
             active, basis, alphas, betas = active[keep], basis[keep], alphas[keep], betas[keep]
             s, w, beta = s[keep], w[keep], beta[keep]
+            kernels = tuple(kernel[keep] for kernel in kernels)
         betas = np.concatenate([betas, beta[:, None]], axis=1)
         q = w / beta[:, None]
     return out
@@ -235,17 +238,11 @@ def _short_side_length(spec: MatrixSpec) -> int | None:
     where the full embedding's product pair takes fewer transform points.
 
     A step there costs k circular convolutions of length m =
-    fast_length(2p - 1): k = 1 for circulant-like families, 3 for
-    non-symmetric Toeplitz and Hankel; the product pair costs two of the
-    embedding length N. A symmetric Toeplitz or Hankel embedding
-    drops a p x n block of columns, so it always takes the product pair.
+    fast_length(2p - 1): k = 1 for circulant-like families, 3 for Toeplitz
+    and Hankel, symmetric or not; the product pair costs two of the
+    embedding length N (2n for symmetric Toeplitz and Hankel).
     """
-    if spec.family in _CIRCULANT_LIKE:
-        k = 1
-    elif spec.symmetric:
-        return None
-    else:
-        k = 3
+    k = 1 if spec.family in _CIRCULANT_LIKE else 3
     m = fast_length(2 * spec.p - 1)
     return m if k * m < 2 * embedding_size(spec) else None
 
@@ -257,14 +254,15 @@ def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
     A A^T does not depend on the column order. For circulant-like families
     it is the p x p section of the circulant C C^T: the symmetric Toeplitz
     matrix whose first column is A A^T e_0, one convolution per step. For
-    Toeplitz and Hankel it is T - B B^T: T is the section of the
-    (p + n)-point embedding's C C^T, and B the p x p Toeplitz block of
-    dropped columns, B[i, j] = values[n + j - i], so that T e_0 =
-    A A^T e_0 + B B^T e_0. B's diagonal values[n] is in no entry of A, so
-    the embedding may hold 0 there instead; B then vanishes at p = 1, and
-    less of A A^T cancels in T - B B^T. A step applies T and B^T to y from
-    one forward transform, then B: three convolutions of length
-    fast_length(2p - 1).
+    Toeplitz and Hankel, symmetric or not, A is the corner of the
+    (p + n)-point circulant C with first row values[:n] then values[N - p:]
+    (lags 0..n-1, then -p..-1, in both layouts), and A A^T = T - B B^T: T
+    is the section of C C^T, and B the p x p Toeplitz block of C's dropped
+    columns, B[i, j] = C[i, n + j], so that T e_0 = A A^T e_0 + B B^T e_0.
+    B's diagonal, lag -p, is in no entry of A, so the embedding may hold 0
+    there instead; B then vanishes at p = 1, and less of A A^T cancels in
+    T - B B^T. A step applies T and B^T to y from one forward transform,
+    then B: three convolutions of length fast_length(2p - 1).
     """
     p, n = spec.p, spec.n
     e0 = np.zeros(sym.diag.shape[:-1] + (p,))
@@ -273,9 +271,9 @@ def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
     if spec.family in _CIRCULANT_LIKE:
         spectrum, m = toeplitz_spectrum(first, p)
         return (spectrum,), lambda spectra, y: circular_convolve(spectra[0], y, m)[:, :p]
-    right = sym.values[:, n : n + p].copy()  # B^T e_0: values[n + j]
+    right = sym.values[:, sym.size - p :].copy()  # B^T e_0: lags -p..-1
     left = sym.values[:, n - p + 1 : n + 1][:, ::-1].copy()  # B e_0: values[n - i]
-    right[:, 0] = left[:, 0] = 0.0  # values[n] is in no entry of A
+    right[:, 0] = left[:, 0] = 0.0  # lag -p is in no entry of A
     bt, m = toeplitz_spectrum(right, p, row=left)
     b = np.conj(bt)  # B is B^T with its kernel reversed
     t, _ = toeplitz_spectrum(first + circular_convolve(b, right, m)[:, :p], p)
@@ -301,10 +299,10 @@ def spectral_norms(
     sections by :func:`_short_side_gram`, where that takes fewer transform
     points than the product pair ``A (A^T y)`` on the embedding (see
     :func:`_short_side_length`), and as the product pair elsewhere. Its
-    kernels are taken once per block and shrunk once each time rows leave
-    the active set. Every row starts from the vector of the spec seed, so
-    row i gets exactly the result ``spectral_norm_fast`` gives for symbol
-    row i.
+    kernels are taken once per block, and the core drops a row's kernels
+    when the row stops. Every row starts from the vector of the spec seed,
+    so row i gets exactly the result ``spectral_norm_fast`` gives for
+    symbol row i.
     """
     m = _short_side_length(spec)
     if m is None:
@@ -316,17 +314,9 @@ def spectral_norms(
 
     else:
         kernels, apply = _short_side_gram(sym, spec)
-    part = kernels
-
-    def gram(y, rows):
-        nonlocal part
-        if part[0].shape[0] != rows.size:  # rows left the active set
-            part = tuple(kernel[rows] for kernel in kernels)
-        return apply(part, y)
-
     count = sym.diag.shape[0]
     start = np.broadcast_to(_start_vector(spec.seed, spec.p), (count, spec.p))
-    top = gram_lanczos(gram, start, tol, max_iter)
+    top = gram_lanczos(apply, kernels, start, tol, max_iter)
     _log.info(
         "norm block of %d rows: %s, kernel length %d against N = %d, steps median %g max %d",
         count, "full embedding" if m is None else "short side", m or sym.size, sym.size,
@@ -351,9 +341,9 @@ def spectral_norm_fast(
     Runs :func:`gram_lanczos` on the p x p Gram operator A A^T of the
     shorter side. A step applies it as one circular convolution of length
     m = fast_length(2p - 1) for circulant-like families, three for Toeplitz
-    and Hankel, where that takes fewer transform points than one FFT
-    product with A^T and one with A on the embedding of size N, and as
-    that product pair elsewhere (see :func:`spectral_norms`). The start
+    and Hankel, symmetric or not, where that takes fewer transform points
+    than one FFT product with A^T and one with A on the embedding of size
+    N, and as that product pair elsewhere (see :func:`spectral_norms`). The start
     vector is a deterministic pseudo-random vector derived from the spec
     seed. `iterations` counts Krylov steps (at most p). `residual` is the
     certified bound, in units of sigma^2: an eigenvalue of A A^T lies
@@ -378,9 +368,17 @@ def spectral_norm_dense(dense) -> NormResult:
     return NormResult(sigma, 0, True, 0.0)
 
 
+class ScalingError(ValueError):
+    """A column count that the sqrt(p log n) scaling refuses."""
+
+
+def require_scalable(n: int) -> None:
+    if n < 2:
+        raise ScalingError(f"n must be at least 2 (the scaled norm divides by log n), got n={n}")
+
+
 def scaled_norm(sigma_max: float, spec: MatrixSpec) -> float:
     """Scale sigma_max by sqrt(p log n), or sqrt(2 p log n) for symmetric families."""
-    if spec.n < 2:
-        raise ValueError("scaling requires n >= 2")
+    require_scalable(spec.n)
     factor = 2.0 if spec.symmetric else 1.0
     return sigma_max / math.sqrt(factor * spec.p * math.log(spec.n))

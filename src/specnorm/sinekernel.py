@@ -80,11 +80,11 @@ class SingularPair:
 
 
 def _gram_operator(w: np.ndarray, cols: int):
-    """The map x -> W^T W x for the banded convolution matrix W of w, on a
-    stack of length-`cols` rows: W^T W is the symmetric cols x cols Toeplitz
-    matrix of w's autocorrelation at lags 0..len(w)-1 (zero past them)."""
-    spectrum, m = toeplitz_spectrum(autocorrelate(w)[w.size - 1 :], cols)
-    return lambda x: circular_convolve(spectrum, x, m)[:, :cols]
+    """Kernel spectrum (a one-row stack) and map (spectra, x) -> W^T W x for
+    the banded convolution matrix W of w: W^T W is the symmetric cols x cols
+    Toeplitz matrix of w's autocorrelation at lags 0..len(w)-1 (zero past them)."""
+    spectrum, m = toeplitz_spectrum(autocorrelate(w)[None, w.size - 1 :], cols)
+    return (spectrum,), lambda spectra, x: circular_convolve(spectra[0], x, m)[:, :cols]
 
 
 def _fix_sign(u: np.ndarray) -> np.ndarray:
@@ -124,8 +124,8 @@ def principal_right_singular(
         u = np.asarray(start, dtype=float)
         if u.shape != (cols,):
             raise ValueError(f"start vector must have length {cols}")
-    gram = _gram_operator(wv, cols)
-    top = gram_lanczos(lambda x, rows: gram(x), u[None], tol, cols)
+    kernels, apply = _gram_operator(wv, cols)
+    top = gram_lanczos(apply, kernels, u[None], tol, cols)
     return SingularPair(
         vector=_fix_sign(top.vectors[0]),
         sigma=math.sqrt(top.values[0]),

@@ -8,8 +8,8 @@ convolution, so products cost O(N log N) in real FFTs; a dense
 construction of the same matrix is kept as an independent oracle. The
 norm solver (`specnorm.norms`) takes one stacked product pair per solve
 from here and then applies the p x p Gram matrix A A^T as Toeplitz
-sections of length fast_length(2p - 1), where those are cheaper than a
-product pair on the embedding.
+sections of length fast_length(2p - 1), for every family, symmetric or
+not, where those are cheaper than a product pair on the embedding.
 
 Families and their embeddings:
 
@@ -21,6 +21,8 @@ Families and their embeddings:
 
 Symmetric variants mirror the symbol (entry (i, j) = a[|i-j|] for
 Toeplitz with N = 2n, and a[min(k, n-k)] along circulant diagonals).
+Both Toeplitz layouts keep the lags -p..-1 at the tail of the symbol,
+values[N - p:], and the lags 0..n-1 at its head.
 """
 
 from __future__ import annotations

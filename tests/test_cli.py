@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specnorm.cli as cli
 import specnorm.montecarlo as montecarlo
 import specnorm.norms as norms
 import specnorm.structured as structured
@@ -179,13 +180,15 @@ def test_norm_refuses_a_single_column(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("family,symmetric,path,m,size", [
-    ("toeplitz", False, "short side", 40, 220),
-    ("circulant", True, "short side", 40, 200),
-    ("hankel", True, "full embedding", 400, 400),
+@pytest.mark.parametrize("family,symmetric,n,path,m,size", [
+    ("toeplitz", False, 200, "short side", 40, 220),
+    ("circulant", True, 200, "short side", 40, 200),
+    ("hankel", True, 200, "short side", 40, 400),
+    # 3 m = 120 is at least 2 N = 100: past the crossover
+    ("hankel", True, 25, "full embedding", 50, 50),
 ])
-def test_norm_verbose_logs_the_block_solve(family, symmetric, path, m, size, capsys):
-    argv = ["norm", "--family", family, "--p", "20", "--n", "200", "--seed", "4"]
+def test_norm_verbose_logs_the_block_solve(family, symmetric, n, path, m, size, capsys):
+    argv = ["norm", "--family", family, "--p", "20", "--n", str(n), "--seed", "4"]
     argv += ["--symmetric"] if symmetric else []
     assert run_cli(*argv) == EXIT_OK
     quiet = capsys.readouterr()
@@ -311,6 +314,14 @@ def test_mc_probes_key_is_unknown(tmp_path, capsys):
         cfg.write_text(MC_CONFIG + f"{key} = 0.1\n")
         assert run_cli("mc", "--config", str(cfg)) == EXIT_USAGE
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_mc_center_offset_key_is_unknown(tmp_path, capsys):
+    # every statistic is centered at log(n/2)
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(MC_CONFIG + "center_offset = 0.0\n")
+    assert run_cli("mc", "--config", str(cfg)) == EXIT_USAGE
+    assert "unknown config key 'center_offset'" in capsys.readouterr().err
 
 
 def test_mc_missing_config():
@@ -499,6 +510,22 @@ def test_readme_command_lines_parse():
     for argv in commands:
         args = parser.parse_args(argv[1:])
         assert callable(args.func)
+
+
+def test_readme_configs_load_and_its_key_list_is_the_loaders(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) >= 3
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme{i}.cfg"
+        path.write_text(block)
+        assert cli.load_config(str(path))
+    # the documented list names value sets in parentheses; seed stands for base_seed
+    listed = re.search(r"Recognized keys: (.*?)\. In the", readme, flags=re.DOTALL).group(1)
+    documented = set(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", listed, flags=re.DOTALL)))
+    accepted = set(cli._CONFIG_FIELDS) | set(cli._CONFIG_EXTRAS)
+    accepted = accepted - set(cli._CONFIG_ALIASES.values()) | set(cli._CONFIG_ALIASES)
+    assert documented == accepted
 
 
 def test_help_does_not_crash():

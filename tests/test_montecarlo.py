@@ -220,18 +220,11 @@ def test_config_validation():
         ExperimentConfig(family="circulant", p=3, n=9, statistics=("b_statistic",))
 
 
-def test_center_offset_override():
-    cfg = ExperimentConfig(
-        family="circulant", p=8, n=16, replicates=3, base_seed=1,
-        statistics=("centered_norm_sq",), center_offset=0.0,
-    )
-    base = ExperimentConfig(
-        family="circulant", p=8, n=16, replicates=3, base_seed=1,
-        statistics=("centered_norm_sq",),
-    )
-    shifted = run_experiment(cfg)["centered_norm_sq"]
-    default = run_experiment(base)["centered_norm_sq"]
-    assert shifted.mean == pytest.approx(default.mean + math.log(8.0), abs=1e-12)
+def test_config_refuses_a_single_column_before_any_solve():
+    # every statistic is scaled by log n or centered at log(n/2)
+    for stat in mc.STATISTICS:
+        with pytest.raises(ValueError, match=r"n must be at least 2 .*got n=1"):
+            ExperimentConfig(family="circulant", p=1, n=1, replicates=4, statistics=(stat,))
 
 
 C7 = ExperimentConfig(family="circulant", p=64, n=128, replicates=100, base_seed=101)

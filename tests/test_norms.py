@@ -142,12 +142,12 @@ def _count_products_and_gram_calls(monkeypatch):
         monkeypatch.setattr(norms, name, counted)
     lanczos = norms.gram_lanczos
 
-    def counted_lanczos(gram, *args):
-        def counted_gram(*gram_args):
+    def counted_lanczos(apply, *args):
+        def counted_apply(*apply_args):
             calls["gram"] += 1
-            return gram(*gram_args)
+            return apply(*apply_args)
 
-        return lanczos(counted_gram, *args)
+        return lanczos(counted_apply, *args)
 
     monkeypatch.setattr(norms, "gram_lanczos", counted_lanczos)
     return calls
@@ -164,10 +164,13 @@ def test_short_side_makes_one_product_pair_per_solve(monkeypatch, family):
     assert calls == {"matvec": 1, "rmatvec": 1, "gram": max(res.iterations for res in block)}
 
 
-@pytest.mark.parametrize("family", ["toeplitz", "hankel"])
-def test_full_embedding_makes_one_product_pair_per_step(monkeypatch, family):
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_full_embedding_makes_one_product_pair_per_step(monkeypatch, family, symmetric):
     calls = _count_products_and_gram_calls(monkeypatch)
-    spec = MatrixSpec(family, p=20, n=50, symmetric=True, seed=3)
+    # square: m = fast_length(39) = 40 is at least N for circulant-like
+    # families, and 3 m = 120 at least 2 N = 80 (100 symmetric) otherwise
+    spec = MatrixSpec(family, p=20, n=20, symmetric=symmetric, seed=3)
     assert norms._short_side_length(spec) is None
     res = spectral_norm_fast(build_symbol(spec), spec)
     steps = res.iterations
@@ -181,9 +184,10 @@ def _gram_shapes():
     for family in FAMILIES:
         for symmetric in (False, True):
             if family in ("toeplitz", "hankel"):
-                if symmetric:
-                    continue  # the dropped block is p x n: always the full embedding
-                sizes = [(1, 1), (1, 7), (8, 8), (200, 400), (200, 401), (200, 1014), (33, 70)]
+                if symmetric:  # N = 2n
+                    sizes = [(1, 1), (1, 7), (8, 8), (200, 300), (200, 301), (200, 607), (33, 70)]
+                else:
+                    sizes = [(1, 1), (1, 7), (8, 8), (200, 400), (200, 401), (200, 1014), (33, 70)]
             else:
                 sizes = [(1, 1), (1, 7), (8, 8), (9, 9), (200, 200), (200, 201), (200, 1214),
                          (33, 70)]
@@ -205,28 +209,32 @@ def test_short_side_gram_matches_dense(family, symmetric, p, n):
         assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(row)
 
 
-@pytest.mark.parametrize("family,p,n,short", [
+@pytest.mark.parametrize("family,symmetric,p,n,short", [
     # m = fast_length(399) = 400 transform points per convolution
-    ("toeplitz", 200, 401, True),  # 3 m = 1200 < 2 N = 1202
-    ("toeplitz", 200, 400, False),  # 1200 = 2 N
-    ("hankel", 200, 401, True),
-    ("hankel", 200, 400, False),
-    ("circulant", 200, 201, True),  # m = 400 < 2 N = 402
-    ("circulant", 200, 200, False),
-    ("reverse_circulant", 200, 201, True),
-    ("reverse_circulant", 200, 200, False),
-    ("circulant", 8, 8, True),  # 2p - 1 = 15 is 5-smooth: 15 < 16
-    ("circulant", 9, 9, False),  # fast_length(17) = 18
-    ("toeplitz", 1, 1, True),  # 3 < 4
+    ("toeplitz", False, 200, 401, True),  # 3 m = 1200 < 2 N = 1202
+    ("toeplitz", False, 200, 400, False),  # 1200 = 2 N
+    ("hankel", False, 200, 401, True),
+    ("hankel", False, 200, 400, False),
+    ("toeplitz", True, 200, 301, True),  # N = 2n: 1200 < 2 N = 1204
+    ("toeplitz", True, 200, 300, False),  # 1200 = 2 N
+    ("hankel", True, 200, 301, True),
+    ("hankel", True, 200, 300, False),
+    ("toeplitz", False, 1, 1, True),  # 3 < 4
+    ("toeplitz", True, 1, 1, True),  # N = 2: 3 < 4
+] + [
+    (family, symmetric, p, n, short)
+    for family in ("circulant", "reverse_circulant")
+    for symmetric in (False, True)  # N = n either way
+    for p, n, short in [
+        (200, 201, True),  # m = 400 < 2 N = 402
+        (200, 200, False),
+        (8, 8, True),  # 2p - 1 = 15 is 5-smooth: 15 < 16
+        (9, 9, False),  # fast_length(17) = 18
+    ]
 ])
-def test_short_side_when_it_takes_fewer_transform_points(family, p, n, short):
-    for symmetric in (False, True):
-        spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric)
-        m = norms._short_side_length(spec)
-        if symmetric and family in ("toeplitz", "hankel"):
-            assert m is None
-        else:
-            assert m == (norms.fast_length(2 * p - 1) if short else None)
+def test_short_side_when_it_takes_fewer_transform_points(family, symmetric, p, n, short):
+    spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric)
+    assert norms._short_side_length(spec) == (norms.fast_length(2 * p - 1) if short else None)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -412,4 +420,27 @@ def test_block_basis_past_its_byte_budget_is_refused(monkeypatch):
 
 def test_gram_lanczos_wants_one_start_vector_per_row():
     with pytest.raises(ValueError):
-        norms.gram_lanczos(lambda q, rows: q, np.ones(4), 1e-10, 10)
+        norms.gram_lanczos(lambda kernels, q: q, (np.ones((1, 4)),), np.ones(4), 1e-10, 10)
+
+
+def test_apply_gets_the_kernel_rows_of_the_rows_still_running():
+    # diagonal Gram operators: row i is diag(kernels[0][i]), and the second
+    # kernel is a scalar per row, so each stacked array shrinks with the block
+    rng = np.random.default_rng(9)
+    diagonals = rng.uniform(0.0, 1.0, (8, 60))
+    diagonals[:, 0] = 1.0 + np.geomspace(1e-1, 1e-4, 8)  # top gaps: steps differ
+    scales = np.arange(1.0, 9.0)
+    seen = []
+
+    def apply(kernels, q):
+        seen.append((kernels[0].shape[0], kernels[1].shape[0], q.shape[0]))
+        return kernels[0] * kernels[1][:, None] * q
+
+    start = rng.standard_normal((8, 60))
+    top = norms.gram_lanczos(apply, (diagonals, scales), start, 1e-12, 100)
+    assert len(set(top.steps)) > 1 and top.converged.all()
+    assert all(a == b == rows for a, b, rows in seen)
+    running = [int((top.steps >= k).sum()) for k in range(1, top.steps.max() + 1)]
+    assert [rows for _, _, rows in seen] == running
+    # row i's operator stayed with row i
+    assert np.allclose(top.values, diagonals.max(axis=1) * scales, rtol=1e-10)

@@ -87,7 +87,8 @@ def test_gram_operator_matches_banded_reference(length, cols):
     rng = np.random.default_rng(100 * length + cols)
     w = rng.standard_normal(length)
     x = rng.standard_normal((3, cols))
-    got = _gram_operator(w, cols)(x)
+    kernels, apply = _gram_operator(w, cols)
+    got = apply(kernels, x)
     assert got.shape == (3, cols)
     for row, xi in zip(got, x):
         want = banded_rmatvec(w, convolve_full(w, xi), cols)
