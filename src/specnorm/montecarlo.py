@@ -42,6 +42,7 @@ from .extremes import (
 from .norms import NormResult, check_solver_settings, require_scalable, scaled_norm, spectral_norms
 from .sinekernel import k_estimate
 from .structured import (
+    _CIRCULANT_LIKE,
     MatrixSpec,
     build_symbol,
     embedding_size,
@@ -354,7 +355,7 @@ def run_experiment(cfg: ExperimentConfig, raw_path: str | None = None) -> dict[s
 def reference_constant(cfg: ExperimentConfig | MatrixSpec) -> float:
     """Limit of the scaled norm: 1 for circulant families, else the
     bilinear sine-kernel constant at (p, n). Reads only family, p and n."""
-    if cfg.family in ("circulant", "reverse_circulant"):
+    if cfg.family in _CIRCULANT_LIKE:
         return 1.0
     est, _ = k_estimate(cfg.p, cfg.n)
     return est.k_value

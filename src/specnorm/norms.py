@@ -15,7 +15,6 @@ from .structured import (
     MatrixSpec,
     ResourceLimitError,
     SymbolVector,
-    embedding_size,
     matvec,
     rmatvec,
     stack_symbols,
@@ -233,20 +232,6 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
     return out
 
 
-def _short_side_length(spec: MatrixSpec) -> int | None:
-    """Kernel length m of the short-side Gram operator of `spec`, or None
-    where the full embedding's product pair takes fewer transform points.
-
-    A step there costs k circular convolutions of length m =
-    fast_length(2p - 1): k = 1 for circulant-like families, 3 for Toeplitz
-    and Hankel, symmetric or not; the product pair costs two of the
-    embedding length N (2n for symmetric Toeplitz and Hankel).
-    """
-    k = 1 if spec.family in _CIRCULANT_LIKE else 3
-    m = fast_length(2 * spec.p - 1)
-    return m if k * m < 2 * embedding_size(spec) else None
-
-
 def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
     """Kernel spectra of the p x p Gram matrices A A^T of a stacked symbol,
     one row per draw, and the map (spectra, y) -> A A^T y on the rows of y.
@@ -262,7 +247,10 @@ def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
     B's diagonal, lag -p, is in no entry of A, so the embedding may hold 0
     there instead; B then vanishes at p = 1, and less of A A^T cancels in
     T - B B^T. A step applies T and B^T to y from one forward transform,
-    then B: three convolutions of length fast_length(2p - 1).
+    then B: three convolutions of length fast_length(2p - 1). That length
+    is 5-smooth whatever the embedding size N, so no step of any shape
+    falls back to a Bluestein transform; the embedding is used once, for
+    the first columns A A^T e_0 from one stacked product pair.
     """
     p, n = spec.p, spec.n
     e0 = np.zeros(sym.diag.shape[:-1] + (p,))
@@ -296,31 +284,19 @@ def spectral_norms(
     :func:`spectral_norm_fast`), solved as one block of :func:`gram_lanczos`.
 
     The Gram operator A A^T is applied on the short side, as p x p Toeplitz
-    sections by :func:`_short_side_gram`, where that takes fewer transform
-    points than the product pair ``A (A^T y)`` on the embedding (see
-    :func:`_short_side_length`), and as the product pair elsewhere. Its
+    sections by :func:`_short_side_gram`, for every family and shape. Its
     kernels are taken once per block, and the core drops a row's kernels
     when the row stops. Every row starts from the vector of the spec seed,
     so row i gets exactly the result ``spectral_norm_fast`` gives for
     symbol row i.
     """
-    m = _short_side_length(spec)
-    if m is None:
-        kernels = (sym.values, sym.diag)
-
-        def apply(kernels, y):
-            part = SymbolVector(values=kernels[0], size=sym.size, diag=kernels[1])
-            return matvec(part, spec, rmatvec(part, spec, y))
-
-    else:
-        kernels, apply = _short_side_gram(sym, spec)
+    kernels, apply = _short_side_gram(sym, spec)
     count = sym.diag.shape[0]
     start = np.broadcast_to(_start_vector(spec.seed, spec.p), (count, spec.p))
     top = gram_lanczos(apply, kernels, start, tol, max_iter)
     _log.info(
-        "norm block of %d rows: %s, kernel length %d against N = %d, steps median %g max %d",
-        count, "full embedding" if m is None else "short side", m or sym.size, sym.size,
-        np.median(top.steps), top.steps.max(),
+        "norm block of %d rows: kernel length %d, steps median %g max %d",
+        count, fast_length(2 * spec.p - 1), np.median(top.steps), top.steps.max(),
     )
     return [
         NormResult(math.sqrt(value), int(steps), bool(converged), float(residual))
@@ -341,9 +317,7 @@ def spectral_norm_fast(
     Runs :func:`gram_lanczos` on the p x p Gram operator A A^T of the
     shorter side. A step applies it as one circular convolution of length
     m = fast_length(2p - 1) for circulant-like families, three for Toeplitz
-    and Hankel, symmetric or not, where that takes fewer transform points
-    than one FFT product with A^T and one with A on the embedding of size
-    N, and as that product pair elsewhere (see :func:`spectral_norms`). The start
+    and Hankel, symmetric or not (see :func:`spectral_norms`). The start
     vector is a deterministic pseudo-random vector derived from the spec
     seed. `iterations` counts Krylov steps (at most p). `residual` is the
     certified bound, in units of sigma^2: an eigenvalue of A A^T lies

@@ -6,10 +6,9 @@ of i.i.d. entries. The circulant diagonalizes under the unitary DFT, and
 the first half of its diagonal is the half spectrum of a real circular
 convolution, so products cost O(N log N) in real FFTs; a dense
 construction of the same matrix is kept as an independent oracle. The
-norm solver (`specnorm.norms`) takes one stacked product pair per solve
+norm solver (`specnorm.norms`) takes one stacked product pair per block
 from here and then applies the p x p Gram matrix A A^T as Toeplitz
-sections of length fast_length(2p - 1), for every family, symmetric or
-not, where those are cheaper than a product pair on the embedding.
+sections of length fast_length(2p - 1), for every family and shape.
 
 Families and their embeddings:
 

@@ -165,11 +165,15 @@ def test_norm_seed_from_environment(tmp_path, monkeypatch):
 
 def test_norm_dense_refusal_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(structured, "_DENSE_ENTRY_LIMIT", 100)
+    solved = []
+    for name in ("spectral_norm_fast", "reference_constant"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kw: solved.append(_name))
     code = run_cli("norm", "--family", "circulant", "--p", "8", "--n", "16", "--dense-check")
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "specnorm: error: dense path refuses p*n = 128 > 100" in err
     assert "Traceback" not in err
+    assert solved == []  # refused before the fast solve and the reference constant
 
 
 def test_norm_refuses_a_single_column(capsys):
@@ -180,14 +184,13 @@ def test_norm_refuses_a_single_column(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("family,symmetric,n,path,m,size", [
-    ("toeplitz", False, 200, "short side", 40, 220),
-    ("circulant", True, 200, "short side", 40, 200),
-    ("hankel", True, 200, "short side", 40, 400),
-    # 3 m = 120 is at least 2 N = 100: past the crossover
-    ("hankel", True, 25, "full embedding", 50, 50),
+@pytest.mark.parametrize("family,symmetric,n", [
+    ("toeplitz", False, 200),
+    ("circulant", True, 200),
+    ("hankel", True, 200),
+    ("hankel", False, 20),  # square
 ])
-def test_norm_verbose_logs_the_block_solve(family, symmetric, n, path, m, size, capsys):
+def test_norm_verbose_logs_the_block_solve(family, symmetric, n, capsys):
     argv = ["norm", "--family", family, "--p", "20", "--n", str(n), "--seed", "4"]
     argv += ["--symmetric"] if symmetric else []
     assert run_cli(*argv) == EXIT_OK
@@ -197,8 +200,8 @@ def test_norm_verbose_logs_the_block_solve(family, symmetric, n, path, m, size, 
     assert loud.out == quiet.out and quiet.err == ""
     steps = next(csv.DictReader(quiet.out.splitlines()))["iterations"]
     assert loud.err.splitlines() == [
-        f"specnorm.norms: norm block of 1 rows: {path}, kernel length {m} against N = {size}, "
-        f"steps median {steps} max {steps}"
+        # kernel length fast_length(2p - 1) = 40 at p = 20, whatever n
+        f"specnorm.norms: norm block of 1 rows: kernel length 40, steps median {steps} max {steps}"
     ]
 
 
@@ -370,8 +373,8 @@ def test_serial_mc_logs_each_block_solve(tmp_path, capsys, monkeypatch):
     lines = loud.err.splitlines()
     assert len(lines) == 11  # ten blocks, then the run
     for line in lines[:10]:
-        assert re.fullmatch(r"specnorm\.norms: norm block of 1 rows: short side, kernel length "
-                            r"32 against N = 32, steps median \d+ max \d+", line), line
+        assert re.fullmatch(r"specnorm\.norms: norm block of 1 rows: kernel length 32, "
+                            r"steps median \d+ max \d+", line), line
     assert lines[10].startswith("specnorm.montecarlo: 10 replicates in 10 blocks, serial")
 
 

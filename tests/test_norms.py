@@ -131,6 +131,8 @@ def test_loose_tol_certifies_the_top_eigenvalue(replicate):
 
 
 def _count_products_and_gram_calls(monkeypatch):
+    """Count the product pair and Gram calls of the norm solver, and record
+    the length of each circular convolution it makes."""
     calls = {"matvec": 0, "rmatvec": 0, "gram": 0}
     for name in ("matvec", "rmatvec"):
         original = getattr(norms, name)
@@ -150,36 +152,42 @@ def _count_products_and_gram_calls(monkeypatch):
         return lanczos(counted_apply, *args)
 
     monkeypatch.setattr(norms, "gram_lanczos", counted_lanczos)
-    return calls
+    sizes = []
+    convolve = norms.circular_convolve
+
+    def recorded_convolve(spectrum, x, size):
+        sizes.append(size)
+        return convolve(spectrum, x, size)
+
+    monkeypatch.setattr(norms, "circular_convolve", recorded_convolve)
+    return calls, sizes
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_short_side_makes_one_product_pair_per_solve(monkeypatch, family):
-    calls = _count_products_and_gram_calls(monkeypatch)
-    spec = MatrixSpec(family, p=20, n=50, seed=3)
-    assert norms._short_side_length(spec) is not None
-    stack = stack_symbols([build_symbol(spec, replicate_stream(3, r)) for r in range(6)])
-    block = norms.spectral_norms(stack, spec)
-    # one stacked pair for the first columns, then one Gram call per step
-    assert calls == {"matvec": 1, "rmatvec": 1, "gram": max(res.iterations for res in block)}
+def _is_5_smooth(m):
+    for f in (2, 3, 5):
+        while m % f == 0:
+            m //= f
+    return m == 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("symmetric", [False, True])
-def test_full_embedding_makes_one_product_pair_per_step(monkeypatch, family, symmetric):
-    calls = _count_products_and_gram_calls(monkeypatch)
-    # square: m = fast_length(39) = 40 is at least N for circulant-like
-    # families, and 3 m = 120 at least 2 N = 80 (100 symmetric) otherwise
-    spec = MatrixSpec(family, p=20, n=20, symmetric=symmetric, seed=3)
-    assert norms._short_side_length(spec) is None
-    res = spectral_norm_fast(build_symbol(spec), spec)
-    steps = res.iterations
-    assert calls == {"matvec": steps, "rmatvec": steps, "gram": steps}
+# p > n / 2 at 20 x 20 and 20 x 22; the embedding size N = 42, 44 or 22 of 20 x 22 is not 5-smooth
+@pytest.mark.parametrize("p,n", [(20, 50), (20, 20), (20, 22)])
+def test_short_side_makes_one_product_pair_per_solve(monkeypatch, family, symmetric, p, n):
+    calls, sizes = _count_products_and_gram_calls(monkeypatch)
+    spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=3)
+    stack = stack_symbols([build_symbol(spec, replicate_stream(3, r)) for r in range(6)])
+    block = norms.spectral_norms(stack, spec)
+    # one stacked pair for the first columns, then one Gram call per step
+    assert calls == {"matvec": 1, "rmatvec": 1, "gram": max(res.iterations for res in block)}
+    # every convolution has the 5-smooth kernel length fast_length(2p - 1) = 40
+    assert sizes and all(_is_5_smooth(size) for size in sizes)
 
 
 def _gram_shapes():
-    """(family, symmetric, p, n): p = 1, p = n, both sides of the path
-    rule's boundary, and a Bluestein embedding, N = 1214 = 2 * 607."""
+    """(family, symmetric, p, n): p = 1, p = n, embedding sizes N that are
+    5-smooth and that are not, and N = 1214 = 2 * 607."""
     shapes = []
     for family in FAMILIES:
         for symmetric in (False, True):
@@ -209,38 +217,12 @@ def test_short_side_gram_matches_dense(family, symmetric, p, n):
         assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(row)
 
 
-@pytest.mark.parametrize("family,symmetric,p,n,short", [
-    # m = fast_length(399) = 400 transform points per convolution
-    ("toeplitz", False, 200, 401, True),  # 3 m = 1200 < 2 N = 1202
-    ("toeplitz", False, 200, 400, False),  # 1200 = 2 N
-    ("hankel", False, 200, 401, True),
-    ("hankel", False, 200, 400, False),
-    ("toeplitz", True, 200, 301, True),  # N = 2n: 1200 < 2 N = 1204
-    ("toeplitz", True, 200, 300, False),  # 1200 = 2 N
-    ("hankel", True, 200, 301, True),
-    ("hankel", True, 200, 300, False),
-    ("toeplitz", False, 1, 1, True),  # 3 < 4
-    ("toeplitz", True, 1, 1, True),  # N = 2: 3 < 4
-] + [
-    (family, symmetric, p, n, short)
-    for family in ("circulant", "reverse_circulant")
-    for symmetric in (False, True)  # N = n either way
-    for p, n, short in [
-        (200, 201, True),  # m = 400 < 2 N = 402
-        (200, 200, False),
-        (8, 8, True),  # 2p - 1 = 15 is 5-smooth: 15 < 16
-        (9, 9, False),  # fast_length(17) = 18
-    ]
-])
-def test_short_side_when_it_takes_fewer_transform_points(family, symmetric, p, n, short):
-    spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric)
-    assert norms._short_side_length(spec) == (norms.fast_length(2 * p - 1) if short else None)
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("symmetric", [False, True])
-def test_every_row_of_a_block_of_20_matches_dense_and_its_single_solve(family, symmetric):
-    spec = MatrixSpec(family, p=24, n=60, symmetric=symmetric, seed=31)
+# 37 is prime: the embedding size N = 37, or 74 for Toeplitz and Hankel, is not 5-smooth
+@pytest.mark.parametrize("p,n", [(24, 60), (37, 37)])
+def test_every_row_of_a_block_of_20_matches_dense_and_its_single_solve(family, symmetric, p, n):
+    spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=31)
     syms = [build_symbol(spec, replicate_stream(31, r)) for r in range(20)]
     block = norms.spectral_norms(stack_symbols(syms), spec)
     assert len({res.iterations for res in block}) > 1  # the kernels shrink on the way
