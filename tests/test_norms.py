@@ -217,6 +217,45 @@ def test_short_side_gram_matches_dense(family, symmetric, p, n):
         assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(row)
 
 
+@pytest.mark.parametrize("family,symmetric,p,n", [
+    # m = fast_length(399) = 400 transform points per convolution, and 3 m
+    # against 2 N on both sides of equality
+    ("toeplitz", False, 200, 401),  # N = 601
+    ("toeplitz", False, 200, 400),  # N = 600
+    ("hankel", False, 200, 401),
+    ("hankel", False, 200, 400),
+    ("toeplitz", True, 200, 301),  # N = 2n = 602
+    ("toeplitz", True, 200, 300),  # N = 600
+    ("hankel", True, 200, 301),
+    ("hankel", True, 200, 300),
+    ("toeplitz", False, 1, 1),  # m = 1
+    ("toeplitz", True, 1, 1),
+] + [
+    (family, symmetric, p, n)
+    for family in ("circulant", "reverse_circulant")
+    for symmetric in (False, True)  # N = n either way
+    for p, n in [
+        (200, 201),  # N = 201 = 3 * 67
+        (200, 200),  # m = 400 = 2 N
+        (8, 8),  # 2p - 1 = 15 is 5-smooth
+        (9, 9),  # fast_length(17) = 18 = 2 N
+    ]
+])
+def test_every_convolution_has_length_fast_length_of_2p_minus_1(monkeypatch, family, symmetric,
+                                                               p, n):
+    calls, sizes = _count_products_and_gram_calls(monkeypatch)
+    spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=5)
+    sym = build_symbol(spec)
+    res = spectral_norm_fast(sym, spec)
+    # whatever N, the Gram steps run on the short side: no convolution of
+    # another length, and one product pair for the first column only
+    assert set(sizes) == {norms.fast_length(2 * p - 1)}
+    assert calls == {"matvec": 1, "rmatvec": 1, "gram": res.iterations}
+    oracle = spectral_norm_dense(dense_materialize(sym, spec)).sigma_max
+    assert res.converged
+    assert abs(res.sigma_max - oracle) <= 1e-8 * oracle
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("symmetric", [False, True])
 # 37 is prime: the embedding size N = 37, or 74 for Toeplitz and Hankel, is not 5-smooth
