@@ -44,6 +44,7 @@ from .sinekernel import k_estimate
 from .structured import (
     _CIRCULANT_LIKE,
     MatrixSpec,
+    ResourceLimitError,
     build_symbol,
     embedding_size,
     replicate_stream,
@@ -354,10 +355,14 @@ def run_experiment(cfg: ExperimentConfig, raw_path: str | None = None) -> dict[s
 
 def reference_constant(cfg: ExperimentConfig | MatrixSpec) -> float:
     """Limit of the scaled norm: 1 for circulant families, else the
-    bilinear sine-kernel constant at (p, n). Reads only family, p and n."""
+    bilinear sine-kernel constant at (p, n). Reads only family, p and n.
+    A refused Krylov basis is re-raised with the constant and (p, n) named."""
     if cfg.family in _CIRCULANT_LIKE:
         return 1.0
-    est, _ = k_estimate(cfg.p, cfg.n)
+    try:
+        est, _ = k_estimate(cfg.p, cfg.n)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"reference constant K(p={cfg.p}, n={cfg.n}): {exc}") from exc
     return est.k_value
 
 

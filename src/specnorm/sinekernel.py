@@ -22,6 +22,14 @@ norm solver's short-side Gram operators (`specnorm.norms`).
 
 Every estimate starts cold, from flat unit vectors, and converges in a few
 sweeps; a table over a ratio grid is one such estimate per ratio.
+
+The inner solves stop at the relative residual sqrt(outer_tol), which the
+Lanczos core clamps to its 1e-8 cap at the default outer_tol. That is as
+accurate as the value needs: a Ritz value errs by O(residual^2 / gap), and
+the returned I is the Ritz value of the p-side solve, whose top eigenvalue
+is well separated. Warm-started from the previous sweep's vectors, the last
+sweep's solves stop after a step or two, so a converged estimate is a pair
+certified stationary at the inner tolerance, not one solved again.
 """
 
 from __future__ import annotations
@@ -147,13 +155,23 @@ def k_estimate(p: int, n: int, outer_tol: float = 1e-13) -> tuple[KEstimate, Ext
     at most `outer_tol` between sweeps (at most `_OUTER_MAX` sweeps). The
     default tolerance sits above the double-precision noise floor of the
     singular value, which the stopping rule also guards against explicitly.
+
+    Each inner solve stops at the relative residual sqrt(outer_tol)
+    (clamped by :func:`specnorm.norms.gram_lanczos` to [16 eps, 1e-8]): the
+    returned I is a Ritz value, whose error is of order residual^2 / gap.
+    `converged` certifies that I moved by at most `outer_tol` in the last
+    sweep and that both of that sweep's solves met the inner tolerance, so
+    (w, v) is stationary for the alternation to that residual. `outer_tol`
+    must be finite and positive.
     """
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
+    if not (math.isfinite(outer_tol) and outer_tol > 0):
+        raise ValueError(f"outer_tol must be finite and positive, got {outer_tol}")
     w = np.full(n, 1.0 / math.sqrt(n))
     v = np.full(p, 1.0 / math.sqrt(p))
 
-    inner_tol = outer_tol / 10.0
+    inner_tol = math.sqrt(outer_tol)
     i_prev = None
     i_val = 0.0
     converged = False

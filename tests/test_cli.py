@@ -71,6 +71,16 @@ def test_ktable_p_step_is_refused(capsys):
     assert "unrecognized arguments: --p-step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+def test_ktable_refuses_outer_tol_not_finite_and_positive(value, capsys):
+    # names the user's value, not the inner tolerance derived from it
+    code = run_cli("ktable", "--grid", "1:0:1", "--p-base", "10", "--outer-tol", value)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"outer_tol must be finite and positive, got {float(value)}" in err
+    assert "math domain error" not in err and "Traceback" not in err
+
+
 def test_ktable_json_format(tmp_path):
     out = tmp_path / "k.json"
     code = run_cli("ktable", "--grid", "1:0:1", "--p-base", "40", "--format", "json",
@@ -174,6 +184,16 @@ def test_norm_dense_refusal_is_a_usage_error(monkeypatch, capsys):
     assert "specnorm: error: dense path refuses p*n = 128 > 100" in err
     assert "Traceback" not in err
     assert solved == []  # refused before the fast solve and the reference constant
+
+
+def test_norm_names_the_reference_constant_when_its_basis_is_refused(monkeypatch, capsys):
+    # room for the 4 x 4 Gram basis of the norm, none for the reference's n-side solve
+    monkeypatch.setattr(norms, "_BASIS_BYTES", 8 * 16)
+    code = run_cli("norm", "--family", "toeplitz", "--p", "4", "--n", "2000")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "specnorm: error: reference constant K(p=4, n=2000): Krylov basis" in err
+    assert "Traceback" not in err
 
 
 def test_norm_refuses_a_single_column(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import specnorm.sinekernel as sinekernel
 from specnorm.dft import autocorrelate, convolve_full
 from specnorm.sinekernel import (
     ExtremalPair,
@@ -159,6 +160,62 @@ def test_fixed_point_self_consistency():
     sweep = principal_right_singular(w, 30, tol=outer_tol / 10, start=pair.v)
     assert sweep.converged
     assert abs(sweep.sigma - est.i_value) <= 10 * outer_tol
+
+
+def tight_alternation(p, n, outer_tol=1e-13):
+    """The alternation of `k_estimate` with every inner solve at outer_tol / 10:
+    k and the sweep count."""
+    w = np.full(n, 1.0 / math.sqrt(n))
+    v = np.full(p, 1.0 / math.sqrt(p))
+    prev = None
+    for sweeps in range(1, 5001):
+        w = principal_right_singular(v, n, tol=outer_tol / 10, start=w).vector
+        rv = principal_right_singular(w, p, tol=outer_tol / 10, start=v)
+        v = rv.vector
+        floor = 16 * np.finfo(float).eps * rv.sigma
+        if prev is not None and abs(rv.sigma - prev) <= max(outer_tol, floor):
+            break
+        prev = rv.sigma
+    return rv.sigma / math.sqrt(p), sweeps
+
+
+# the C1 ratios 1, 0.75, 0.5, 0.25, 0.1 at p_base 2000 close the grid
+@pytest.mark.parametrize(
+    "p, n",
+    [(1, 1), (3, 7), (5, 40), (12, 12), (30, 70), (64, 128), (990, 1000), (1000, 10000),
+     (2000, 2000), (1500, 2000), (1000, 2000), (500, 2000), (200, 2000)],
+)
+def test_k_estimate_within_4_ulp_of_tight_inner_solves(p, n):
+    est, _ = k_estimate(p, n)
+    want, sweeps = tight_alternation(p, n)
+    assert est.converged
+    assert abs(est.k_value - want) <= 4 * np.spacing(want)
+    assert est.outer_iterations == sweeps
+
+
+def test_last_sweep_certifies_the_pair_in_one_step_per_side(monkeypatch):
+    steps = []
+    solve = sinekernel.principal_right_singular
+
+    def counted(*args, **kwargs):
+        pair = solve(*args, **kwargs)
+        steps.append(pair.iterations)
+        return pair
+
+    monkeypatch.setattr(sinekernel, "principal_right_singular", counted)
+    est, _ = k_estimate(1000, 10000)
+    assert est.converged
+    assert len(steps) == 2 * est.outer_iterations
+    assert steps[-2:] == [1, 1]
+    assert sum(steps) <= 30
+
+
+@pytest.mark.parametrize("outer_tol", [-1.0, 0.0, math.inf, math.nan])
+def test_k_estimate_refuses_outer_tol_not_finite_and_positive(outer_tol):
+    with pytest.raises(ValueError, match="outer_tol must be finite and positive"):
+        k_estimate(3, 7, outer_tol=outer_tol)
+    with pytest.raises(ValueError, match="outer_tol"):
+        k_table([1.0], p_base=10, outer_tol=outer_tol)
 
 
 def test_product_identity_at_converged_pair():
