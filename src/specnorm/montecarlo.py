@@ -266,9 +266,16 @@ def _collect(cfg: ExperimentConfig) -> list[_Record]:
     else:
         parts, started = _pooled(cfg, blocks)
         how = f"{cfg.workers} workers, pool {'started' if started else 'reused'}"
-    _log.info("%d replicates in %d blocks, %s: %.3f s",
-              cfg.replicates, len(blocks), how, time.perf_counter() - t0)
-    return [rec for part in parts for rec in part]
+    seconds = time.perf_counter() - t0
+    records = [rec for part in parts for rec in part]
+    solves = ""
+    if _needs_norm(cfg) and _log.isEnabledFor(logging.INFO):  # numpy's first median maps 0.7 MiB
+        steps = [rec.steps for rec in records]
+        solves = (f", steps median {np.median(steps):g} max {max(steps)}, "
+                  f"residual max {max(rec.residual for rec in records):.3g}")
+    _log.info("%d replicates in %d blocks, %s: %.3f s%s",
+              cfg.replicates, len(blocks), how, seconds, solves)
+    return records
 
 
 # failed replicates named in an ExperimentError

@@ -48,6 +48,10 @@ _BASIS_CHUNK = 32
 _BASIS_BYTES = 2**29
 # relative shift past the top Ritz value for the inverse-iteration solve
 _SHIFT = 64.0 * float(np.finfo(float).eps)
+# where the Sturm count certifies theta: past theta + r_T by this many
+# k |theta|, since the computed pivots are exact only for a matrix within a
+# few eps of T entrywise
+_COUNT_SLACK = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,7 @@ class GramEigenpairs:
     steps: np.ndarray  # Krylov steps taken
     converged: np.ndarray
     residuals: np.ndarray  # bounds ||G y - value y||; an eigenvalue of G lies this close
+    dense_steps: np.ndarray  # steps whose Ritz pair took the dense extraction
 
 
 def _start_vector(seed: int, dim: int) -> np.ndarray:
@@ -87,7 +92,7 @@ def _grow(basis: np.ndarray, cap: int) -> np.ndarray:
     return grown
 
 
-def _top_ritz(
+def _top_ritz_dense(
     alphas: np.ndarray, betas: np.ndarray, guess: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of a stack of Lanczos tridiagonals T (diagonals `alphas`,
@@ -98,23 +103,136 @@ def _top_ritz(
     inverse iteration from `guess`: a solve with ``T - theta (1 + 64 eps) I``,
     which the shift just past the top eigenvalue keeps nonsingular. Every
     operation acts on each row alone, so a row's results do not depend on
-    the rest of the stack.
+    the rest of the stack. This costs O(k^3) per row; :func:`_top_ritz`
+    calls it only for the rows its O(k) extraction cannot certify.
     """
     count, k = alphas.shape
+    if k == 1:  # LAPACK returns a 1 x 1 matrix's entry as it is
+        return np.maximum(alphas[:, 0], 0.0), np.ones((count, 1)), np.zeros(count)
     tri = np.zeros((count, k, k))
     flat = tri.reshape(count, k * k)  # a view: diagonals are strided slices
     flat[:, :: k + 1] = alphas
     flat[:, 1 :: k + 1] = betas
     flat[:, k :: k + 1] = betas
     theta = np.maximum(np.linalg.eigvalsh(tri)[:, -1], 0.0)
-    if k == 1:
-        return theta, np.ones((count, 1)), np.zeros(count)
     flat[:, :: k + 1] -= (theta * (1.0 + _SHIFT))[:, None]
     x = np.linalg.solve(tri, guess[:, :, None])
     s = x / _row_norms(x[:, :, 0])[:, None, None]
     # T s - theta s, from the shifted T
     ts = tri @ s + (theta * _SHIFT)[:, None, None] * s
     return theta, s[:, :, 0], _row_norms(ts[:, :, 0])
+
+
+def _top_ritz(
+    alphas: np.ndarray, betas: np.ndarray, guess: np.ndarray, rho: np.ndarray, final: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`_top_ritz_dense` returns, in O(k) per row where a Sturm
+    count certifies it, and which rows took the dense extraction instead.
+
+    `rho` is a value near the top of T, the Rayleigh quotient of `guess`:
+    the core passes the previous step's theta, and its s extended by 0 as
+    the guess. Per row, s is one step of inverse iteration from the guess,
+    an LDL^T solve with ``T - rho (1 + 64 eps) I``, normalized; theta is
+    the Rayleigh quotient of s and ``r_T = ||T s - theta s||``, so some
+    eigenvalue of T lies within r_T of theta. One Sturm count then shows
+    that none lies above ``x = theta + r_T + _COUNT_SLACK k |theta|``: every
+    pivot of the LDL^T factorization of ``T - x I`` is negative (Parlett,
+    The Symmetric Eigenvalue Problem, 3.3). The computed pivots are exact
+    for a matrix within a few eps of T entrywise (Kahan 1966); the slack
+    keeps a count at rounding level from failing on a converged theta. So
+    theta is T's top eigenvalue to within r_T, up to that slack, whether or
+    not s has converged, and the core's residual bound holds as it does
+    for the dense theta. Rows whose count fails take
+    :func:`_top_ritz_dense` instead, as do the rows in `final`, which stop
+    on exact termination or at the step cap and so need the exact top.
+
+    The recurrences run over positions (see :func:`_positions`), on Python
+    floats for one row and on (rows,) arrays for a block, with the same
+    IEEE operations either way; the rest acts along each row. So a row's
+    results do not depend on the rest of the stack.
+    """
+    count, k = alphas.shape
+    if k == 1:
+        return (*_top_ritz_dense(alphas, betas, guess), np.zeros(count, dtype=bool))
+    try:
+        with np.errstate(all="ignore"):
+            theta, s, t_residual, certified = _certified_ritz(alphas, betas, guess, rho)
+    except ZeroDivisionError:  # a zero pivot of one row; in a block it leaves inf or nan
+        theta, s, t_residual = np.empty(count), np.empty((count, k)), np.empty(count)
+        certified = np.zeros(count, dtype=bool)
+    dense = final | ~certified
+    if dense.any():
+        theta[dense], s[dense], t_residual[dense] = _top_ritz_dense(
+            alphas[dense], betas[dense], guess[dense]
+        )
+    return theta, s, t_residual, dense
+
+
+def _certified_ritz(
+    alphas: np.ndarray, betas: np.ndarray, guess: np.ndarray, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """theta, s and r_T of :func:`_top_ritz`'s O(k) extraction, and the rows
+    whose Sturm count certifies theta. A zero pivot raises
+    ZeroDivisionError on Python floats, and turns a row of a block to inf or
+    nan, which no count certifies."""
+    count, k = alphas.shape
+    shifted = _positions(alphas - (rho * (1.0 + _SHIFT))[:, None])
+    x = np.array(_ldl_solve(shifted, _positions(betas), _positions(guess)))
+    # back to one C-ordered row per problem, so reductions run along rows
+    x = np.ascontiguousarray(x.reshape(k, count).T)
+    length = _row_norms(x)
+    s = x / length[:, None]
+    ts = alphas * s  # T s
+    ts[:, :-1] += betas * s[:, 1:]
+    ts[:, 1:] += betas * s[:, :-1]
+    theta = np.add.reduce(s * ts, axis=-1)
+    t_residual = _row_norms(ts - theta[:, None] * s)
+    top = theta + t_residual + _COUNT_SLACK * k * np.abs(theta)
+    pivots = _pivots(_positions(alphas - top[:, None]), _positions(betas * betas))
+    below = np.reshape(np.less(pivots, 0.0).all(axis=0), count)
+    # r_T places an eigenvalue near theta only for a unit s
+    return theta, s, t_residual, below & (length > 0.0) & (length < np.inf)
+
+
+def _positions(a: np.ndarray):
+    """The entries of a stack of rows, position by position: Python floats
+    for one row, contiguous (rows,) arrays for a block."""
+    return a[0].tolist() if len(a) == 1 else np.ascontiguousarray(a.T)
+
+
+def _ldl_solve(diag, off, rhs) -> list:
+    """The solution of M x = rhs, position by position, for the tridiagonal
+    M with diagonal `diag` and off-diagonal `off`: M = L D L^T without
+    pivoting, forward then back substitution."""
+    d = diag[0]
+    z = rhs[0]
+    pivots, multipliers, partial = [d], [], [z]
+    for c, b, g in zip(diag[1:], off, rhs[1:]):
+        m = b / d
+        d = c - m * b
+        z = g - m * z
+        pivots.append(d)
+        multipliers.append(m)
+        partial.append(z)
+    x = z / d
+    solution = [x]
+    for d, m, z in zip(pivots[-2::-1], multipliers[::-1], partial[-2::-1]):
+        x = z / d - m * x
+        solution.append(x)
+    return solution[::-1]
+
+
+def _pivots(diag, off_squared) -> list:
+    """The pivots of the LDL^T factorization of the tridiagonal with
+    diagonal `diag` and squared off-diagonal `off_squared`, position by
+    position. All are negative exactly when it is negative definite
+    (Sylvester's law of inertia)."""
+    d = diag[0]
+    pivots = [d]
+    for c, b2 in zip(diag[1:], off_squared):
+        d = c - b2 / d
+        pivots.append(d)
+    return pivots
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -155,8 +273,13 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
     and a unit vector s, the Ritz vector Q s therefore has residual norm
     at most ``beta_k |e_k^T s| + ||T s - theta s||``, and some eigenvalue of
     G lies within that bound of theta; the second term is at rounding level
-    once s has converged. A row stops once its bound is at most
-    ``tol * theta``, on exact termination (beta_k = 0, or the basis spans
+    once s has converged. Each step takes theta and s from
+    :func:`_top_ritz`: one LDL^T solve and one Sturm count per row, O(k),
+    which certify theta as T's top eigenvalue to within
+    ``||T s - theta s||``. A row whose count fails, or that stops on exact
+    termination or at the step cap, takes the dense ``eigvalsh`` extraction
+    instead; `dense_steps` counts those steps. A row stops once its bound
+    is at most ``tol * theta``, on exact termination (beta_k = 0, or the basis spans
     the whole space; the residual is then 0), or after `max_iter` steps
     with converged=False; stopped rows leave the active set and the rest go
     on. Each step calls `apply` once. tol is clamped to [16 eps, 1e-8]: the
@@ -170,7 +293,8 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
     along the last axis), so a row's results are bit-identical whatever
     block it is solved in. The basis holds rows of length dim, grown in
     chunks up to ``min(max_iter, dim)`` vectors per row; a row's basis past
-    `_BASIS_BYTES` raises ResourceLimitError.
+    `_BASIS_BYTES` raises ResourceLimitError. A start row that is zero or
+    not finite raises ValueError naming the row.
     """
     check_solver_settings(tol, max_iter)
     # a C-ordered copy: a row's reductions must not see the block's strides
@@ -178,7 +302,13 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
     if q.ndim != 2:
         raise ValueError(f"start must hold one vector per row, got shape {q.shape}")
     count, dim = q.shape
-    q = q / _row_norms(q)[:, None]
+    lengths = _row_norms(q)
+    bad = np.flatnonzero(~(np.isfinite(lengths) & (lengths > 0.0)))
+    if bad.size:
+        row = bad[0]
+        raise ValueError(f"start vector of row {row} has norm {lengths[row]}; it must be nonzero "
+                         "and finite")
+    q = q / lengths[:, None]
     cap = min(max_iter, dim)
     tol = min(max(tol, _TOL_FLOOR), _TOL_CAP)
     out = GramEigenpairs(
@@ -187,12 +317,14 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
         steps=np.zeros(count, dtype=int),
         converged=np.zeros(count, dtype=bool),
         residuals=np.zeros(count),
+        dense_steps=np.zeros(count, dtype=int),
     )
     active = np.arange(count)
     basis = np.empty((count, 0, dim))
     alphas = np.empty((count, 0))
     betas = np.empty((count, 0))
     s = np.empty((count, 0))
+    theta = np.zeros(count)
     for k in range(1, cap + 1):
         if k > basis.shape[1]:
             basis = _grow(basis, cap)
@@ -207,10 +339,12 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
         beta = _row_norms(w)
         # the previous Ritz vector, extended by 0, seeds the inverse iteration
         guess = np.concatenate([s, np.zeros((len(active), 1))], axis=1)
-        theta, s, t_residual = _top_ritz(alphas, betas, guess)
-        residual = beta * np.abs(s[:, -1]) + t_residual
         # exact termination: the Krylov space is invariant or the whole space
-        residual[(beta == 0.0) | (k == dim)] = 0.0
+        exact = (beta == 0.0) | (k == dim)
+        theta, s, t_residual, dense = _top_ritz(alphas, betas, guess, theta, exact | (k == cap))
+        out.dense_steps[active] += dense
+        residual = beta * np.abs(s[:, -1]) + t_residual
+        residual[exact] = 0.0
         converged = residual <= tol * theta
         done = converged | (k == cap)
         if done.any():
@@ -225,7 +359,7 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
                 break
             keep = ~done
             active, basis, alphas, betas = active[keep], basis[keep], alphas[keep], betas[keep]
-            s, w, beta = s[keep], w[keep], beta[keep]
+            s, theta, w, beta = s[keep], theta[keep], w[keep], beta[keep]
             kernels = tuple(kernel[keep] for kernel in kernels)
         betas = np.concatenate([betas, beta[:, None]], axis=1)
         q = w / beta[:, None]
@@ -294,10 +428,13 @@ def spectral_norms(
     count = sym.diag.shape[0]
     start = np.broadcast_to(_start_vector(spec.seed, spec.p), (count, spec.p))
     top = gram_lanczos(apply, kernels, start, tol, max_iter)
-    _log.info(
-        "norm block of %d rows: kernel length %d, steps median %g max %d",
-        count, fast_length(2 * spec.p - 1), np.median(top.steps), top.steps.max(),
-    )
+    if _log.isEnabledFor(logging.INFO):  # numpy's first median maps 0.7 MiB
+        _log.info(
+            "norm block of %d rows: kernel length %d, steps median %g max %d, "
+            "dense extraction on %d of %d row-steps",
+            count, fast_length(2 * spec.p - 1), np.median(top.steps), top.steps.max(),
+            top.dense_steps.sum(), top.steps.sum(),
+        )
     return [
         NormResult(math.sqrt(value), int(steps), bool(converged), float(residual))
         for value, steps, converged, residual in zip(

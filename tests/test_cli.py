@@ -219,10 +219,10 @@ def test_norm_verbose_logs_the_block_solve(family, symmetric, n, capsys):
     loud = capsys.readouterr()
     assert loud.out == quiet.out and quiet.err == ""
     steps = next(csv.DictReader(quiet.out.splitlines()))["iterations"]
-    assert loud.err.splitlines() == [
-        # kernel length fast_length(2p - 1) = 40 at p = 20, whatever n
-        f"specnorm.norms: norm block of 1 rows: kernel length 40, steps median {steps} max {steps}"
-    ]
+    (line,) = loud.err.splitlines()
+    # kernel length fast_length(2p - 1) = 40 at p = 20, whatever n
+    assert re.fullmatch(rf"specnorm\.norms: norm block of 1 rows: kernel length 40, steps median "
+                        rf"{steps} max {steps}, dense extraction on \d+ of {steps} row-steps", line)
 
 
 MC_CONFIG = """# tiny smoke experiment
@@ -392,10 +392,17 @@ def test_serial_mc_logs_each_block_solve(tmp_path, capsys, monkeypatch):
     assert loud.out == quiet.out and quiet.err == ""
     lines = loud.err.splitlines()
     assert len(lines) == 11  # ten blocks, then the run
+    steps = []
     for line in lines[:10]:
-        assert re.fullmatch(r"specnorm\.norms: norm block of 1 rows: kernel length 32, "
-                            r"steps median \d+ max \d+", line), line
-    assert lines[10].startswith("specnorm.montecarlo: 10 replicates in 10 blocks, serial")
+        block = re.fullmatch(r"specnorm\.norms: norm block of 1 rows: kernel length 32, "
+                             r"steps median (\d+) max \1, dense extraction on \d+ of \1 row-steps",
+                             line)
+        assert block, line
+        steps.append(int(block[1]))
+    # the run line summarizes the replicates' steps
+    assert re.fullmatch(r"specnorm\.montecarlo: 10 replicates in 10 blocks, serial: \d+\.\d{3} s, "
+                        rf"steps median {np.median(steps):g} max {max(steps)}, residual max \S+",
+                        lines[10]), lines[10]
 
 
 SWEEP_CONFIG = 'family = circulant\np = 8\nreplicates = 10\nratios = "1.0, 0.5"\n'
@@ -424,7 +431,8 @@ def test_verbose_logs_runs_to_stderr_and_leaves_stdout_alone(tmp_path, capsys, c
     assert len(lines) == 2  # one per ratio
     for line in lines:
         assert re.fullmatch(r"specnorm\.montecarlo: 10 replicates in 2 blocks, 2 workers, "
-                            r"pool (started|reused): \d+\.\d{3} s", line), line
+                            r"pool (started|reused): \d+\.\d{3} s, steps median \d+(\.5)? "
+                            r"max \d+, residual max \S+", line), line
     assert "pool reused" in lines[1]
 
 

@@ -404,16 +404,22 @@ def _bits(result):
 
 
 def test_block_rows_equal_their_single_solves_bit_for_bit():
-    spec = MatrixSpec("toeplitz", p=40, n=90, seed=1)
-    syms = [build_symbol(spec, replicate_stream(40, r)) for r in range(9)]
-    single = [spectral_norm_fast(sym, spec) for sym in syms]
-    # rows leave the block at different steps
-    assert len({res.iterations for res in single}) > 1
-    for size in (1, 4, 9):
-        block = []
-        for lo in range(0, 9, size):
-            block += norms.spectral_norms(stack_symbols(syms[lo : lo + size]), spec)
-        assert [_bits(res) for res in block] == [_bits(res) for res in single]
+    # a Toeplitz shape, and C7's Gaussian circulant 64 x 128, whose rows take
+    # up to about 50 steps: Ritz extraction on Python floats for one row must
+    # match the stacked extraction at large k
+    for spec, stream in [
+        (MatrixSpec("toeplitz", p=40, n=90, seed=1), 40),
+        (MatrixSpec("circulant", p=64, n=128, seed=101), 101),
+    ]:
+        syms = [build_symbol(spec, replicate_stream(stream, r)) for r in range(9)]
+        single = [spectral_norm_fast(sym, spec) for sym in syms]
+        # rows leave the block at different steps
+        assert len({res.iterations for res in single}) > 1
+        for size in (1, 4, 9):
+            block = []
+            for lo in range(0, 9, size):
+                block += norms.spectral_norms(stack_symbols(syms[lo : lo + size]), spec)
+            assert [_bits(res) for res in block] == [_bits(res) for res in single], (spec, size)
 
 
 def test_block_row_stopped_by_max_iter_is_flagged_alone():
@@ -442,6 +448,77 @@ def test_block_basis_past_its_byte_budget_is_refused(monkeypatch):
 def test_gram_lanczos_wants_one_start_vector_per_row():
     with pytest.raises(ValueError):
         norms.gram_lanczos(lambda kernels, q: q, (np.ones((1, 4)),), np.ones(4), 1e-10, 10)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_gram_lanczos_refuses_a_zero_or_nonfinite_start_row(bad):
+    diagonals = np.tile([3.0, 2.0, 1.0], (3, 1))
+    start = np.ones((3, 3))
+    start[1] = [bad, 0.0, 0.0]
+    with pytest.raises(ValueError, match="start vector of row 1 has norm"):
+        norms.gram_lanczos(lambda kernels, q: kernels[0] * q, (diagonals,), start, 1e-10, 10)
+
+
+def _lanczos_tridiagonal(eigenvalues, k, seed):
+    """Diagonal and off-diagonal of k Lanczos steps, with full
+    reorthogonalization, on diag(eigenvalues) from a random start."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(len(eigenvalues))
+    basis = [q / np.linalg.norm(q)]
+    alphas, betas = [], []
+    for _ in range(k):
+        w = eigenvalues * basis[-1]
+        alphas.append(basis[-1] @ w)
+        span = np.array(basis)
+        for _ in range(2):
+            w -= span.T @ (span @ w)
+        betas.append(np.linalg.norm(w))
+        basis.append(w / betas[-1])
+    return np.array(alphas), np.array(betas[:-1])
+
+
+def _tridiagonal(alphas, betas):
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+
+
+def test_certified_extraction_is_within_its_residual_of_the_top_eigenvalue():
+    k = 12
+    rng = np.random.default_rng(21)
+    spectra = [
+        np.concatenate([[1.0, 1.0 - 1e-9], rng.uniform(0.0, 0.9, 38)]),  # near-tied top pair
+        rng.uniform(0.0, 1.0, 40),
+        rng.uniform(0.0, 1.0, 40),  # guess orthogonal to the top eigenvector
+        rng.uniform(0.0, 1.0, 40),  # exact termination
+        rng.uniform(0.0, 1.0, 40),  # a zero pivot
+    ]
+    steps = [_lanczos_tridiagonal(spectrum, k, i) for i, spectrum in enumerate(spectra)]
+    alphas, betas = (np.array(part) for part in zip(*steps))
+    alphas[4, 0] = 0.0
+    guess, rho, tops = np.zeros((5, k)), np.zeros(5), np.zeros(5)
+    for i in range(5):
+        # the previous step's top Ritz pair extended by 0, as the core passes it
+        values, vectors = np.linalg.eigh(_tridiagonal(alphas[i, :-1], betas[i, :-1]))
+        guess[i, :-1], rho[i] = vectors[:, -1], values[-1]
+        tops[i] = np.linalg.eigvalsh(_tridiagonal(alphas[i], betas[i]))[-1]
+    values, vectors = np.linalg.eigh(_tridiagonal(alphas[2], betas[2]))
+    guess[2], rho[2] = vectors[:, -2], values[-2]
+    rho[4] = 0.0  # the first pivot of T - rho I is alphas[4, 0] - 0 = 0
+    final = np.array([False, False, False, True, False])
+
+    theta, s, t_residual, dense = norms._top_ritz(alphas, betas, guess, rho, final)
+    assert dense.tolist() == [False, False, True, True, True]
+    assert np.all(np.abs(theta - tops) <= t_residual + ROUNDING * tops)
+    assert np.allclose(np.linalg.norm(s, axis=1), 1.0)
+    # the dense rows are exactly what the dense extraction gives them
+    want = norms._top_ritz_dense(alphas[dense], betas[dense], guess[dense])
+    for got, ref in zip((theta[dense], s[dense], t_residual[dense]), want):
+        assert got.tobytes() == ref.tobytes()
+    # one row alone (on Python floats) gives the bits it gets in the stack
+    for i in range(5):
+        row = slice(i, i + 1)
+        alone = norms._top_ritz(alphas[row], betas[row], guess[row], rho[row], final[row])
+        for got, ref in zip(alone, (theta, s, t_residual, dense)):
+            assert got.tobytes() == ref[row].tobytes(), i
 
 
 def test_apply_gets_the_kernel_rows_of_the_rows_still_running():
