@@ -1,16 +1,16 @@
 """Command-line front end: constants tables, single norms, Monte Carlo runs.
 
 Exit codes: 0 success, 2 numerical non-convergence or failed experiment,
-3 oracle disagreement, 64 usage error or a refused size (the dense oracle
-or the Krylov basis past its limit). CSV output uses '.' decimals and
-12 significant digits so golden files reproduce across platforms.
+3 oracle disagreement, 64 usage error, an output path that cannot be
+written or a refused size (the dense oracle or the Krylov basis past its
+limit). CSV output uses '.' decimals, 12 significant digits and LF line
+ends so golden files reproduce across platforms.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import logging
 import math
@@ -22,12 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .extremes import g_c_quantile, gumbel_model, theta_c
+from .extremes import dominance_check, g_c_quantile, gumbel_model, theta_c
 from .montecarlo import (
     ExperimentConfig,
     ExperimentError,
     collect_samples,
-    gumbel_dominance,
     n_for_ratio,
     paired_bound_experiment,
     reference_constant,
@@ -72,16 +71,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], columns: list[str], args) -> None:
-    if args.format == "json":
+def _emit(rows: list[dict], columns: list[str], output: str | None, fmt: str = "csv") -> None:
+    """Write the rows' columns to the output path, or to stdout if None."""
+    if fmt == "json":
         payload = [{col: row[col] for col in columns} for row in rows]
         text = json.dumps(payload, indent=2, default=_fmt) + "\n"
     else:
         lines = [",".join(columns)]
         lines += [",".join(_fmt(row[col]) for col in columns) for row in rows]
         text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
+    if output:
+        Path(output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -136,7 +136,8 @@ def cmd_ktable(args) -> int:
         }
         for est in sorted(rows, key=lambda est: est.ratio)
     ]
-    _emit(out, ["ratio", "k_value", "bracket_lo", "bracket_hi", "iterations", "converged"], args)
+    _emit(out, ["ratio", "k_value", "bracket_lo", "bracket_hi", "iterations", "converged"],
+          args.output, args.format)
     return EXIT_OK if all(est.converged for est in rows) else EXIT_NUMERIC
 
 
@@ -149,7 +150,7 @@ def cmd_theta(args) -> int:
         rows = [{"c": c, "theta": theta_c(c, args.tol)} for c in grid]
     except ValueError as exc:  # a tol that is not positive, or a c past the term cap
         raise UsageError(str(exc)) from None
-    _emit(rows, ["c", "theta"], args)
+    _emit(rows, ["c", "theta"], args.output, args.format)
     return EXIT_OK
 
 
@@ -192,13 +193,14 @@ def cmd_norm(args) -> int:
         columns += ["dense_sigma_max", "dense_rel_error"]
         if rel > 1e-8:
             code = EXIT_ORACLE
-    _emit([row], columns, args)
+    _emit([row], columns, args.output, args.format)
     return code
 
 
-_CONFIG_ALIASES = {"seed": "base_seed"}
-_CONFIG_EXTRAS = ("ratios", "raw_output")
-_CONFIG_FIELDS = tuple(field.name for field in fields(ExperimentConfig))
+# the config's seed is the experiment's base_seed; --threads sets its workers
+_CONFIG_KEYS = tuple(field.name for field in fields(ExperimentConfig)
+                     if field.name not in ("base_seed", "workers"))
+_CONFIG_KEYS += ("seed", "ratios", "raw_output")
 
 
 def _parse_scalar(text: str):
@@ -235,13 +237,10 @@ def load_config(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             data[key.strip()] = _parse_scalar(value.strip())
-    out = {}
-    for key, value in data.items():
-        key = _CONFIG_ALIASES.get(key, key)
-        if key not in _CONFIG_FIELDS and key not in _CONFIG_EXTRAS:
+    for key in data:
+        if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
-        out[key] = value
-    return out
+    return data
 
 
 def _as_tuple(value, cast) -> tuple:
@@ -267,8 +266,11 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
             data["statistics"] = statistics
         elif "statistics" in data:
             data["statistics"] = _as_tuple(data["statistics"], str)
-        data.setdefault("base_seed", _resolve_seed(args))
-        data.setdefault("workers", args.threads)
+        if "seed" in data and args.seed is not None:
+            raise UsageError(f"--seed {args.seed} and the config's seed = {data['seed']} "
+                             "both set the seed; give one")
+        data["base_seed"] = data.pop("seed") if "seed" in data else _resolve_seed(args)
+        data["workers"] = args.threads
         if "p" not in data:
             raise UsageError("config must set p")
         if ratios:
@@ -298,48 +300,41 @@ def cmd_mc(args) -> int:
         (summary,) = run_experiment(cfg, raw_output).values()
         rows.append({"ratio": cfg.p / cfg.n, "p": cfg.p, "n": cfg.n, **asdict(summary),
                      "reference": reference_constant(cfg)})
-    _emit(rows, _MC_COLUMNS, args)
+    _emit(rows, _MC_COLUMNS, args.output, args.format)
     return EXIT_OK
 
 
 _LEVELS = ((0.05, "q05"), (0.5, "q50"), (0.95, "q95"))
 
 
-def _quantile_row(cfg: ExperimentConfig, scaled: np.ndarray, **extra) -> dict:
-    """Empirical scaled-norm quantiles next to the shifted-Gumbel model's."""
-    c = cfg.p / cfg.n
-    row = {"ratio": c, "p": cfg.p, "n": cfg.n, "count": int(scaled.size), **extra}
-    for q, label in _LEVELS:
-        row[f"{label}_empirical"] = float(np.quantile(scaled, q))
-        row[f"{label}_model"] = g_c_quantile(q, c, cfg.n)
-    return row
-
-
-def _write_dominance(path: str, checks) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "empirical_cdf", "gumbel_cdf", "diff", "flag"])
-        for check in checks:
-            writer.writerow([_fmt(check.x), _fmt(check.empirical_cdf),
-                             _fmt(check.gumbel_cdf), _fmt(check.diff), _fmt(check.flag)])
-
-
 def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
     """Shared ratio loop of gumbel-compare and paired: `run(cfg, raw_output)`
-    returns one output row and a dominance report (or None)."""
+    returns the scaled norms, the extra columns of its row and a dominance
+    report (or None). A row puts the empirical scaled-norm quantiles next to
+    the shifted-Gumbel model's."""
     configs, raw_output = _experiment_configs(args, statistics)
     cfg = configs[0]
     if cfg.family != "circulant" or cfg.symmetric or cfg.dist != "gaussian":
         raise UsageError(f"{args.command} needs a non-symmetric Gaussian circulant")
+    # every point's model before any replicate runs: theta(c) refuses a c below its
+    # floor, and the square-root transform a negative radicand
+    try:
+        models = [[g_c_quantile(q, cfg.p / cfg.n, cfg.n) for q, _ in _LEVELS] for cfg in configs]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     rows, checks = [], []
-    for cfg in configs:
-        row, dominance = run(cfg, raw_output)
+    for cfg, model_quantiles in zip(configs, models):
+        scaled, extra, dominance = run(cfg, raw_output)
+        row = {"ratio": cfg.p / cfg.n, "p": cfg.p, "n": cfg.n, "count": int(scaled.size), **extra}
+        for (q, label), model_q in zip(_LEVELS, model_quantiles):
+            row[f"{label}_empirical"] = float(np.quantile(scaled, q))
+            row[f"{label}_model"] = model_q
         rows.append(row)
         if dominance is not None:
-            checks.extend(dominance.probes)
-    _emit(rows, list(rows[0]), args)
+            checks.extend(asdict(check) for check in dominance.probes)
+    _emit(rows, list(rows[0]), args.output, args.format)
     if args.dominance_output and checks:
-        _write_dominance(args.dominance_output, checks)
+        _emit(checks, list(checks[0]), args.dominance_output)
     return EXIT_OK
 
 
@@ -348,8 +343,8 @@ def cmd_gumbel_compare(args) -> int:
         samples, _ = collect_samples(cfg, raw_path=raw_output)
         dominance = None
         if args.dominance_output:
-            dominance = gumbel_dominance(samples["centered_norm_sq"], gumbel_model(cfg.p / cfg.n))
-        return _quantile_row(cfg, samples["scaled_norm"]), dominance
+            dominance = dominance_check(samples["centered_norm_sq"], gumbel_model(cfg.p / cfg.n))
+        return samples["scaled_norm"], {}, dominance
 
     return _gumbel_sweep(args, ("scaled_norm", "centered_norm_sq"), run)
 
@@ -360,7 +355,7 @@ def cmd_paired(args) -> int:
             raise UsageError("paired writes no raw samples; drop raw_output")
         rep = paired_bound_experiment(cfg)
         scaled = scaled_norm(np.sqrt(rep.sigma_sq), cfg.template_spec())
-        return _quantile_row(cfg, scaled, violations=rep.violations), rep.dominance
+        return scaled, {"violations": rep.violations}, rep.dominance
 
     return _gumbel_sweep(args, ("scaled_norm", "b_statistic"), run)
 
@@ -370,12 +365,15 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--output", help="write results to this path (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed (default: $SPECNORM_SEED or %d)" % _DEFAULT_SEED)
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for Monte Carlo commands")
     common.add_argument("-v", "--verbose", action="count", default=0,
-                        help="log each Monte Carlo run to stderr")
+                        help="log each norm block and Monte Carlo run to stderr")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="seed (default: the config's seed, else $SPECNORM_SEED, "
+                        "else %d)" % _DEFAULT_SEED)
+    pooled = _Parser(add_help=False)
+    pooled.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker processes for the replicates")
 
     sub = root.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -391,7 +389,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_theta)
 
-    p = sub.add_parser("norm", parents=[common], help="spectral norm of one random draw")
+    p = sub.add_parser("norm", parents=[common, seeded], help="spectral norm of one random draw")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--p", type=int, required=True)
@@ -405,18 +403,19 @@ def build_parser() -> _Parser:
                    help="cross-check against the dense oracle (exit 3 on disagreement)")
     p.set_defaults(func=cmd_norm)
 
-    p = sub.add_parser("mc", parents=[common], help="Monte Carlo summary from a config file")
+    p = sub.add_parser("mc", parents=[common, seeded, pooled],
+                       help="Monte Carlo summary from a config file")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("gumbel-compare", parents=[common],
+    p = sub.add_parser("gumbel-compare", parents=[common, seeded, pooled],
                        help="empirical vs shifted-Gumbel quantiles for circulant draws")
     p.add_argument("--config", required=True)
     p.add_argument("--dominance-output", dest="dominance_output",
                    help="also write the CDF dominance report to this CSV")
     p.set_defaults(func=cmd_gumbel_compare)
 
-    p = sub.add_parser("paired", parents=[common],
+    p = sub.add_parser("paired", parents=[common, seeded, pooled],
                        help="per-draw squared norm against its lower bound, with Gumbel quantiles")
     p.add_argument("--config", required=True)
     p.add_argument("--dominance-output", dest="dominance_output",
@@ -455,6 +454,11 @@ def main(argv=None) -> int:
         print(f"specnorm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
+        print(f"specnorm: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        if exc.filename is None:  # not a path the user gave
+            raise
         print(f"specnorm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ExperimentError as exc:

@@ -118,8 +118,8 @@ def theta_c(c: float, tol: float = 1e-10) -> float:
     return head + 2.0 * tail
 
 
-def gumbel_model(c: float, tol: float = 1e-10) -> GumbelModel:
-    return GumbelModel(theta=theta_c(c, tol), c=c)
+def gumbel_model(c: float) -> GumbelModel:
+    return GumbelModel(theta=theta_c(c), c=c)
 
 
 def gumbel_cdf(x, model: GumbelModel):
@@ -134,7 +134,7 @@ def gumbel_quantile(q: float, model: GumbelModel) -> float:
     return model.theta - math.log(-math.log(q))
 
 
-def g_c_quantile(q: float, c: float, n: int, tol: float = 1e-10) -> float:
+def g_c_quantile(q: float, c: float, n: int) -> float:
     """Quantile of sqrt((shifted Gumbel + log(n/2)) / log n) at level q.
 
     This is the distribution the scaled circulant norm is compared against;
@@ -143,7 +143,7 @@ def g_c_quantile(q: float, c: float, n: int, tol: float = 1e-10) -> float:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    model = gumbel_model(c, tol)
+    model = gumbel_model(c)
     radicand = (gumbel_quantile(q, model) + math.log(n / 2.0)) / math.log(n)
     if radicand < 0:
         raise ValueError(
@@ -220,26 +220,27 @@ class DominanceReport:
         return sum(1 for row in self.probes if row.flag)
 
 
-def dominance_check(samples, model: GumbelModel, probes, n_se: float = 3.0) -> DominanceReport:
-    """One-sided stochastic-dominance check of samples against the model.
+def dominance_check(samples, model: GumbelModel) -> DominanceReport | None:
+    """One-sided stochastic-dominance check of samples against the model at
+    its 0.05, 0.25, 0.5, 0.75 and 0.95 quantiles, or None below 500 samples.
 
     Dominance predicts the empirical CDF stays at or below the shifted
     Gumbel CDF, so a probe is flagged only when the empirical value exceeds
-    the model by more than `n_se` binomial standard errors.
+    the model by more than 3 binomial standard errors.
     """
     s = np.sort(np.asarray(samples, dtype=float))
     m = s.size
     if m < 500:
-        raise ValueError(f"need at least 500 samples, got {m}")
+        return None
     rows = []
-    for x in probes:
-        xf = float(x)
-        emp = float(np.searchsorted(s, xf, side="right")) / m
-        ref = float(gumbel_cdf(xf, model))
+    for q in (0.05, 0.25, 0.5, 0.75, 0.95):
+        x = gumbel_quantile(q, model)
+        emp = float(np.searchsorted(s, x, side="right")) / m
+        ref = float(gumbel_cdf(x, model))
         se = math.sqrt(ref * (1.0 - ref) / m)
         diff = emp - ref
         rows.append(
-            ProbeCheck(x=xf, empirical_cdf=emp, gumbel_cdf=ref, diff=diff, flag=diff > n_se * se)
+            ProbeCheck(x=x, empirical_cdf=emp, gumbel_cdf=ref, diff=diff, flag=diff > 3.0 * se)
         )
     return DominanceReport(probes=tuple(rows), n_samples=m)
 

@@ -31,14 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .extremes import (
-    DominanceReport,
-    GumbelModel,
-    b_statistic,
-    dominance_check,
-    gumbel_model,
-    gumbel_quantile,
-)
+from .extremes import DominanceReport, GumbelModel, b_statistic, dominance_check, gumbel_model
 from .norms import NormResult, check_solver_settings, require_scalable, scaled_norm, spectral_norms
 from .sinekernel import k_estimate
 from .structured import (
@@ -48,6 +41,7 @@ from .structured import (
     build_symbol,
     embedding_size,
     replicate_stream,
+    require_integer,
     stack_symbols,
 )
 
@@ -62,7 +56,6 @@ __all__ = [
     "paired_bound_experiment",
     "reference_constant",
     "n_for_ratio",
-    "gumbel_dominance",
     "shutdown_pool",
 ]
 
@@ -98,6 +91,8 @@ class ExperimentConfig:
         # reuse the spec validation for the template fields
         self.template_spec()
         require_scalable(self.n)  # before any solve: each statistic needs log n or log(n/2)
+        require_integer("replicates", self.replicates)
+        require_integer("workers", self.workers)
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         for stat in self.statistics:
@@ -328,7 +323,7 @@ def _summarize(stat: str, values: np.ndarray, excluded: int) -> McSummary:
 def _write_raw(path: str, cfg: ExperimentConfig, records: Sequence[_Record]) -> None:
     columns = [_statistic_value(cfg, stat, records).tolist() for stat in cfg.statistics]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["replicate", "statistic", "value", "flag"])
         for i, rec in enumerate(records):
             flag = "ok" if rec.converged else "excluded"
@@ -385,7 +380,7 @@ class PairedReport:
     count: int
     excluded: int
     violations: int
-    max_deficit: float  # largest (bound - sigma^2) observed, <= slack when valid
+    max_deficit: float  # largest (bound - sigma^2) observed, <= _BOUND_SLACK when valid
     model: GumbelModel
     dominance: DominanceReport | None
     sigma_sq: np.ndarray
@@ -393,26 +388,21 @@ class PairedReport:
     centered_bounds: np.ndarray
 
 
-_DOMINANCE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+# tolerance of the per-draw inequality sigma^2 >= bound before a draw counts as a violation
+_BOUND_SLACK = 1e-9
 
 
-def gumbel_dominance(centered: np.ndarray, model: GumbelModel) -> DominanceReport | None:
-    """Dominance check of centered samples at the model's 0.05, 0.25, 0.5,
-    0.75 and 0.95 quantiles, or None below the 500-sample floor of the check."""
-    if len(centered) < 500:
-        return None
-    probes = [gumbel_quantile(q, model) for q in _DOMINANCE_LEVELS]
-    return dominance_check(centered, model, probes)
-
-
-def paired_bound_experiment(cfg: ExperimentConfig, slack: float = 1e-9) -> PairedReport:
+def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
     """Per-draw comparison of the squared norm with its computable lower bound.
 
     Both quantities come from the same DFT diagonal, so the finite-sample
-    inequality sigma^2 >= bound must hold draw by draw. The centered bounds
-    are also checked for one-sided dominance against the shifted Gumbel law
-    (needs at least 500 converged replicates, otherwise skipped).
+    inequality sigma^2 >= bound must hold draw by draw, up to _BOUND_SLACK.
+    The centered bounds are also checked for one-sided dominance against the
+    shifted Gumbel law (needs at least 500 converged replicates, otherwise
+    skipped). The model is built first, so a ratio below the floor of
+    theta(c) is refused before any replicate is solved.
     """
+    model = gumbel_model(cfg.p / cfg.n)
     cfg = replace(cfg, statistics=("scaled_norm", "b_statistic"))
     kept = _converged(cfg, _collect(cfg))
 
@@ -421,14 +411,13 @@ def paired_bound_experiment(cfg: ExperimentConfig, slack: float = 1e-9) -> Paire
     bounds = np.array([cfg.p * rec.b_value for rec in kept])
     deficits = bounds - sigma_sq
     centered = bounds / cfg.p - cfg.center()
-    model = gumbel_model(cfg.p / cfg.n)
     return PairedReport(
         count=len(kept),
         excluded=cfg.replicates - len(kept),
-        violations=int(np.sum(deficits > slack)),
+        violations=int(np.sum(deficits > _BOUND_SLACK)),
         max_deficit=float(np.max(deficits)),
         model=model,
-        dominance=gumbel_dominance(centered, model),
+        dominance=dominance_check(centered, model),
         sigma_sq=sigma_sq,
         bounds=bounds,
         centered_bounds=centered,

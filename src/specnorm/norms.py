@@ -16,6 +16,7 @@ from .structured import (
     ResourceLimitError,
     SymbolVector,
     matvec,
+    require_integer,
     rmatvec,
     stack_symbols,
 )
@@ -251,7 +252,9 @@ def _combine(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 def check_solver_settings(tol: float, max_iter: int) -> None:
-    """Refuse a tolerance that is not positive or a step cap below one."""
+    """Refuse a tolerance that is not positive or a step cap that is not an
+    integer of at least one."""
+    require_integer("max_iter", max_iter)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:

@@ -66,6 +66,12 @@ class ResourceLimitError(RuntimeError):
     """A dense-path size guard was exceeded."""
 
 
+def require_integer(name: str, value) -> None:
+    """Refuse a count or seed that is not an integer (a float or a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MatrixSpec:
     """Family, shape, entry distribution and seed of one random matrix."""
@@ -78,6 +84,8 @@ class MatrixSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("p", "n", "seed"):
+            require_integer(name, getattr(self, name))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.dist not in DISTRIBUTIONS:

@@ -551,15 +551,125 @@ def test_readme_configs_load_and_its_key_list_is_the_loaders(tmp_path):
         path = tmp_path / f"readme{i}.cfg"
         path.write_text(block)
         assert cli.load_config(str(path))
-    # the documented list names value sets in parentheses; seed stands for base_seed
+    # the documented list names value sets in parentheses
     listed = re.search(r"Recognized keys: (.*?)\. In the", readme, flags=re.DOTALL).group(1)
     documented = set(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", listed, flags=re.DOTALL)))
-    accepted = set(cli._CONFIG_FIELDS) | set(cli._CONFIG_EXTRAS)
-    accepted = accepted - set(cli._CONFIG_ALIASES.values()) | set(cli._CONFIG_ALIASES)
-    assert documented == accepted
+    assert documented == set(cli._CONFIG_KEYS)
 
 
 def test_help_does_not_crash():
     with pytest.raises(SystemExit) as exc:
         run_cli("--help")
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["ktable", "--grid", "1:0:1", "--seed", "1"],
+    ["ktable", "--grid", "1:0:1", "--threads", "2"],
+    ["theta", "--grid", "0.5:0:0.5", "--seed", "1"],
+    ["theta", "--grid", "0.5:0:0.5", "--threads", "2"],
+    ["norm", "--family", "toeplitz", "--p", "4", "--n", "8", "--threads", "2"],
+])
+def test_flags_a_subcommand_never_reads_are_refused(argv, capsys):
+    assert run_cli(*argv) == EXIT_USAGE
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["workers", "base_seed"])
+def test_second_names_of_threads_and_seed_are_unknown_config_keys(key, tmp_path, capsys):
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(MC_CONFIG + f"{key} = 1\n")
+    assert run_cli("mc", "--config", str(cfg), "--threads", "2") == EXIT_USAGE
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_seed_flag_and_config_seed_are_refused_together(tmp_path, capsys):
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(MC_CONFIG)  # seed = 5
+    assert run_cli("mc", "--config", str(cfg), "--seed", "9") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "specnorm: error: --seed 9 and the config's seed = 5 both set the seed" in err
+
+
+def test_seed_flag_seeds_a_config_without_seed(tmp_path):
+    with_seed, without = tmp_path / "with.cfg", tmp_path / "without.cfg"
+    with_seed.write_text(MC_CONFIG)
+    without.write_text(MC_CONFIG.replace("seed = 5\n", ""))
+    outs = [tmp_path / "with.csv", tmp_path / "flag.csv", tmp_path / "default.csv"]
+    assert run_cli("mc", "--config", str(with_seed), "--output", str(outs[0])) == EXIT_OK
+    assert run_cli("mc", "--config", str(without), "--seed", "5", "--output", str(outs[1])) == EXIT_OK
+    assert run_cli("mc", "--config", str(without), "--output", str(outs[2])) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("p = 8.0", "p must be an integer, got 8.0"),
+    ("n = 32.0", "n must be an integer, got 32.0"),
+    ("seed = 5.0", "seed must be an integer, got 5.0"),
+    ("replicates = 2.5", "replicates must be an integer, got 2.5"),
+    ("replicates = true", "replicates must be an integer, got True"),
+    ("norm_max_iter = 2.5", "norm_max_iter must be an integer, got 2.5"),
+])
+def test_config_refuses_a_non_integer_count_by_name(line, message, tmp_path, capsys):
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(MC_CONFIG + line + "\n")  # a repeated key replaces the earlier value
+    assert run_cli("mc", "--config", str(cfg)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"specnorm: error: invalid experiment config: {message}" in err
+    assert "Traceback" not in err
+
+
+_FLOOR = "theta(c) at c=3.0517578125e-05, tol=1e-10 needs"
+
+
+@pytest.mark.parametrize("command", ["gumbel-compare", "paired"])
+@pytest.mark.parametrize("points, message", [
+    ("n = 65536", _FLOOR),  # c = 2 / 65536, below the floor 1.4588e-4 of theta(c)
+    ("ratios = 0.5, 0.000030517578125", _FLOOR),  # the second point, before the first runs
+    ("n = 2", "quantile transform undefined at q=0.05"),  # theta(1) = 0, log(n/2) = 0
+])
+def test_sweep_point_without_a_model_is_refused_before_any_solve(
+        command, points, message, tmp_path, monkeypatch, capsys):
+    solved = []
+    monkeypatch.setattr(montecarlo, "_collect", solved.append)
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text(f"family = circulant\np = 2\nreplicates = 2\nseed = 1\n{points}\n")
+    assert run_cli(command, "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"specnorm: error: {message}" in err and "Traceback" not in err
+    if message == _FLOOR:
+        assert "smallest c accepted at this tol is 0.000145" in err
+    assert solved == []
+
+
+def test_csv_files_end_lines_with_newline_alone(tmp_path):
+    raw, out = tmp_path / "raw.csv", tmp_path / "out.csv"
+    doms = [tmp_path / "gc_dom.csv", tmp_path / "paired_dom.csv"]
+    cfg = tmp_path / "c.cfg"
+    base = "family = circulant\np = 16\nn = 32\nreplicates = 500\nseed = 6\n"
+    cfg.write_text(base + f"raw_output = {raw}\n")
+    assert run_cli("gumbel-compare", "--config", str(cfg), "--output", str(out),
+                   "--dominance-output", str(doms[0])) == EXIT_OK
+    cfg.write_text(base)
+    assert run_cli("paired", "--config", str(cfg), "--output", str(out),
+                   "--dominance-output", str(doms[1])) == EXIT_OK
+    for path in (raw, *doms):
+        text = path.read_bytes()
+        assert b"\r" not in text and text.endswith(b"\n")
+    assert len(read_csv(raw)) == 1000  # two statistics per replicate
+    assert all(len(read_csv(dom)) == 5 for dom in doms)
+
+
+def test_output_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(MC_CONFIG + f"raw_output = {missing / 'raw.csv'}\n")
+    for argv in (["theta", "--grid", "0.5:0:0.5", "--output", str(missing / "t.csv")],
+                 ["mc", "--config", str(cfg), "--output", str(tmp_path / "mc.csv")],
+                 ["paired", "--config", str(tmp_path / "p.cfg"),
+                  "--dominance-output", str(missing / "d.csv")]):
+        (tmp_path / "p.cfg").write_text("family = circulant\np = 16\nn = 32\nreplicates = 500\n")
+        assert run_cli(*argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"specnorm: error: [Errno 2] No such file or directory: '{missing}" in err
+        assert "Traceback" not in err

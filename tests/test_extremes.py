@@ -249,27 +249,28 @@ def _gumbel_samples(model, size, seed):
 def test_dominance_check_self_consistent():
     model = gumbel_model(0.5)
     samples = _gumbel_samples(model, 5000, seed=12)
-    probes = [gumbel_quantile(q, model) for q in (0.05, 0.25, 0.5, 0.75, 0.95)]
-    report = dominance_check(samples, model, probes)
+    report = dominance_check(samples, model)
     assert report.violations == 0
     assert report.n_samples == 5000
+    # probes at the model's 0.05, 0.25, 0.5, 0.75 and 0.95 quantiles
+    levels = (0.05, 0.25, 0.5, 0.75, 0.95)
+    assert [row.x for row in report.probes] == [gumbel_quantile(q, model) for q in levels]
 
 
 def test_dominance_check_respects_direction():
     model = gumbel_model(1.0)
     samples = _gumbel_samples(model, 3000, seed=3)
-    probes = [gumbel_quantile(q, model) for q in (0.05, 0.25, 0.5, 0.75, 0.95)]
-    above = dominance_check(samples + 1.0, model, probes)
+    above = dominance_check(samples + 1.0, model)
     assert above.violations == 0
-    below = dominance_check(samples - 1.0, model, probes)
+    below = dominance_check(samples - 1.0, model)
     central = [row for row in below.probes if 0.2 < row.gumbel_cdf < 0.8]
     assert all(row.flag for row in central)
 
 
 def test_dominance_check_needs_samples():
     model = gumbel_model(1.0)
-    with pytest.raises(ValueError):
-        dominance_check(np.zeros(100), model, [0.0])
+    assert dominance_check(np.zeros(499), model) is None
+    assert dominance_check(np.zeros(500), model).n_samples == 500
 
 
 def test_model_validation():

@@ -220,6 +220,24 @@ def test_config_validation():
         ExperimentConfig(family="circulant", p=3, n=9, statistics=("b_statistic",))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p", 16.0), ("n", 32.0), ("base_seed", 91.0), ("replicates", 2.5), ("replicates", True),
+    ("workers", 2.0), ("norm_max_iter", 2.5)])
+def test_config_refuses_a_non_integer_count_or_seed_by_name(field, value):
+    name = "seed" if field == "base_seed" else field  # the seed of the template spec
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        replace(TINY, **{field: value})
+
+
+def test_paired_bound_refuses_a_ratio_below_the_theta_floor_before_any_solve(monkeypatch):
+    solved = []
+    monkeypatch.setattr(mc, "_collect", solved.append)
+    cfg = ExperimentConfig(family="circulant", p=2, n=65536, replicates=2)
+    with pytest.raises(ValueError, match="theta\\(c\\) at c=3.0517578125e-05"):
+        paired_bound_experiment(cfg)
+    assert solved == []
+
+
 def test_config_refuses_a_single_column_before_any_solve():
     # every statistic is scaled by log n or centered at log(n/2)
     for stat in mc.STATISTICS:

@@ -386,6 +386,8 @@ def test_fast_norm_parameter_validation():
         spectral_norm_fast(sym, spec, tol=0.0)
     with pytest.raises(ValueError):
         spectral_norm_fast(sym, spec, max_iter=0)
+    with pytest.raises(ValueError, match="max_iter must be an integer, got 2.5"):
+        spectral_norm_fast(sym, spec, max_iter=2.5)
 
 
 def test_dense_size_guard():

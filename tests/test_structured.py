@@ -231,6 +231,15 @@ def test_spec_validation():
         MatrixSpec("toeplitz", p=2, n=5, dist="cauchy")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p", 2.0), ("n", 5.0), ("seed", 1.0), ("seed", True), ("p", "2")])
+def test_spec_refuses_a_non_integer_shape_or_seed_by_name(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+        MatrixSpec("toeplitz", **{"p": 2, "n": 5, "seed": 1, field: value})
+    # numpy integers are integers
+    assert MatrixSpec("toeplitz", p=np.int64(2), n=np.int32(5), seed=np.uint64(1)).p == 2
+
+
 @pytest.mark.parametrize("family", ["toeplitz", "hankel", "circulant", "reverse_circulant"])
 def test_stacked_products_equal_row_products_bit_for_bit(family):
     spec = MatrixSpec(family, p=7, n=19)
