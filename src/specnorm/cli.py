@@ -17,12 +17,14 @@ import math
 import os
 import re
 import sys
+import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .extremes import dominance_check, g_c_quantile, gumbel_model, theta_c
+from .extremes import _theta_terms, dominance_check, g_c_quantile, gumbel_model, theta_c
 from .montecarlo import (
     ExperimentConfig,
     ExperimentError,
@@ -51,6 +53,8 @@ EXIT_USAGE = 64
 
 _DEFAULT_SEED = 12345
 
+_log = logging.getLogger(__name__)
+
 
 class UsageError(Exception):
     pass
@@ -71,8 +75,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], columns: list[str], output: str | None, fmt: str = "csv") -> None:
-    """Write the rows' columns to the output path, or to stdout if None."""
+def _open_output(path: str | None):
+    """The output stream as a context: the file at path, opened now, or
+    stdout if path is None. Commands that run replicates open theirs before
+    the first one, so a path that cannot be written fails at once."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _emit(rows: list[dict], columns: list[str], out: TextIO, fmt: str = "csv") -> None:
+    """Write the rows' columns to the stream out."""
     if fmt == "json":
         payload = [{col: row[col] for col in columns} for row in rows]
         text = json.dumps(payload, indent=2, default=_fmt) + "\n"
@@ -80,10 +91,7 @@ def _emit(rows: list[dict], columns: list[str], output: str | None, fmt: str = "
         lines = [",".join(columns)]
         lines += [",".join(_fmt(row[col]) for col in columns) for row in rows]
         text = "\n".join(lines) + "\n"
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    out.write(text)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -136,8 +144,9 @@ def cmd_ktable(args) -> int:
         }
         for est in sorted(rows, key=lambda est: est.ratio)
     ]
-    _emit(out, ["ratio", "k_value", "bracket_lo", "bracket_hi", "iterations", "converged"],
-          args.output, args.format)
+    with _open_output(args.output) as stream:
+        _emit(out, ["ratio", "k_value", "bracket_lo", "bracket_hi", "iterations", "converged"],
+              stream, args.format)
     return EXIT_OK if all(est.converged for est in rows) else EXIT_NUMERIC
 
 
@@ -146,11 +155,17 @@ def cmd_theta(args) -> int:
     for c in grid:
         if not 0 < c <= 1:
             raise UsageError(f"aspect ratios must lie in (0, 1], got {c}")
-    try:
-        rows = [{"c": c, "theta": theta_c(c, args.tol)} for c in grid]
-    except ValueError as exc:  # a tol that is not positive, or a c past the term cap
-        raise UsageError(str(exc)) from None
-    _emit(rows, ["c", "theta"], args.output, args.format)
+    rows = []
+    for c in grid:
+        t0 = time.perf_counter()
+        try:
+            rows.append({"c": c, "theta": theta_c(c, args.tol)})
+        except ValueError as exc:  # a tol that is not positive, or a c past the term cap
+            raise UsageError(str(exc)) from None
+        _log.info("theta row c=%.12g: J=%d terms, %.3f s",
+                  c, _theta_terms(c, args.tol), time.perf_counter() - t0)
+    with _open_output(args.output) as out:
+        _emit(rows, ["c", "theta"], out, args.format)
     return EXIT_OK
 
 
@@ -193,7 +208,8 @@ def cmd_norm(args) -> int:
         columns += ["dense_sigma_max", "dense_rel_error"]
         if rel > 1e-8:
             code = EXIT_ORACLE
-    _emit([row], columns, args.output, args.format)
+    with _open_output(args.output) as out:
+        _emit([row], columns, out, args.format)
     return code
 
 
@@ -295,12 +311,13 @@ def cmd_mc(args) -> int:
     configs, raw_output = _experiment_configs(args)
     if len(configs[0].statistics) != 1:
         raise UsageError("the mc summary covers one statistic per run")
-    rows = []
-    for cfg in configs:
-        (summary,) = run_experiment(cfg, raw_output).values()
-        rows.append({"ratio": cfg.p / cfg.n, "p": cfg.p, "n": cfg.n, **asdict(summary),
-                     "reference": reference_constant(cfg)})
-    _emit(rows, _MC_COLUMNS, args.output, args.format)
+    with _open_output(args.output) as out:
+        rows = []
+        for cfg in configs:
+            (summary,) = run_experiment(cfg, raw_output).values()
+            rows.append({"ratio": cfg.p / cfg.n, "p": cfg.p, "n": cfg.n, **asdict(summary),
+                         "reference": reference_constant(cfg)})
+        _emit(rows, _MC_COLUMNS, out, args.format)
     return EXIT_OK
 
 
@@ -316,25 +333,33 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
     cfg = configs[0]
     if cfg.family != "circulant" or cfg.symmetric or cfg.dist != "gaussian":
         raise UsageError(f"{args.command} needs a non-symmetric Gaussian circulant")
+    if args.command == "paired" and raw_output is not None:
+        raise UsageError("paired writes no raw samples; drop raw_output")
     # every point's model before any replicate runs: theta(c) refuses a c below its
     # floor, and the square-root transform a negative radicand
     try:
         models = [[g_c_quantile(q, cfg.p / cfg.n, cfg.n) for q, _ in _LEVELS] for cfg in configs]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    rows, checks = [], []
-    for cfg, model_quantiles in zip(configs, models):
-        scaled, extra, dominance = run(cfg, raw_output)
-        row = {"ratio": cfg.p / cfg.n, "p": cfg.p, "n": cfg.n, "count": int(scaled.size), **extra}
-        for (q, label), model_q in zip(_LEVELS, model_quantiles):
-            row[f"{label}_empirical"] = float(np.quantile(scaled, q))
-            row[f"{label}_model"] = model_q
-        rows.append(row)
-        if dominance is not None:
-            checks.extend(asdict(check) for check in dominance.probes)
-    _emit(rows, list(rows[0]), args.output, args.format)
-    if args.dominance_output and checks:
-        _emit(checks, list(checks[0]), args.dominance_output)
+    with (
+        _open_output(args.output) as out,
+        open(args.dominance_output, "w", newline="") if args.dominance_output
+        else contextlib.nullcontext() as dominance_out,
+    ):
+        rows, checks = [], []
+        for cfg, model_quantiles in zip(configs, models):
+            scaled, extra, dominance = run(cfg, raw_output)
+            row = {"ratio": cfg.p / cfg.n, "p": cfg.p, "n": cfg.n, "count": int(scaled.size),
+                   **extra}
+            for (q, label), model_q in zip(_LEVELS, model_quantiles):
+                row[f"{label}_empirical"] = float(np.quantile(scaled, q))
+                row[f"{label}_model"] = model_q
+            rows.append(row)
+            if dominance is not None:
+                checks.extend(asdict(check) for check in dominance.probes)
+        _emit(rows, list(rows[0]), out, args.format)
+        if dominance_out is not None and checks:
+            _emit(checks, list(checks[0]), dominance_out)
     return EXIT_OK
 
 
@@ -350,9 +375,7 @@ def cmd_gumbel_compare(args) -> int:
 
 
 def cmd_paired(args) -> int:
-    def run(cfg, raw_output):
-        if raw_output is not None:
-            raise UsageError("paired writes no raw samples; drop raw_output")
+    def run(cfg, raw_output):  # raw_output is None: _gumbel_sweep refuses it for paired
         rep = paired_bound_experiment(cfg)
         scaled = scaled_norm(np.sqrt(rep.sigma_sq), cfg.template_spec())
         return scaled, {"violations": rep.violations}, rep.dominance

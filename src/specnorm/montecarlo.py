@@ -12,11 +12,13 @@ the first pooled call and serves every later call with the same worker
 count, so a sweep pays process start-up once. Its workers stay until
 `shutdown_pool` or interpreter exit. Workers keep the module state they
 started with; a global changed in the parent afterwards does not reach
-them.
+them. On glibc, workers keep the heap their replicates free (see
+`_keep_freed_heap`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
@@ -27,11 +29,11 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from .extremes import DominanceReport, GumbelModel, b_statistic, dominance_check, gumbel_model
+from .extremes import DominanceReport, b_statistic, dominance_check, gumbel_model
 from .norms import NormResult, check_solver_settings, require_scalable, scaled_norm, spectral_norms
 from .sinekernel import k_estimate
 from .structured import (
@@ -198,6 +200,47 @@ def _replicate(cfg: ExperimentConfig, block: range) -> list[_Record]:
     ]
 
 
+def _minor_faults() -> int:
+    """Minor page faults this process has taken so far; 0 without getrusage
+    (Windows)."""
+    try:
+        import resource  # here, so that importing the package does not load it
+    except ImportError:
+        return 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _run_block(cfg: ExperimentConfig, block: range) -> tuple[list[_Record], int]:
+    """`_replicate(cfg, block)` and the minor page faults the process running
+    it took meanwhile (logged per run, kept out of the records)."""
+    before = _minor_faults()
+    records = _replicate(cfg, block)
+    return records, _minor_faults() - before
+
+
+# freed heap a pool worker keeps for its next replicate: glibc's ceiling for
+# its own dynamic mmap threshold
+_MALLOC_KEEP_BYTES = 32 * 2**20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def _keep_freed_heap() -> None:
+    """Pool worker initializer: pin glibc's mmap and trim thresholds at
+    _MALLOC_KEEP_BYTES, so arrays below it come from the heap and the heap
+    is not trimmed below it. Replicates then reuse the memory their
+    predecessors freed instead of unmapping it and faulting it in again;
+    results do not change. A no-op without glibc (macOS, musl)."""
+    import ctypes  # here, so that importing the package does not load it
+
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no C library by that name (Windows)
+        return
+    if hasattr(libc, "gnu_get_libc_version"):  # glibc, whose parameter numbers these are
+        libc.mallopt(_M_MMAP_THRESHOLD, _MALLOC_KEEP_BYTES)
+        libc.mallopt(_M_TRIM_THRESHOLD, _MALLOC_KEEP_BYTES)
+
+
 # this process's worker pool, ((pid, workers), pool), or None before the
 # first pooled call; _POOL_LOCK guards it and serializes pooled calls, and
 # is reentrant because a pooled call shuts a stale pool down under it
@@ -208,13 +251,14 @@ _POOL_LOCK = threading.RLock()
 def _pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
     """This process's pool of `workers` processes, and whether it was just
     started. A pool of another size is shut down first; a pool inherited
-    through fork belongs to the parent and is left to it."""
+    through fork belongs to the parent and is left to it. Workers start with
+    `_keep_freed_heap`; the calling process keeps its malloc settings."""
     global _POOL
     key = (os.getpid(), workers)
     if _POOL is not None and _POOL[0] == key:
         return _POOL[1], False
     shutdown_pool()
-    _POOL = (key, ProcessPoolExecutor(max_workers=workers))
+    _POOL = (key, ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_heap))
     return _POOL[1], True
 
 
@@ -228,19 +272,22 @@ def shutdown_pool() -> None:
         _POOL = None
 
 
-def _pooled(cfg: ExperimentConfig, blocks: list[range]) -> tuple[list[list[_Record]], bool]:
-    """The blocks' records in block order over the pool, and whether the
-    pool was started for this call. A pool that raises BrokenProcessPool is
-    dropped. If it was reused, the whole call reruns once on a new pool,
-    whatever broke it: a worker that died since the last call, or a worker
-    crashed by this call's own blocks, which then costs the call twice
-    before it raises. A pool started for this call raises at once."""
+def _pooled(
+    cfg: ExperimentConfig, blocks: list[range]
+) -> tuple[list[tuple[list[_Record], int]], bool]:
+    """The blocks' `_run_block` results in block order over the pool, and
+    whether the pool was started for this call. A pool that raises
+    BrokenProcessPool is dropped. If it was reused, the whole call reruns
+    once on a new pool, whatever broke it: a worker that died since the last
+    call, or a worker crashed by this call's own blocks, which then costs
+    the call twice before it raises. A pool started for this call raises at
+    once."""
     chunk = math.ceil(len(blocks) / (4 * cfg.workers))
     with _POOL_LOCK:
         while True:
             pool, started = _pool(cfg.workers)
             try:
-                return list(pool.map(_replicate, repeat(cfg), blocks, chunksize=chunk)), started
+                return list(pool.map(_run_block, repeat(cfg), blocks, chunksize=chunk)), started
             except BrokenProcessPool:
                 shutdown_pool()
                 if started:
@@ -256,20 +303,21 @@ def _collect(cfg: ExperimentConfig) -> list[_Record]:
     size = _block_rows(cfg)
     blocks = [range(lo, min(lo + size, cfg.replicates)) for lo in range(0, cfg.replicates, size)]
     if cfg.workers == 1 or len(blocks) == 1:
-        parts = [_replicate(cfg, block) for block in blocks]
+        parts = [_run_block(cfg, block) for block in blocks]
         how = "serial"
     else:
         parts, started = _pooled(cfg, blocks)
         how = f"{cfg.workers} workers, pool {'started' if started else 'reused'}"
     seconds = time.perf_counter() - t0
-    records = [rec for part in parts for rec in part]
+    records = [rec for part, _ in parts for rec in part]
+    faults = sum(count for _, count in parts) / cfg.replicates
     solves = ""
     if _needs_norm(cfg) and _log.isEnabledFor(logging.INFO):  # numpy's first median maps 0.7 MiB
         steps = [rec.steps for rec in records]
         solves = (f", steps median {np.median(steps):g} max {max(steps)}, "
                   f"residual max {max(rec.residual for rec in records):.3g}")
-    _log.info("%d replicates in %d blocks, %s: %.3f s%s",
-              cfg.replicates, len(blocks), how, seconds, solves)
+    _log.info("%d replicates in %d blocks, %s: %.3f s, %.1f minor faults per replicate%s",
+              cfg.replicates, len(blocks), how, seconds, faults, solves)
     return records
 
 
@@ -320,25 +368,28 @@ def _summarize(stat: str, values: np.ndarray, excluded: int) -> McSummary:
     )
 
 
-def _write_raw(path: str, cfg: ExperimentConfig, records: Sequence[_Record]) -> None:
+def _write_raw(fh: TextIO, cfg: ExperimentConfig, records: Sequence[_Record]) -> None:
     columns = [_statistic_value(cfg, stat, records).tolist() for stat in cfg.statistics]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["replicate", "statistic", "value", "flag"])
-        for i, rec in enumerate(records):
-            flag = "ok" if rec.converged else "excluded"
-            for stat, values in zip(cfg.statistics, columns):
-                writer.writerow([rec.replicate, stat, format(values[i], ".12g"), flag])
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["replicate", "statistic", "value", "flag"])
+    for i, rec in enumerate(records):
+        flag = "ok" if rec.converged else "excluded"
+        for stat, values in zip(cfg.statistics, columns):
+            writer.writerow([rec.replicate, stat, format(values[i], ".12g"), flag])
 
 
 def collect_samples(
     cfg: ExperimentConfig, raw_path: str | None = None
 ) -> tuple[dict[str, np.ndarray], int]:
     """Per-statistic sample arrays over converged replicates, plus the
-    excluded count. Raises ExperimentError past the 0.1% exclusion cap."""
-    records = _collect(cfg)
-    if raw_path is not None:
-        _write_raw(raw_path, cfg, records)
+    excluded count. Raises ExperimentError past the 0.1% exclusion cap.
+    raw_path is opened before the first replicate, so a path that cannot be
+    written fails at once; a run that fails afterwards leaves it empty."""
+    sink = open(raw_path, "w", newline="") if raw_path is not None else contextlib.nullcontext()
+    with sink as raw:
+        records = _collect(cfg)
+        if raw is not None:
+            _write_raw(raw, cfg, records)
     kept = _converged(cfg, records)
     samples = {stat: _statistic_value(cfg, stat, kept) for stat in cfg.statistics}
     return samples, cfg.replicates - len(kept)
@@ -381,11 +432,9 @@ class PairedReport:
     excluded: int
     violations: int
     max_deficit: float  # largest (bound - sigma^2) observed, <= _BOUND_SLACK when valid
-    model: GumbelModel
     dominance: DominanceReport | None
     sigma_sq: np.ndarray
     bounds: np.ndarray
-    centered_bounds: np.ndarray
 
 
 # tolerance of the per-draw inequality sigma^2 >= bound before a draw counts as a violation
@@ -410,15 +459,12 @@ def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
     sigma_sq = sigma * sigma
     bounds = np.array([cfg.p * rec.b_value for rec in kept])
     deficits = bounds - sigma_sq
-    centered = bounds / cfg.p - cfg.center()
     return PairedReport(
         count=len(kept),
         excluded=cfg.replicates - len(kept),
         violations=int(np.sum(deficits > _BOUND_SLACK)),
         max_deficit=float(np.max(deficits)),
-        model=model,
-        dominance=dominance_check(centered, model),
+        dominance=dominance_check(bounds / cfg.p - cfg.center(), model),
         sigma_sq=sigma_sq,
         bounds=bounds,
-        centered_bounds=centered,
     )

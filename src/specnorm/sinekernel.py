@@ -34,7 +34,9 @@ certified stationary at the inner tolerance, not one solved again.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,8 @@ __all__ = [
     "k_table",
     "i_value_direct",
 ]
+
+_log = logging.getLogger(__name__)
 
 _EPS = float(np.finfo(float).eps)
 # cap on the alternation sweeps of one estimate
@@ -247,4 +251,11 @@ def k_table(
         if abs(pr - pi) > 1e-9 or pi < 1:
             raise ValueError(f"ratio {r} does not give an integral row count at p_base={p_base}")
         counts.add(pi)
-    return [k_estimate(p, p_base, outer_tol=outer_tol)[0] for p in sorted(counts, reverse=True)]
+    rows = []
+    for p in sorted(counts, reverse=True):
+        t0 = time.perf_counter()
+        est, _ = k_estimate(p, p_base, outer_tol=outer_tol)
+        _log.info("K row p=%d n=%d: %d sweeps, %.3f s",
+                  p, p_base, est.outer_iterations, time.perf_counter() - t0)
+        rows.append(est)
+    return rows

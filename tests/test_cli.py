@@ -225,6 +225,23 @@ def test_norm_verbose_logs_the_block_solve(family, symmetric, n, capsys):
                         rf"{steps} max {steps}, dense extraction on \d+ of {steps} row-steps", line)
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["ktable", "--grid", "0.5:0.5:1", "--p-base", "40"],
+     r"specnorm\.sinekernel: K row p=(40|20) n=40: \d+ sweeps, \d+\.\d{3} s"),
+    (["theta", "--grid", "0.25:0.25:1"],
+     r"specnorm\.cli: theta row c=(0\.25|0\.5|0\.75|1): J=\d+ terms, \d+\.\d{3} s"),
+], ids=["ktable", "theta"])
+def test_table_commands_log_one_line_per_row(argv, line, capsys):
+    assert run_cli(*argv) == EXIT_OK
+    quiet = capsys.readouterr()
+    assert run_cli(*argv, "-v") == EXIT_OK
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out and quiet.err == ""
+    lines = loud.err.splitlines()
+    assert len(lines) == len(quiet.out.splitlines()) - 1  # the header is no row
+    assert all(re.fullmatch(line, text) for text in lines), lines
+
+
 MC_CONFIG = """# tiny smoke experiment
 family = circulant
 p = 16
@@ -401,6 +418,7 @@ def test_serial_mc_logs_each_block_solve(tmp_path, capsys, monkeypatch):
         steps.append(int(block[1]))
     # the run line summarizes the replicates' steps
     assert re.fullmatch(r"specnorm\.montecarlo: 10 replicates in 10 blocks, serial: \d+\.\d{3} s, "
+                        r"\d+\.\d minor faults per replicate, "
                         rf"steps median {np.median(steps):g} max {max(steps)}, residual max \S+",
                         lines[10]), lines[10]
 
@@ -431,7 +449,8 @@ def test_verbose_logs_runs_to_stderr_and_leaves_stdout_alone(tmp_path, capsys, c
     assert len(lines) == 2  # one per ratio
     for line in lines:
         assert re.fullmatch(r"specnorm\.montecarlo: 10 replicates in 2 blocks, 2 workers, "
-                            r"pool (started|reused): \d+\.\d{3} s, steps median \d+(\.5)? "
+                            r"pool (started|reused): \d+\.\d{3} s, "
+                            r"\d+\.\d minor faults per replicate, steps median \d+(\.5)? "
                             r"max \d+, residual max \S+", line), line
     assert "pool reused" in lines[1]
 
@@ -525,7 +544,9 @@ def test_paired_refusals(tmp_path):
     cfg.write_text("family = toeplitz\np = 8\nn = 16\nreplicates = 10\n")
     assert run_cli("paired", "--config", str(cfg)) == EXIT_USAGE
     cfg.write_text(f"family = circulant\np = 8\nn = 16\nraw_output = {tmp_path / 'raw.csv'}\n")
-    assert run_cli("paired", "--config", str(cfg)) == EXIT_USAGE
+    out = tmp_path / "out.csv"
+    assert run_cli("paired", "--config", str(cfg), "--output", str(out)) == EXIT_USAGE
+    assert not out.exists()  # refused before the outputs are opened
     cfg.write_text(SWEEP_CONFIG)
     code = run_cli("paired", "--config", str(cfg), "--dominance-output", str(tmp_path / "d.csv"))
     assert code == EXIT_USAGE
@@ -660,16 +681,27 @@ def test_csv_files_end_lines_with_newline_alone(tmp_path):
     assert all(len(read_csv(dom)) == 5 for dom in doms)
 
 
-def test_output_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+def test_output_in_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def solve(cfg, block):
+        raise AssertionError("a replicate ran")
+
+    # experiments open every output before their first replicate
+    monkeypatch.setattr(montecarlo, "_replicate", solve)
     missing = tmp_path / "missing"
-    cfg = tmp_path / "mc.cfg"
-    cfg.write_text(MC_CONFIG + f"raw_output = {missing / 'raw.csv'}\n")
-    for argv in (["theta", "--grid", "0.5:0:0.5", "--output", str(missing / "t.csv")],
-                 ["mc", "--config", str(cfg), "--output", str(tmp_path / "mc.csv")],
-                 ["paired", "--config", str(tmp_path / "p.cfg"),
-                  "--dominance-output", str(missing / "d.csv")]):
-        (tmp_path / "p.cfg").write_text("family = circulant\np = 16\nn = 32\nreplicates = 500\n")
-        assert run_cli(*argv) == EXIT_USAGE
+    bad = str(missing / "out.csv")
+    plain, raw = tmp_path / "plain.cfg", tmp_path / "raw.cfg"
+    plain.write_text("family = circulant\np = 16\nn = 32\nreplicates = 500\n")
+    raw.write_text(plain.read_text() + f"raw_output = {missing / 'raw.csv'}\n")
+    experiments = [["mc", "--config", str(raw)],
+                   ["mc", "--config", str(plain), "--output", bad],
+                   ["gumbel-compare", "--config", str(raw)],
+                   ["gumbel-compare", "--config", str(plain), "--output", bad],
+                   ["gumbel-compare", "--config", str(plain), "--dominance-output", bad],
+                   ["paired", "--config", str(plain), "--output", bad],
+                   ["paired", "--config", str(plain), "--dominance-output", bad]]
+    for argv in [["theta", "--grid", "0.5:0:0.5", "--output", bad]] + [
+            argv + ["--threads", "1"] for argv in experiments]:
+        assert run_cli(*argv) == EXIT_USAGE, argv
         err = capsys.readouterr().err
         assert f"specnorm: error: [Errno 2] No such file or directory: '{missing}" in err
         assert "Traceback" not in err

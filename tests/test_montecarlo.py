@@ -1,7 +1,10 @@
 import csv
+import logging
 import math
 import multiprocessing
 import os
+import platform
+import re
 import signal
 import subprocess
 import sys
@@ -378,8 +381,8 @@ def test_shutdown_pool_releases_the_workers(fresh_pool):
 
 def test_pool_that_breaks_in_its_first_call_raises(fresh_pool, monkeypatch):
     # a pool whose workers cannot start breaks in the call that started it
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda max_workers: ProcessPoolExecutor(
-        max_workers, initializer=os._exit, initargs=(1,)))
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda max_workers, initializer: (
+        ProcessPoolExecutor(max_workers, initializer=os._exit, initargs=(1,))))
     with pytest.raises(mc.BrokenProcessPool):
         mc._collect(POOLED)
     assert mc._POOL is None
@@ -418,6 +421,38 @@ def test_forked_child_starts_its_own_pool(fresh_pool):
     assert os.waitstatus_to_exitcode(status) == 0
     assert _paired_bytes(POOLED) == want
     assert _worker_pids() == parent_pids
+
+
+# bstat_large's draws: a replicate frees 0.5-1 MiB arrays, past glibc's default mmap threshold
+LARGE_B = ExperimentConfig(family="circulant", p=16384, n=65536, replicates=8, base_seed=3,
+                           statistics=("b_statistic",), workers=2)
+
+
+def _logged_faults(caplog, cfg):
+    """Minor page faults per replicate that `cfg`'s run line logs."""
+    caplog.clear()
+    mc._collect(cfg)
+    (line,) = [rec.getMessage() for rec in caplog.records if rec.name == mc.__name__]
+    return float(re.search(r"(\d+\.\d) minor faults per replicate", line)[1])
+
+
+def _spawned_pool(max_workers, initializer):
+    # fresh interpreters: forked workers would inherit the mmap threshold
+    # that glibc raised in this process as it freed earlier tests' large arrays
+    return ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=initializer)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_reused_pool_workers_keep_their_freed_heap(fresh_pool, caplog, monkeypatch):
+    caplog.set_level(logging.INFO, logger=mc.__name__)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _spawned_pool)
+    mc._collect(replace(LARGE_B, replicates=32))  # lets the workers' heaps settle
+    assert _logged_faults(caplog, LARGE_B) < 1
+    mc.shutdown_pool()
+    monkeypatch.setattr(mc, "_keep_freed_heap", os.getpid)  # a no-op initializer
+    mc._collect(replace(LARGE_B, replicates=32))
+    assert _logged_faults(caplog, LARGE_B) > 100
 
 
 def test_import_starts_no_process():
