@@ -24,10 +24,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .extremes import _theta_terms, dominance_check, g_c_quantile, gumbel_model, theta_c
+from .extremes import _DOMINANCE_SAMPLES, _theta_terms, dominance_check, g_c_quantile
+from .extremes import gumbel_model, theta_c
 from .montecarlo import (
     ExperimentConfig,
     ExperimentError,
+    _require_gaussian_circulant,
     collect_samples,
     n_for_ratio,
     paired_bound_experiment,
@@ -331,13 +333,15 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
     the shifted-Gumbel model's."""
     configs, raw_output = _experiment_configs(args, statistics)
     cfg = configs[0]
-    if cfg.family != "circulant" or cfg.symmetric or cfg.dist != "gaussian":
-        raise UsageError(f"{args.command} needs a non-symmetric Gaussian circulant")
     if args.command == "paired" and raw_output is not None:
         raise UsageError("paired writes no raw samples; drop raw_output")
-    # every point's model before any replicate runs: theta(c) refuses a c below its
-    # floor, and the square-root transform a negative radicand
+    if args.dominance_output and cfg.replicates < _DOMINANCE_SAMPLES:
+        raise UsageError(f"--dominance-output needs at least {_DOMINANCE_SAMPLES} replicates, "
+                         f"got {cfg.replicates}")
     try:
+        _require_gaussian_circulant(cfg, args.command)
+        # every point's model before any replicate runs: theta(c) refuses a c below
+        # its floor, and the square-root transform a negative radicand
         models = [[g_c_quantile(q, cfg.p / cfg.n, cfg.n) for q, _ in _LEVELS] for cfg in configs]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -346,7 +350,7 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
         open(args.dominance_output, "w", newline="") if args.dominance_output
         else contextlib.nullcontext() as dominance_out,
     ):
-        rows, checks = [], []
+        rows = []
         for cfg, model_quantiles in zip(configs, models):
             scaled, extra, dominance = run(cfg, raw_output)
             row = {"ratio": cfg.p / cfg.n, "p": cfg.p, "n": cfg.n, "count": int(scaled.size),
@@ -355,10 +359,9 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
                 row[f"{label}_empirical"] = float(np.quantile(scaled, q))
                 row[f"{label}_model"] = model_q
             rows.append(row)
-            if dominance is not None:
-                checks.extend(asdict(check) for check in dominance.probes)
         _emit(rows, list(rows[0]), out, args.format)
-        if dominance_out is not None and checks:
+        if dominance_out is not None:  # one run of 500 or more replicates: its check ran
+            checks = [asdict(check) for check in dominance.probes]
             _emit(checks, list(checks[0]), dominance_out)
     return EXIT_OK
 
@@ -366,10 +369,8 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
 def cmd_gumbel_compare(args) -> int:
     def run(cfg, raw_output):
         samples, _ = collect_samples(cfg, raw_path=raw_output)
-        dominance = None
-        if args.dominance_output:
-            dominance = dominance_check(samples["centered_norm_sq"], gumbel_model(cfg.p / cfg.n))
-        return samples["scaled_norm"], {}, dominance
+        model = gumbel_model(cfg.p / cfg.n)  # theta(c) is cached from the model pre-pass
+        return samples["scaled_norm"], {}, dominance_check(samples["centered_norm_sq"], model)
 
     return _gumbel_sweep(args, ("scaled_norm", "centered_norm_sq"), run)
 

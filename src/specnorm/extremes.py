@@ -220,6 +220,9 @@ class DominanceReport:
         return sum(1 for row in self.probes if row.flag)
 
 
+_DOMINANCE_SAMPLES = 500  # fewest samples a dominance check runs on
+
+
 def dominance_check(samples, model: GumbelModel) -> DominanceReport | None:
     """One-sided stochastic-dominance check of samples against the model at
     its 0.05, 0.25, 0.5, 0.75 and 0.95 quantiles, or None below 500 samples.
@@ -230,7 +233,7 @@ def dominance_check(samples, model: GumbelModel) -> DominanceReport | None:
     """
     s = np.sort(np.asarray(samples, dtype=float))
     m = s.size
-    if m < 500:
+    if m < _DOMINANCE_SAMPLES:
         return None
     rows = []
     for q in (0.05, 0.25, 0.5, 0.75, 0.95):

@@ -107,7 +107,9 @@ class ExperimentConfig:
         except ValueError as exc:  # name the config keys, norm_tol and norm_max_iter
             raise ValueError(f"norm_{exc}") from None
         if "b_statistic" in self.statistics:
-            _require_b_compatible(self)
+            _require_gaussian_circulant(self, "the lower-bound statistic")
+            if self.n % 2 != 0:
+                raise ValueError("the lower-bound statistic needs an even column count")
 
     def template_spec(self) -> MatrixSpec:
         return MatrixSpec(
@@ -123,11 +125,9 @@ class ExperimentConfig:
         return math.log(self.n / 2.0)
 
 
-def _require_b_compatible(cfg: ExperimentConfig) -> None:
+def _require_gaussian_circulant(cfg: ExperimentConfig, user: str) -> None:
     if cfg.family != "circulant" or cfg.symmetric or cfg.dist != "gaussian":
-        raise ValueError("the lower-bound statistic needs a non-symmetric Gaussian circulant")
-    if cfg.n % 2 != 0:
-        raise ValueError("the lower-bound statistic needs an even column count")
+        raise ValueError(f"{user} needs a non-symmetric Gaussian circulant")
 
 
 @dataclass(frozen=True)
@@ -154,22 +154,20 @@ class _Record:
     residual: float = 0.0  # its certified residual bound
 
 
-# bytes one block of replicates may hold (Krylov bases plus symbols and
-# spectra); a block has as many replicates as fit, and at least one
+# bytes one block of replicates may hold, counted at 96 per embedding entry;
+# a block has as many replicates as fit, and at least one
 _BLOCK_BYTES = 2**22
 
 
 def _block_rows(cfg: ExperimentConfig) -> int:
     """Replicates per block: as many as fit in _BLOCK_BYTES, and no more than
-    an equal share of the replicates per worker."""
-    spec = cfg.template_spec()
-    # per replicate: its symbol and diagonal, their stacked copy, and the
-    # work arrays of one product, about 72 bytes per embedding entry; the
-    # older count of 96 stays until block sizing is measured again
-    row_bytes = 96 * embedding_size(spec)
-    if _needs_norm(cfg):
-        row_bytes += 8 * spec.p * min(cfg.norm_max_iter, spec.p)  # a full basis
-    fit = max(1, _BLOCK_BYTES // row_bytes)
+    an equal share of the replicates per worker. Krylov bases are not charged:
+    at worst, every basis grown to p vectors (norms._BASIS_BYTES caps each), a
+    block holds 8 p^2 bytes more per replicate, 174 MB for 87 at p = 500."""
+    # 96 covers a replicate's symbol and DFT diagonal, their stacked copy and the
+    # lower bound's work (25-48 bytes per entry at peak); a norm's kernels and basis
+    # add 0.31-0.63 MB per replicate at p = 500, where bases stop at 64-96 vectors
+    fit = max(1, _BLOCK_BYTES // (96 * embedding_size(cfg.template_spec())))
     return min(fit, math.ceil(cfg.replicates / cfg.workers))
 
 

@@ -17,6 +17,7 @@ from .structured import (
     SymbolVector,
     matvec,
     require_integer,
+    replicate_stream,
     rmatvec,
     stack_symbols,
 )
@@ -73,11 +74,6 @@ class GramEigenpairs:
     converged: np.ndarray
     residuals: np.ndarray  # bounds ||G y - value y||; an eigenvalue of G lies this close
     dense_steps: np.ndarray  # steps whose Ritz pair took the dense extraction
-
-
-def _start_vector(seed: int, dim: int) -> np.ndarray:
-    key = np.array([seed, _START_STREAM], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(dim)
 
 
 def _grow(basis: np.ndarray, cap: int) -> np.ndarray:
@@ -429,8 +425,8 @@ def spectral_norms(
     """
     kernels, apply = _short_side_gram(sym, spec)
     count = sym.diag.shape[0]
-    start = np.broadcast_to(_start_vector(spec.seed, spec.p), (count, spec.p))
-    top = gram_lanczos(apply, kernels, start, tol, max_iter)
+    start = replicate_stream(spec.seed, _START_STREAM).standard_normal(spec.p)
+    top = gram_lanczos(apply, kernels, np.broadcast_to(start, (count, spec.p)), tol, max_iter)
     if _log.isEnabledFor(logging.INFO):  # numpy's first median maps 0.7 MiB
         _log.info(
             "norm block of %d rows: kernel length %d, steps median %g max %d, "

@@ -43,6 +43,7 @@ import numpy as np
 
 from .dft import autocorrelate, circular_convolve, convolve_full, toeplitz_spectrum
 from .norms import gram_lanczos
+from .structured import replicate_stream
 
 __all__ = [
     "ExtremalPair",
@@ -131,7 +132,7 @@ def principal_right_singular(
         raise ValueError("cols must be at least 1")
     wv = np.asarray(w, dtype=float)
     if start is None:
-        u = np.random.Generator(np.random.Philox(key=0x5EED)).standard_normal(cols)
+        u = replicate_stream(0x5EED).standard_normal(cols)
     else:
         u = np.asarray(start, dtype=float)
         if u.shape != (cols,):

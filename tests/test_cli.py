@@ -537,6 +537,20 @@ def test_paired_dominance_output(tmp_path):
     assert list(rows[0]) == ["x", "empirical_cdf", "gumbel_cdf", "diff", "flag"]
 
 
+@pytest.mark.parametrize("command", ["gumbel-compare", "paired"])
+def test_dominance_output_below_500_replicates_is_refused_before_any_replicate(
+        command, tmp_path, monkeypatch, capsys):
+    solved = []
+    monkeypatch.setattr(montecarlo, "_collect", solved.append)
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text("family = circulant\np = 16\nn = 32\nreplicates = 40\n")
+    dom = tmp_path / "d.csv"
+    assert run_cli(command, "--config", str(cfg), "--dominance-output", str(dom)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "specnorm: error: --dominance-output needs at least 500 replicates, got 40" in err
+    assert solved == [] and not dom.exists()
+
+
 def test_paired_refusals(tmp_path):
     cfg = tmp_path / "paired.cfg"
     cfg.write_text("family = circulant\np = 3\nreplicates = 10\nratios = 0.5, 0.6\n")

@@ -304,6 +304,31 @@ def test_small_block_budget_gives_one_row_blocks(monkeypatch):
         run_experiment(TINY)
 
 
+def test_block_rows_read_only_the_embedding_replicates_and_workers():
+    cfg = ExperimentConfig(family="circulant", p=500, n=1000, replicates=10_000, workers=2)
+    rows = mc._block_rows(cfg)
+    assert rows == 2**22 // (96 * 1000) == 43
+    # a Krylov basis is not charged: neither the step cap nor the statistics move it
+    for other in (replace(cfg, norm_max_iter=1), replace(cfg, norm_max_iter=100_000),
+                  replace(cfg, statistics=("b_statistic",)),
+                  replace(cfg, statistics=("scaled_norm", "b_statistic"))):
+        assert mc._block_rows(other) == rows
+    assert mc._block_rows(replace(cfg, replicates=41)) == 21  # an equal share per worker
+
+
+def test_block_rows_of_the_benchmark_and_published_configs():
+    # perfbench's paired_c7 and bstat_large as their timed runs set them (2 workers)
+    paired_c7 = ExperimentConfig(family="circulant", p=64, n=128, replicates=100, workers=2,
+                                 statistics=("scaled_norm", "b_statistic"))
+    bstat_large = ExperimentConfig(family="circulant", p=16384, n=65536, replicates=200,
+                                   workers=2, statistics=("b_statistic",))
+    assert mc._block_rows(paired_c7) == 50
+    assert mc._block_rows(bstat_large) == 1
+    # the published Toeplitz sweep's p at ratio 0.5
+    toeplitz = ExperimentConfig(family="toeplitz", p=500, n=1000, replicates=10_000, workers=2)
+    assert mc._block_rows(toeplitz) > 1
+
+
 def test_experiment_error_names_replayable_replicates():
     cfg = replace(TINY, replicates=8, norm_max_iter=1)
     with pytest.raises(ExperimentError) as exc:
