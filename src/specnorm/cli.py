@@ -128,11 +128,7 @@ def _resolve_seed(args) -> int:
 
 def cmd_ktable(args) -> int:
     try:
-        rows = k_table(
-            sorted(_parse_grid(args.grid), reverse=True),
-            p_base=args.p_base,
-            outer_tol=args.outer_tol,
-        )
+        rows = k_table(_parse_grid(args.grid), p_base=args.p_base, outer_tol=args.outer_tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     out = [
@@ -144,7 +140,7 @@ def cmd_ktable(args) -> int:
             "iterations": est.outer_iterations,
             "converged": est.converged,
         }
-        for est in sorted(rows, key=lambda est: est.ratio)
+        for est in rows
     ]
     with _open_output(args.output) as stream:
         _emit(out, ["ratio", "k_value", "bracket_lo", "bracket_hi", "iterations", "converged"],
@@ -274,6 +270,8 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
     given statistics if any, and the raw_output path."""
     data = load_config(args.config)
     raw_output = data.pop("raw_output", None)
+    if raw_output is not None and not isinstance(raw_output, str):
+        raise UsageError(f"raw_output must be a path, got {raw_output!r}")
     try:
         ratios = _as_tuple(data.pop("ratios", ()), float)
         if ratios and raw_output is not None:

@@ -29,22 +29,21 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .extremes import DominanceReport, b_statistic, dominance_check, gumbel_model
-from .norms import NormResult, check_solver_settings, require_scalable, scaled_norm, spectral_norms
+from .norms import check_solver_settings, require_scalable, scaled_norm, spectral_norms
 from .sinekernel import k_estimate
 from .structured import (
     _CIRCULANT_LIKE,
     MatrixSpec,
     ResourceLimitError,
-    build_symbol,
+    build_symbols,
     embedding_size,
     replicate_stream,
     require_integer,
-    stack_symbols,
 )
 
 __all__ = [
@@ -144,16 +143,6 @@ class McSummary:
     q95: float
 
 
-@dataclass(frozen=True)
-class _Record:
-    replicate: int
-    sigma_max: float  # nan when not computed
-    b_value: float  # nan when not computed
-    converged: bool
-    steps: int = 0  # Krylov steps of the norm solve, 0 when not computed
-    residual: float = 0.0  # its certified residual bound
-
-
 # bytes one block of replicates may hold, counted at 96 per embedding entry;
 # a block has as many replicates as fit, and at least one
 _BLOCK_BYTES = 2**22
@@ -164,9 +153,10 @@ def _block_rows(cfg: ExperimentConfig) -> int:
     an equal share of the replicates per worker. Krylov bases are not charged:
     at worst, every basis grown to p vectors (norms._BASIS_BYTES caps each), a
     block holds 8 p^2 bytes more per replicate, 174 MB for 87 at p = 500."""
-    # 96 covers a replicate's symbol and DFT diagonal, their stacked copy and the
-    # lower bound's work (25-48 bytes per entry at peak); a norm's kernels and basis
-    # add 0.31-0.63 MB per replicate at p = 500, where bases stop at 64-96 vectors
+    # 96 covers, per embedding entry, a replicate's symbol and DFT diagonal (24
+    # bytes, 32-36 at the draw's peak), the first columns' product pair (25 more)
+    # or the lower bound's work (36 at peak); a norm's kernels and basis add
+    # 0.31-0.63 MB per replicate at p = 500, where bases stop at 64-96 vectors
     fit = max(1, _BLOCK_BYTES // (96 * embedding_size(cfg.template_spec())))
     return min(fit, math.ceil(cfg.replicates / cfg.workers))
 
@@ -175,27 +165,25 @@ def _needs_norm(cfg: ExperimentConfig) -> bool:
     return any(stat != "b_statistic" for stat in cfg.statistics)
 
 
-def _replicate(cfg: ExperimentConfig, block: range) -> list[_Record]:
-    """Replicates `block`: each drawn from its own stream, their norms solved
-    as one block, then the lower-bound statistic per replicate, as
-    cfg.statistics need."""
+def _replicate(cfg: ExperimentConfig, block: range) -> dict[str, np.ndarray]:
+    """Replicates `block`, drawn as one stack with each row from its own
+    stream, their norms solved as one block, then the lower-bound statistic
+    per replicate, as cfg.statistics need. One array per quantity, one entry
+    per replicate: "sigma" and "b" (nan when not computed), the norm solve's
+    "steps" and certified "residual" (0 when not computed) and "converged"."""
     spec = cfg.template_spec()
-    syms = [build_symbol(spec, replicate_stream(cfg.base_seed, r)) for r in block]
-    norms = [NormResult(math.nan, 0, True, 0.0)] * len(syms)
+    sym = build_symbols(spec, [replicate_stream(cfg.base_seed, r) for r in block])
+    count = len(block)
+    out = {"sigma": np.full(count, math.nan), "steps": np.zeros(count, dtype=int),
+           "residual": np.zeros(count), "converged": np.ones(count, dtype=bool),
+           "b": np.full(count, math.nan)}
     if _needs_norm(cfg):
-        norms = spectral_norms(stack_symbols(syms), spec, cfg.norm_tol, cfg.norm_max_iter)
-    want_b = "b_statistic" in cfg.statistics
-    return [
-        _Record(
-            replicate=r,
-            sigma_max=res.sigma_max,
-            b_value=b_statistic(sym.diag, cfg.p).value if want_b else math.nan,
-            converged=res.converged,
-            steps=res.iterations,
-            residual=res.residual,
-        )
-        for r, sym, res in zip(block, syms, norms)
-    ]
+        top = spectral_norms(sym, spec, cfg.norm_tol, cfg.norm_max_iter)
+        out.update(sigma=np.sqrt(top.values), steps=top.steps, residual=top.residuals,
+                   converged=top.converged)
+    if "b_statistic" in cfg.statistics:
+        out["b"] = np.array([b_statistic(diag, cfg.p).value for diag in sym.diag])
+    return out
 
 
 def _minor_faults() -> int:
@@ -208,12 +196,12 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _run_block(cfg: ExperimentConfig, block: range) -> tuple[list[_Record], int]:
+def _run_block(cfg: ExperimentConfig, block: range) -> tuple[dict[str, np.ndarray], int]:
     """`_replicate(cfg, block)` and the minor page faults the process running
-    it took meanwhile (logged per run, kept out of the records)."""
+    it took meanwhile (logged per run, kept out of the arrays)."""
     before = _minor_faults()
-    records = _replicate(cfg, block)
-    return records, _minor_faults() - before
+    arrays = _replicate(cfg, block)
+    return arrays, _minor_faults() - before
 
 
 # freed heap a pool worker keeps for its next replicate: glibc's ceiling for
@@ -272,7 +260,7 @@ def shutdown_pool() -> None:
 
 def _pooled(
     cfg: ExperimentConfig, blocks: list[range]
-) -> tuple[list[tuple[list[_Record], int]], bool]:
+) -> tuple[list[tuple[dict[str, np.ndarray], int]], bool]:
     """The blocks' `_run_block` results in block order over the pool, and
     whether the pool was started for this call. A pool that raises
     BrokenProcessPool is dropped. If it was reused, the whole call reruns
@@ -292,11 +280,11 @@ def _pooled(
                     raise
 
 
-def _collect(cfg: ExperimentConfig) -> list[_Record]:
-    """All replicates in index order, block by block, serially or over
-    cfg.workers processes. A replicate's record does not depend on the
-    block it falls in, so neither the block size nor the worker count
-    changes any result."""
+def _collect(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
+    """The `_replicate` arrays of all replicates, entry r for replicate r,
+    block by block, serially or over cfg.workers processes. A replicate's
+    entries do not depend on the block it falls in, so neither the block
+    size nor the worker count changes any result."""
     t0 = time.perf_counter()
     size = _block_rows(cfg)
     blocks = [range(lo, min(lo + size, cfg.replicates)) for lo in range(0, cfg.replicates, size)]
@@ -307,28 +295,27 @@ def _collect(cfg: ExperimentConfig) -> list[_Record]:
         parts, started = _pooled(cfg, blocks)
         how = f"{cfg.workers} workers, pool {'started' if started else 'reused'}"
     seconds = time.perf_counter() - t0
-    records = [rec for part, _ in parts for rec in part]
+    arrays = {key: np.concatenate([part[key] for part, _ in parts]) for key in parts[0][0]}
     faults = sum(count for _, count in parts) / cfg.replicates
     solves = ""
     if _needs_norm(cfg) and _log.isEnabledFor(logging.INFO):  # numpy's first median maps 0.7 MiB
-        steps = [rec.steps for rec in records]
-        solves = (f", steps median {np.median(steps):g} max {max(steps)}, "
-                  f"residual max {max(rec.residual for rec in records):.3g}")
+        solves = (f", steps median {np.median(arrays['steps']):g} max {arrays['steps'].max()}, "
+                  f"residual max {arrays['residual'].max():.3g}")
     _log.info("%d replicates in %d blocks, %s: %.3f s, %.1f minor faults per replicate%s",
               cfg.replicates, len(blocks), how, seconds, faults, solves)
-    return records
+    return arrays
 
 
 # failed replicates named in an ExperimentError
 _NAMED_FAILURES = 5
 
 
-def _converged(cfg: ExperimentConfig, records: Sequence[_Record]) -> list[_Record]:
-    """The converged records; raises ExperimentError past the exclusion cap,
-    naming the first failed replicates by their (base_seed, replicate) pair."""
-    kept = [rec for rec in records if rec.converged]
-    failed = [rec.replicate for rec in records if not rec.converged]
-    if len(failed) > _EXCLUSION_CAP * cfg.replicates or not kept:
+def _converged(cfg: ExperimentConfig, converged: np.ndarray) -> np.ndarray:
+    """The mask of converged replicates; raises ExperimentError past the
+    exclusion cap, naming the first failed replicates by their
+    (base_seed, replicate) pair."""
+    failed = np.flatnonzero(~converged).tolist()
+    if len(failed) > _EXCLUSION_CAP * cfg.replicates or not converged.any():
         pairs = ", ".join(f"({cfg.base_seed}, {r})" for r in failed[:_NAMED_FAILURES])
         more = f" and {len(failed) - _NAMED_FAILURES} more" if len(failed) > _NAMED_FAILURES else ""
         raise ExperimentError(
@@ -337,18 +324,18 @@ def _converged(cfg: ExperimentConfig, records: Sequence[_Record]) -> list[_Recor
             "spectral_norm_fast(build_symbol(spec, replicate_stream(base_seed, replicate)), "
             "spec) with spec the config's matrix at seed base_seed"
         )
-    return kept
+    return converged
 
 
-def _statistic_value(cfg: ExperimentConfig, stat: str, records: Sequence[_Record]) -> np.ndarray:
-    """The statistic of each record, in record order."""
+def _statistic_value(cfg: ExperimentConfig, stat: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """The statistic of each replicate of the `_collect` arrays, in replicate order."""
     if stat == "scaled_norm":
-        return scaled_norm(np.array([rec.sigma_max for rec in records]), cfg.template_spec())
+        return scaled_norm(arrays["sigma"], cfg.template_spec())
     if stat == "centered_norm_sq":
-        sigma = np.array([rec.sigma_max for rec in records])
+        sigma = arrays["sigma"]
         return sigma * sigma / cfg.p - cfg.center()
     if stat == "b_statistic":
-        return np.array([rec.b_value for rec in records]) - cfg.center()
+        return arrays["b"] - cfg.center()
     raise ValueError(f"unknown statistic {stat!r}")
 
 
@@ -366,14 +353,14 @@ def _summarize(stat: str, values: np.ndarray, excluded: int) -> McSummary:
     )
 
 
-def _write_raw(fh: TextIO, cfg: ExperimentConfig, records: Sequence[_Record]) -> None:
-    columns = [_statistic_value(cfg, stat, records).tolist() for stat in cfg.statistics]
+def _write_raw(fh: TextIO, cfg: ExperimentConfig, arrays: dict[str, np.ndarray]) -> None:
+    columns = [_statistic_value(cfg, stat, arrays).tolist() for stat in cfg.statistics]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["replicate", "statistic", "value", "flag"])
-    for i, rec in enumerate(records):
-        flag = "ok" if rec.converged else "excluded"
+    for r, converged in enumerate(arrays["converged"].tolist()):
+        flag = "ok" if converged else "excluded"
         for stat, values in zip(cfg.statistics, columns):
-            writer.writerow([rec.replicate, stat, format(values[i], ".12g"), flag])
+            writer.writerow([r, stat, format(values[r], ".12g"), flag])
 
 
 def collect_samples(
@@ -385,12 +372,12 @@ def collect_samples(
     written fails at once; a run that fails afterwards leaves it empty."""
     sink = open(raw_path, "w", newline="") if raw_path is not None else contextlib.nullcontext()
     with sink as raw:
-        records = _collect(cfg)
+        arrays = _collect(cfg)
         if raw is not None:
-            _write_raw(raw, cfg, records)
-    kept = _converged(cfg, records)
-    samples = {stat: _statistic_value(cfg, stat, kept) for stat in cfg.statistics}
-    return samples, cfg.replicates - len(kept)
+            _write_raw(raw, cfg, arrays)
+    kept = _converged(cfg, arrays["converged"])
+    samples = {stat: _statistic_value(cfg, stat, arrays)[kept] for stat in cfg.statistics}
+    return samples, cfg.replicates - int(kept.sum())
 
 
 def run_experiment(cfg: ExperimentConfig, raw_path: str | None = None) -> dict[str, McSummary]:
@@ -451,15 +438,17 @@ def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
     """
     model = gumbel_model(cfg.p / cfg.n)
     cfg = replace(cfg, statistics=("scaled_norm", "b_statistic"))
-    kept = _converged(cfg, _collect(cfg))
+    arrays = _collect(cfg)
+    kept = _converged(cfg, arrays["converged"])
 
-    sigma = np.array([rec.sigma_max for rec in kept])
+    sigma = arrays["sigma"][kept]
     sigma_sq = sigma * sigma
-    bounds = np.array([cfg.p * rec.b_value for rec in kept])
+    bounds = cfg.p * arrays["b"][kept]
     deficits = bounds - sigma_sq
+    count = int(kept.sum())
     return PairedReport(
-        count=len(kept),
-        excluded=cfg.replicates - len(kept),
+        count=count,
+        excluded=cfg.replicates - count,
         violations=int(np.sum(deficits > _BOUND_SLACK)),
         max_deficit=float(np.max(deficits)),
         dominance=dominance_check(bounds / cfg.p - cfg.center(), model),

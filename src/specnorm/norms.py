@@ -19,7 +19,6 @@ from .structured import (
     require_integer,
     replicate_stream,
     rmatvec,
-    stack_symbols,
 )
 
 __all__ = [
@@ -248,9 +247,11 @@ def _combine(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 def check_solver_settings(tol: float, max_iter: int) -> None:
-    """Refuse a tolerance that is not positive or a step cap that is not an
-    integer of at least one."""
+    """Refuse a tolerance that is not a positive real number or a step cap
+    that is not an integer of at least one."""
     require_integer("max_iter", max_iter)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
@@ -412,15 +413,15 @@ def spectral_norms(
     spec: MatrixSpec,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-) -> list[NormResult]:
-    """Largest singular value of each row of a stacked symbol (see
-    :func:`spectral_norm_fast`), solved as one block of :func:`gram_lanczos`.
+) -> GramEigenpairs:
+    """Top eigenpair of A A^T for each row of a stacked symbol, solved as one
+    block of :func:`gram_lanczos`; ``values`` are the squared norms sigma^2.
 
     The Gram operator A A^T is applied on the short side, as p x p Toeplitz
     sections by :func:`_short_side_gram`, for every family and shape. Its
     kernels are taken once per block, and the core drops a row's kernels
     when the row stops. Every row starts from the vector of the spec seed,
-    so row i gets exactly the result ``spectral_norm_fast`` gives for
+    so row i gets exactly the solve ``spectral_norm_fast`` makes for
     symbol row i.
     """
     kernels, apply = _short_side_gram(sym, spec)
@@ -434,12 +435,7 @@ def spectral_norms(
             count, fast_length(2 * spec.p - 1), np.median(top.steps), top.steps.max(),
             top.dense_steps.sum(), top.steps.sum(),
         )
-    return [
-        NormResult(math.sqrt(value), int(steps), bool(converged), float(residual))
-        for value, steps, converged, residual in zip(
-            top.values, top.steps, top.converged, top.residuals
-        )
-    ]
+    return top
 
 
 def spectral_norm_fast(
@@ -462,8 +458,12 @@ def spectral_norm_fast(
     sigma_max^2, with tol clamped to [16 eps, 1e-8]; without that
     certificate after `max_iter` steps it has converged=False.
     """
-    (result,) = spectral_norms(stack_symbols([sym]), spec, tol, max_iter)
-    return result
+    stack = SymbolVector(values=sym.values[None], size=sym.size, diag=sym.diag[None])
+    top = spectral_norms(stack, spec, tol, max_iter)
+    return NormResult(
+        math.sqrt(top.values[0]), int(top.steps[0]), bool(top.converged[0]),
+        float(top.residuals[0]),
+    )
 
 
 def spectral_norm_dense(dense) -> NormResult:

@@ -237,7 +237,7 @@ def k_table(
 
     Each ratio r in (0, 1] must give an integral row count p = r * p_base;
     its row is the cold ``k_estimate(p, p_base)``. Rows are returned in
-    descending ratio, one per distinct row count. `p_step` is accepted and
+    ascending ratio, one per distinct row count. `p_step` is accepted and
     ignored: it set the step of a continuation that no longer runs, and
     stays only while the benchmark's `ktable` workload still passes it.
     """
@@ -253,7 +253,7 @@ def k_table(
             raise ValueError(f"ratio {r} does not give an integral row count at p_base={p_base}")
         counts.add(pi)
     rows = []
-    for p in sorted(counts, reverse=True):
+    for p in sorted(counts):
         t0 = time.perf_counter()
         est, _ = k_estimate(p, p_base, outer_tol=outer_tol)
         _log.info("K row p=%d n=%d: %d sweeps, %.3f s",

@@ -43,8 +43,8 @@ __all__ = [
     "draw_entries",
     "embedding_size",
     "build_symbol",
+    "build_symbols",
     "symbol_from_values",
-    "stack_symbols",
     "matvec",
     "rmatvec",
     "dense_materialize",
@@ -86,6 +86,8 @@ class MatrixSpec:
     def __post_init__(self):
         for name in ("p", "n", "seed"):
             require_integer(name, getattr(self, name))
+        if not isinstance(self.symmetric, (bool, np.bool_)):
+            raise ValueError(f"symmetric must be true or false, got {self.symmetric!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.dist not in DISTRIBUTIONS:
@@ -108,7 +110,7 @@ class SymbolVector:
 
     ``diag[j]`` is the unitary forward DFT of ``values``; for a real
     symbol it satisfies diag[size - j] = conj(diag[j]). A stack of symbols
-    (see :func:`stack_symbols`) holds one row per draw in ``values`` and
+    (see :func:`build_symbols`) holds one row per draw in ``values`` and
     ``diag``, both of shape (R, size).
     """
 
@@ -155,7 +157,7 @@ def _layout(spec: MatrixSpec, entries: np.ndarray) -> np.ndarray:
     if not spec.symmetric:
         return entries
     k = np.arange(embedding_size(spec))
-    return entries[np.minimum(k, k.size - k)]
+    return entries[..., np.minimum(k, k.size - k)]
 
 
 def _entry_count(spec: MatrixSpec) -> int:
@@ -176,6 +178,20 @@ def build_symbol(spec: MatrixSpec, rng: np.random.Generator | None = None) -> Sy
     return symbol_from_values(_layout(spec, entries), spec)
 
 
+def build_symbols(spec: MatrixSpec, rngs) -> SymbolVector:
+    """A stack of symbols for `spec`, one row per stream in `rngs`.
+
+    Row i of ``values`` and ``diag`` is bit for bit what
+    ``build_symbol(spec, rngs[i])`` draws: each stream gives its flat vector
+    of draws, and every row is laid out at once and takes one stacked
+    :func:`dft_forward`, whose rows equal their transforms on their own.
+    """
+    count = _entry_count(spec)
+    entries = np.stack([draw_entries(rng, spec.dist, count) for rng in rngs])
+    values = _layout(spec, entries)
+    return SymbolVector(values=values, size=embedding_size(spec), diag=dft_forward(values))
+
+
 def symbol_from_values(values, spec: MatrixSpec) -> SymbolVector:
     """Wrap an explicit symbol row (mainly for fixtures and oracles)."""
     v = np.asarray(values, dtype=float)
@@ -183,16 +199,6 @@ def symbol_from_values(values, spec: MatrixSpec) -> SymbolVector:
     if v.shape != (size,):
         raise ValueError(f"symbol must have length {size}, got {v.shape}")
     return SymbolVector(values=v, size=size, diag=dft_forward(v))
-
-
-def stack_symbols(symbols) -> SymbolVector:
-    """One stacked symbol whose rows are the given symbols of one spec."""
-    symbols = list(symbols)
-    return SymbolVector(
-        values=np.stack([sym.values for sym in symbols]),
-        size=symbols[0].size,
-        diag=np.stack([sym.diag for sym in symbols]),
-    )
 
 
 def _operand(v, length: int, sym: SymbolVector, name: str) -> np.ndarray:

@@ -60,9 +60,9 @@ def test_ktable_malformed_grid(capsys):
 
 
 def test_ktable_ratio_out_of_range(capsys):
-    # k_table checks the ratios from the largest down, so it names 2.0
+    # k_table checks the ratios in grid order, so it names the first past 1
     assert run_cli("ktable", "--grid", "0.5:0.5:2") == EXIT_USAGE
-    assert "ratios must lie in (0, 1], got 2.0" in capsys.readouterr().err
+    assert "ratios must lie in (0, 1], got 1.5" in capsys.readouterr().err
 
 
 def test_ktable_p_step_is_refused(capsys):
@@ -651,6 +651,29 @@ def test_config_refuses_a_non_integer_count_by_name(line, message, tmp_path, cap
     assert run_cli("mc", "--config", str(cfg)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"specnorm: error: invalid experiment config: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("symmetric = False", "symmetric must be true or false, got 'False'"),
+    ("symmetric = no", "symmetric must be true or false, got 'no'"),
+    ('symmetric = "false"', "symmetric must be true or false, got 'false'"),
+    ("norm_tol = true", "norm_tol must be a real number, got True"),
+    ('norm_tol = "1e-8"', "norm_tol must be a real number, got '1e-8'"),
+    ("raw_output = 1", "raw_output must be a path, got 1"),
+    ("raw_output = 99", "raw_output must be a path, got 99"),
+])
+def test_config_value_of_the_wrong_type_is_refused_by_name_before_any_replicate(
+        line, message, tmp_path, monkeypatch, capsys):
+    def solve(cfg, block):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(montecarlo, "_replicate", solve)
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(f"family = circulant\np = 8\nn = 16\nreplicates = 4\n{line}\n")
+    assert run_cli("mc", "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "specnorm: error: " in err and message in err
     assert "Traceback" not in err
 
 

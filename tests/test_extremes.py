@@ -16,7 +16,7 @@ from specnorm.extremes import (
     kernel_from_projection,
     theta_c,
 )
-from specnorm.structured import MatrixSpec, build_symbol, stack_symbols
+from specnorm.structured import MatrixSpec, build_symbol, build_symbols, replicate_stream
 
 TABLE = {
     0.1: 18.42,
@@ -227,7 +227,7 @@ def test_b_statistic_dominates_max_power():
 
 def test_b_statistic_rejects_a_stack_of_diagonals():
     spec = MatrixSpec("circulant", p=4, n=8, seed=2)
-    stacked = stack_symbols([build_symbol(spec), build_symbol(spec)])
+    stacked = build_symbols(spec, [replicate_stream(2), replicate_stream(2)])
     with pytest.raises(ValueError, match=r"\(2, 8\)"):
         b_statistic(stacked.diag, 4)
 

@@ -76,8 +76,10 @@ def test_exclusion_accounting(monkeypatch):
     monkeypatch.setattr(mc, "_EXCLUSION_CAP", 1.0)
 
     def fake_replicate(cfg, block):
-        return [mc._Record(replicate=r, sigma_max=1.0 + r, b_value=math.nan,
-                           converged=(r % 5 != 0)) for r in block]
+        r = np.array(block)
+        return {"sigma": 1.0 + r, "steps": np.zeros(r.size, dtype=int),
+                "residual": np.zeros(r.size), "converged": r % 5 != 0,
+                "b": np.full(r.size, math.nan)}
 
     monkeypatch.setattr(mc, "_replicate", fake_replicate)
     cfg = replace(TINY, replicates=20)
@@ -253,12 +255,13 @@ C7 = ExperimentConfig(family="circulant", p=64, n=128, replicates=100, base_seed
 
 def test_engine_records_equal_single_solves_bit_for_bit():
     spec = C7.template_spec()
-    for rec in mc._collect(C7):
-        sym = build_symbol(spec, replicate_stream(C7.base_seed, rec.replicate))
+    arrays = mc._collect(C7)
+    for r in range(C7.replicates):
+        sym = build_symbol(spec, replicate_stream(C7.base_seed, r))
         res = spectral_norm_fast(sym, spec, tol=C7.norm_tol, max_iter=C7.norm_max_iter)
-        assert np.float64(rec.sigma_max).tobytes() == np.float64(res.sigma_max).tobytes()
-        assert (rec.steps, rec.converged) == (res.iterations, res.converged)
-        assert np.float64(rec.residual).tobytes() == np.float64(res.residual).tobytes()
+        assert arrays["sigma"][r].tobytes() == np.float64(res.sigma_max).tobytes()
+        assert (arrays["steps"][r], arrays["converged"][r]) == (res.iterations, res.converged)
+        assert arrays["residual"][r].tobytes() == np.float64(res.residual).tobytes()
 
 
 def _paired_bytes(cfg):
@@ -281,14 +284,14 @@ def test_block_keeps_exclusions_per_row(monkeypatch):
     # rows of one block stop at different steps; the slowest hit max_iter
     monkeypatch.setattr(mc, "_EXCLUSION_CAP", 1.0)
     cfg = replace(TINY, replicates=24)
-    steps = [rec.steps for rec in mc._collect(cfg)]
+    steps = mc._collect(cfg)["steps"].tolist()
     cap = max(steps) - 1
     assert min(steps) < cap
     capped = replace(cfg, norm_max_iter=cap)
     assert mc._block_rows(capped) == capped.replicates
-    records = mc._collect(capped)
-    assert [rec.converged for rec in records] == [s <= cap for s in steps]
-    assert [rec.steps for rec in records] == [min(s, cap) for s in steps]
+    arrays = mc._collect(capped)
+    assert arrays["converged"].tolist() == [s <= cap for s in steps]
+    assert arrays["steps"].tolist() == [min(s, cap) for s in steps]
     summary = run_experiment(capped)["scaled_norm"]
     assert summary.excluded == sum(s > cap for s in steps) >= 1
     assert summary.count + summary.excluded == capped.replicates
@@ -423,9 +426,8 @@ def test_worker_exception_leaves_the_pool_usable(fresh_pool, monkeypatch):
     pids = _worker_pids()
     with pytest.raises(ResourceLimitError):
         mc._collect(replace(small, p=32, n=64))
-    records = mc._collect(small)
-    assert [rec.sigma_max for rec in records] == [
-        rec.sigma_max for rec in mc._collect(replace(small, workers=1))]
+    sigma = mc._collect(small)["sigma"]
+    assert sigma.tolist() == mc._collect(replace(small, workers=1))["sigma"].tolist()
     assert _worker_pids() == pids
 
 

@@ -11,9 +11,9 @@ from specnorm.structured import (
     MatrixSpec,
     ResourceLimitError,
     build_symbol,
+    build_symbols,
     dense_materialize,
     replicate_stream,
-    stack_symbols,
     symbol_from_values,
 )
 
@@ -177,10 +177,10 @@ def _is_5_smooth(m):
 def test_short_side_makes_one_product_pair_per_solve(monkeypatch, family, symmetric, p, n):
     calls, sizes = _count_products_and_gram_calls(monkeypatch)
     spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=3)
-    stack = stack_symbols([build_symbol(spec, replicate_stream(3, r)) for r in range(6)])
+    stack = build_symbols(spec, [replicate_stream(3, r) for r in range(6)])
     block = norms.spectral_norms(stack, spec)
     # one stacked pair for the first columns, then one Gram call per step
-    assert calls == {"matvec": 1, "rmatvec": 1, "gram": max(res.iterations for res in block)}
+    assert calls == {"matvec": 1, "rmatvec": 1, "gram": block.steps.max()}
     # every convolution has the 5-smooth kernel length fast_length(2p - 1) = 40
     assert sizes and all(_is_5_smooth(size) for size in sizes)
 
@@ -207,7 +207,8 @@ def _gram_shapes():
 def test_short_side_gram_matches_dense(family, symmetric, p, n):
     spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=11)
     syms = [build_symbol(spec, replicate_stream(11, r)) for r in range(3)]
-    kernels, apply = norms._short_side_gram(stack_symbols(syms), spec)
+    kernels, apply = norms._short_side_gram(
+        build_symbols(spec, [replicate_stream(11, r) for r in range(3)]), spec)
     y = np.random.default_rng(p + n).standard_normal((3, p))
     got = apply(kernels, y)
     for sym, row, out in zip(syms, y, got):
@@ -263,7 +264,8 @@ def test_every_convolution_has_length_fast_length_of_2p_minus_1(monkeypatch, fam
 def test_every_row_of_a_block_of_20_matches_dense_and_its_single_solve(family, symmetric, p, n):
     spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=31)
     syms = [build_symbol(spec, replicate_stream(31, r)) for r in range(20)]
-    block = norms.spectral_norms(stack_symbols(syms), spec)
+    block = _rows(norms.spectral_norms(
+        build_symbols(spec, [replicate_stream(31, r) for r in range(20)]), spec))
     assert len({res.iterations for res in block}) > 1  # the kernels shrink on the way
     for r, (sym, res) in enumerate(zip(syms, block)):
         oracle = spectral_norm_dense(dense_materialize(sym, spec)).sigma_max
@@ -396,6 +398,16 @@ def test_dense_size_guard():
         spectral_norm_dense(big)
 
 
+def _rows(top):
+    """The rows of a block solve as the NormResults of single solves."""
+    return [
+        NormResult(math.sqrt(value), int(steps), bool(converged), float(residual))
+        for value, steps, converged, residual in zip(
+            top.values, top.steps, top.converged, top.residuals
+        )
+    ]
+
+
 def _bits(result):
     return (
         np.float64(result.sigma_max).tobytes(),
@@ -420,7 +432,8 @@ def test_block_rows_equal_their_single_solves_bit_for_bit():
         for size in (1, 4, 9):
             block = []
             for lo in range(0, 9, size):
-                block += norms.spectral_norms(stack_symbols(syms[lo : lo + size]), spec)
+                streams = [replicate_stream(stream, r) for r in range(lo, min(lo + size, 9))]
+                block += _rows(norms.spectral_norms(build_symbols(spec, streams), spec))
             assert [_bits(res) for res in block] == [_bits(res) for res in single], (spec, size)
 
 
@@ -430,7 +443,8 @@ def test_block_row_stopped_by_max_iter_is_flagged_alone():
     steps = [spectral_norm_fast(sym, spec).iterations for sym in syms]
     cap = max(steps) - 1
     assert min(steps) < cap
-    block = norms.spectral_norms(stack_symbols(syms), spec, max_iter=cap)
+    stack = build_symbols(spec, [replicate_stream(5, r) for r in range(12)])
+    block = _rows(norms.spectral_norms(stack, spec, max_iter=cap))
     assert [res.converged for res in block] == [s <= cap for s in steps]
     assert [res.iterations for res in block] == [min(s, cap) for s in steps]
     capped = [spectral_norm_fast(sym, spec, max_iter=cap) for sym in syms]
@@ -439,10 +453,10 @@ def test_block_row_stopped_by_max_iter_is_flagged_alone():
 
 def test_block_basis_past_its_byte_budget_is_refused(monkeypatch):
     spec = MatrixSpec("toeplitz", p=12, n=25, seed=1)
-    stack = stack_symbols([build_symbol(spec, replicate_stream(1, r)) for r in range(3)])
+    stack = build_symbols(spec, [replicate_stream(1, r) for r in range(3)])
     # the budget holds per row: three vectors each, whatever the block size
     monkeypatch.setattr(norms, "_BASIS_BYTES", 3 * 12 * 8)
-    assert [res.iterations for res in norms.spectral_norms(stack, spec, max_iter=3)] == [3] * 3
+    assert norms.spectral_norms(stack, spec, max_iter=3).steps.tolist() == [3] * 3
     with pytest.raises(ResourceLimitError):
         norms.spectral_norms(stack, spec)
 

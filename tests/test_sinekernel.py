@@ -272,7 +272,7 @@ def test_k_estimate_near_square_reference_value():
 def test_k_table_rows_are_cold_estimates():
     # p_step is accepted and ignored
     rows = k_table([0.25, 1.0, 0.5, 0.5], p_base=120, p_step=7)
-    assert [est.p for est in rows] == [120, 60, 30]  # descending, one per ratio
+    assert [est.p for est in rows] == [30, 60, 120]  # ascending, one per ratio
     for est in rows:
         assert est == k_estimate(est.p, 120)[0]  # every field, bit for bit
         assert est.converged and est.outer_iterations <= 5
@@ -280,7 +280,7 @@ def test_k_table_rows_are_cold_estimates():
 
 def test_k_table_monotone_in_ratio():
     rows = k_table([1.0, 0.8, 0.6, 0.4, 0.2], p_base=200)
-    values = [est.k_value for est in rows]  # descending ratio order
+    values = [est.k_value for est in rows]  # ascending ratio order
     assert all(est.converged for est in rows)
-    for hi_ratio, lo_ratio in zip(values, values[1:]):
+    for lo_ratio, hi_ratio in zip(values, values[1:]):
         assert lo_ratio >= hi_ratio - 1e-4

@@ -8,6 +8,7 @@ from specnorm.structured import (
     MatrixSpec,
     ResourceLimitError,
     build_symbol,
+    build_symbols,
     dense_materialize,
     draw_entries,
     embedding_size,
@@ -15,7 +16,6 @@ from specnorm.structured import (
     projection_entry,
     replicate_stream,
     rmatvec,
-    stack_symbols,
     symbol_from_values,
 )
 
@@ -240,11 +240,35 @@ def test_spec_refuses_a_non_integer_shape_or_seed_by_name(field, value):
     assert MatrixSpec("toeplitz", p=np.int64(2), n=np.int32(5), seed=np.uint64(1)).p == 2
 
 
+@pytest.mark.parametrize("value", [0, 1, "false", None])
+def test_spec_refuses_a_symmetric_flag_that_is_not_a_bool(value):
+    with pytest.raises(ValueError, match=rf"^symmetric must be true or false, got {value!r}$"):
+        MatrixSpec("circulant", p=2, n=4, symmetric=value)
+    # numpy bools are bools
+    assert MatrixSpec("circulant", p=2, n=4, symmetric=np.bool_(True)).symmetric
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+@pytest.mark.parametrize("rows", [1, 4])
+def test_build_symbols_rows_equal_build_symbol_bit_for_bit(family, symmetric, dist, rows):
+    # 7 x 19: embedding sizes 26, 38 and 19, odd and even
+    spec = MatrixSpec(family, p=7, n=19, symmetric=symmetric, dist=dist, seed=23)
+    stack = build_symbols(spec, [replicate_stream(23, r) for r in range(rows)])
+    assert stack.size == embedding_size(spec)
+    assert stack.values.shape == stack.diag.shape == (rows, stack.size)
+    for r in range(rows):
+        sym = build_symbol(spec, replicate_stream(23, r))
+        assert stack.values[r].tobytes() == sym.values.tobytes()
+        assert stack.diag[r].tobytes() == sym.diag.tobytes()
+
+
 @pytest.mark.parametrize("family", ["toeplitz", "hankel", "circulant", "reverse_circulant"])
 def test_stacked_products_equal_row_products_bit_for_bit(family):
     spec = MatrixSpec(family, p=7, n=19)
     syms = [build_symbol(spec, replicate_stream(17, r)) for r in range(5)]
-    stack = stack_symbols(syms)
+    stack = build_symbols(spec, [replicate_stream(17, r) for r in range(5)])
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal((5, spec.n)), rng.standard_normal((5, spec.p))
     ax, aty = matvec(stack, spec, x), rmatvec(stack, spec, y)
