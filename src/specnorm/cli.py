@@ -24,7 +24,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .extremes import _DOMINANCE_SAMPLES, _theta_terms, dominance_check, g_c_quantile
+from .extremes import _DOMINANCE_SAMPLES, dominance_check, g_c_quantile
 from .extremes import gumbel_model, theta_c
 from .montecarlo import (
     ExperimentConfig,
@@ -115,15 +115,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SPECNORM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"SPECNORM_SEED must be an integer, got {env!r}") from None
-    return _DEFAULT_SEED
+    return _DEFAULT_SEED if args.seed is None else args.seed
 
 
 def cmd_ktable(args) -> int:
@@ -157,11 +149,10 @@ def cmd_theta(args) -> int:
     for c in grid:
         t0 = time.perf_counter()
         try:
-            rows.append({"c": c, "theta": theta_c(c, args.tol)})
-        except ValueError as exc:  # a tol that is not positive, or a c past the term cap
+            rows.append({"c": c, "theta": theta_c(c)})
+        except ValueError as exc:  # a c that is no p/n with n <= 2^20
             raise UsageError(str(exc)) from None
-        _log.info("theta row c=%.12g: J=%d terms, %.3f s",
-                  c, _theta_terms(c, args.tol), time.perf_counter() - t0)
+        _log.info("theta row c=%.12g: %.3f s", c, time.perf_counter() - t0)
     with _open_output(args.output) as out:
         _emit(rows, ["c", "theta"], out, args.format)
     return EXIT_OK
@@ -259,10 +250,20 @@ def load_config(path: str) -> dict:
 
 def _as_tuple(value, cast) -> tuple:
     if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
+        value = [part.strip() for part in value.split(",") if part.strip()]
     if not isinstance(value, (list, tuple)):
         value = [value]
     return tuple(cast(part) for part in value)
+
+
+def _ratio(item) -> float:
+    """A sweep ratio: a number, or a string that spells one (not a bool)."""
+    try:
+        if isinstance(item, bool):
+            raise TypeError
+        return float(item)
+    except (TypeError, ValueError):
+        raise UsageError(f"ratios must be real numbers, got {item!r}") from None
 
 
 def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
@@ -273,7 +274,7 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
     if raw_output is not None and not isinstance(raw_output, str):
         raise UsageError(f"raw_output must be a path, got {raw_output!r}")
     try:
-        ratios = _as_tuple(data.pop("ratios", ()), float)
+        ratios = _as_tuple(data.pop("ratios", ()), _ratio)
         if ratios and raw_output is not None:
             raise UsageError("raw_output needs a single-experiment config, not a sweep")
         if ratios and getattr(args, "dominance_output", None):
@@ -286,6 +287,8 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
             raise UsageError(f"--seed {args.seed} and the config's seed = {data['seed']} "
                              "both set the seed; give one")
         data["base_seed"] = data.pop("seed") if "seed" in data else _resolve_seed(args)
+        if args.threads < 1:  # the experiment's workers, which no config key sets
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         data["workers"] = args.threads
         if "p" not in data:
             raise UsageError("config must set p")
@@ -338,8 +341,8 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
                          f"got {cfg.replicates}")
     try:
         _require_gaussian_circulant(cfg, args.command)
-        # every point's model before any replicate runs: theta(c) refuses a c below
-        # its floor, and the square-root transform a negative radicand
+        # every point's model before any replicate runs: theta(c) refuses a c that is
+        # no p/n with n <= 2^20, and the square-root transform a negative radicand
         models = [[g_c_quantile(q, cfg.p / cfg.n, cfg.n) for q, _ in _LEVELS] for cfg in configs]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -391,8 +394,7 @@ def build_parser() -> _Parser:
                         help="log each norm block and Monte Carlo run to stderr")
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None,
-                        help="seed (default: the config's seed, else $SPECNORM_SEED, "
-                        "else %d)" % _DEFAULT_SEED)
+                        help="seed (default: the config's seed, else %d)" % _DEFAULT_SEED)
     pooled = _Parser(add_help=False)
     pooled.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker processes for the replicates")
@@ -408,7 +410,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("theta", parents=[common], help="Gumbel shift table over a ratio grid")
     p.add_argument("--grid", required=True, help="aspect-ratio grid start:step:stop")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("norm", parents=[common, seeded], help="spectral norm of one random draw")

@@ -33,8 +33,6 @@ __all__ = [
     "dominance_check",
 ]
 
-_CHUNK = 1 << 21
-
 
 @dataclass(frozen=True)
 class GumbelModel:
@@ -50,72 +48,38 @@ class GumbelModel:
             raise ValueError("theta must be nonnegative")
 
 
-# truncation lengths past this many terms are refused; summing this many
-# takes about 2.4 s on one Xeon core
-_THETA_MAX_TERMS = 2**26
-
-
-def _theta_terms(c: float, tol: float) -> float:
-    """Truncation length J of theta_c at (c, tol); inf past the float range."""
-    bound = 3.0 * (c * math.pi) ** 4 * tol
-    j = max(10.0 / c, (4.0 / bound) ** (1.0 / 3.0) if bound > 0 else math.inf, 8)
-    return math.ceil(j) if j < math.inf else j
-
-
-def _theta_c_floor(tol: float) -> float:
-    """Smallest aspect ratio whose truncation fits in _THETA_MAX_TERMS at tol."""
-    cap = _THETA_MAX_TERMS
-    c = max(10.0 / cap, (4.0 / (3.0 * tol * cap**3)) ** 0.25 / math.pi)
-    while _theta_terms(c, tol) > cap:  # undo rounding in the closed form
-        c = math.nextafter(c, math.inf)
-    return c
-
-
 @lru_cache(maxsize=512)
-def theta_c(c: float, tol: float = 1e-10) -> float:
+def theta_c(c: float) -> float:
     """Location shift theta(c) = -2 sum_{j>=1} log(1 - (sin(c pi j)/(c pi j))^2).
 
-    The sum is truncated at J terms and completed analytically: the linear
-    part of the tail has the closed form
+    For c = p/n in lowest terms, sin^2(pi c j) depends only on j mod n; the
+    class j = 0 adds nothing. Writing j = kn + r, the class of r sums over k
+    by Euler's sine product
 
-        sum_{j>J} (sin(c pi j)/(c pi j))^2 = (1-c)/(2c) - (partial sum),
+        prod_{k in Z} (1 - x^2/(k + y)^2) = 1 - sin^2(pi x)/sin^2(pi y)
 
-    so only the quadratic-and-higher remainder needs bounding. Each term
-    obeys -log(1-x) - x <= x^2/(1-x) with x <= 1/(c pi j)^2, giving a
-    remainder below 2/(3 (c pi)^4 J^3); J is chosen so this is under tol/2.
-    J grows like c^(-4/3) tol^(-1/3); past _THETA_MAX_TERMS terms the call
-    is refused with ValueError. Accuracy is limited to ~1e-12 by
-    double-precision summation.
+    at y = r/n and x = s_r = |sin(pi p r/n)|/(pi p), so
+
+        theta(p/n) = -sum_{r=1}^{n-1} log(1 - sin^2(pi s_r)/sin^2(pi r/n)),
+
+    n - 1 terms and no truncation. c is read as the fraction p/n with
+    n <= 2^20 that rounds to it; any other c is refused with ValueError.
+    Every angle is reduced to [0, pi/2] in integers (p r mod n, then
+    min(k, n - k) and min(r, n - r)), so the sum is exact up to rounding.
     """
     if not 0 < c <= 1:
         raise ValueError(f"aspect ratio must lie in (0, 1], got {c}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    big_j = _theta_terms(c, tol)
-    if big_j > _THETA_MAX_TERMS:
-        floor = _theta_c_floor(tol)
-        accepted = (f"the smallest c accepted at this tol is {floor!r}" if floor <= 1
-                    else "no c in (0, 1] is accepted at this tol")
-        raise ValueError(
-            f"theta(c) at c={c}, tol={tol} needs {big_j:.3g} terms, past the cap of "
-            f"{_THETA_MAX_TERMS}; {accepted}"
-        )
+    from fractions import Fraction  # here, so that importing the package does not load it
 
-    cpi = c * math.pi
-    head = 0.0
-    linear = 0.0
-    lo = 1
-    while lo <= big_j:
-        hi = min(lo + _CHUNK - 1, big_j)
-        j = np.arange(lo, hi + 1, dtype=float)
-        arg = cpi * j
-        x = (np.sin(arg) / arg) ** 2
-        head += -2.0 * float(np.sum(np.log1p(-x)))
-        linear += float(np.sum(x))
-        lo = hi + 1
-
-    tail = max((1.0 - c) / (2.0 * c) - linear, 0.0)
-    return head + 2.0 * tail
+    frac = Fraction(c).limit_denominator(2**20)
+    if float(frac) != c:
+        raise ValueError(f"theta(c) needs c = p/n with n <= 2^20 in lowest terms, got c={c!r}")
+    p, n = frac.numerator, frac.denominator
+    r = np.arange(1, n, dtype=np.int64)
+    k = p * r % n
+    s = np.sin(np.pi * np.minimum(k, n - k) / n) / (np.pi * p)
+    ratio_sq = (np.sin(np.pi * s) / np.sin(np.pi * np.minimum(r, n - r) / n)) ** 2
+    return float(np.sum(-np.log1p(-ratio_sq)))
 
 
 def gumbel_model(c: float) -> GumbelModel:

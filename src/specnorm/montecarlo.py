@@ -433,8 +433,8 @@ def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
     inequality sigma^2 >= bound must hold draw by draw, up to _BOUND_SLACK.
     The centered bounds are also checked for one-sided dominance against the
     shifted Gumbel law (needs at least 500 converged replicates, otherwise
-    skipped). The model is built first, so a ratio below the floor of
-    theta(c) is refused before any replicate is solved.
+    skipped). The model is built first, so a ratio that theta(c) refuses,
+    one whose reduced denominator is above 2^20, fails before any solve.
     """
     model = gumbel_model(cfg.p / cfg.n)
     cfg = replace(cfg, statistics=("scaled_norm", "b_statistic"))

@@ -109,16 +109,10 @@ def test_theta_rejects_zero_ratio():
     assert run_cli("theta", "--grid", "0:0.1:0.5") == EXIT_USAGE
 
 
-def test_theta_rejects_zero_tol(capsys):
-    assert run_cli("theta", "--grid", "0.5:0:0.5", "--tol", "0") == EXIT_USAGE
-    assert "specnorm: error: tol must be positive" in capsys.readouterr().err
-
-
-def test_theta_refuses_ratio_past_the_term_cap(capsys):
-    assert run_cli("theta", "--grid", "0.0001:0:0.0001") == EXIT_USAGE
+def test_theta_refuses_a_ratio_that_is_no_small_fraction(capsys):
+    assert run_cli("theta", "--grid", "0.123456789:0:0.123456789") == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "c=0.0001, tol=1e-10" in err
-    assert "smallest c accepted at this tol is 0.000145" in err
+    assert "specnorm: error: theta(c) needs c = p/n with n <= 2^20 in lowest terms" in err
 
 
 def test_norm_dense_check_agrees(tmp_path):
@@ -163,14 +157,6 @@ def test_norm_loose_solver_trips_oracle_exit(tmp_path):
     code = run_cli("norm", "--family", "toeplitz", "--p", "24", "--n", "50", "--seed", "3",
                    "--dense-check", "--tol", "0.5", "--max-iter", "1", "--output", str(out))
     assert code == EXIT_ORACLE
-
-
-def test_norm_seed_from_environment(tmp_path, monkeypatch):
-    out = tmp_path / "norm.csv"
-    monkeypatch.setenv("SPECNORM_SEED", "777")
-    assert run_cli("norm", "--family", "circulant", "--p", "8", "--n", "16",
-                   "--output", str(out)) == EXIT_OK
-    assert read_csv(out)[0]["seed"] == "777"
 
 
 def test_norm_dense_refusal_is_a_usage_error(monkeypatch, capsys):
@@ -229,7 +215,7 @@ def test_norm_verbose_logs_the_block_solve(family, symmetric, n, capsys):
     (["ktable", "--grid", "0.5:0.5:1", "--p-base", "40"],
      r"specnorm\.sinekernel: K row p=(40|20) n=40: \d+ sweeps, \d+\.\d{3} s"),
     (["theta", "--grid", "0.25:0.25:1"],
-     r"specnorm\.cli: theta row c=(0\.25|0\.5|0\.75|1): J=\d+ terms, \d+\.\d{3} s"),
+     r"specnorm\.cli: theta row c=(0\.25|0\.5|0\.75|1): \d+\.\d{3} s"),
 ], ids=["ktable", "theta"])
 def test_table_commands_log_one_line_per_row(argv, line, capsys):
     assert run_cli(*argv) == EXIT_OK
@@ -662,6 +648,10 @@ def test_config_refuses_a_non_integer_count_by_name(line, message, tmp_path, cap
     ('norm_tol = "1e-8"', "norm_tol must be a real number, got '1e-8'"),
     ("raw_output = 1", "raw_output must be a path, got 1"),
     ("raw_output = 99", "raw_output must be a path, got 99"),
+    ("ratios = true", "ratios must be real numbers, got True"),
+    ("ratios = yes", "ratios must be real numbers, got 'yes'"),
+    ('ratios = "0.5, abc"', "ratios must be real numbers, got 'abc'"),
+    ("ratios = [0.5, null]", "ratios must be real numbers, got None"),
 ])
 def test_config_value_of_the_wrong_type_is_refused_by_name_before_any_replicate(
         line, message, tmp_path, monkeypatch, capsys):
@@ -677,26 +667,35 @@ def test_config_value_of_the_wrong_type_is_refused_by_name_before_any_replicate(
     assert "Traceback" not in err
 
 
-_FLOOR = "theta(c) at c=3.0517578125e-05, tol=1e-10 needs"
+@pytest.mark.parametrize("command", ["mc", "gumbel-compare", "paired"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_refused_by_its_flag(command, threads, tmp_path, capsys):
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(MC_CONFIG)
+    assert run_cli(command, "--config", str(cfg), "--threads", threads) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"specnorm: error: --threads must be at least 1, got {threads}" in err
+    assert "workers" not in err
+
+
+_NO_THETA = "theta(c) needs c = p/n with n <= 2^20 in lowest terms"
 
 
 @pytest.mark.parametrize("command", ["gumbel-compare", "paired"])
 @pytest.mark.parametrize("points, message", [
-    ("n = 65536", _FLOOR),  # c = 2 / 65536, below the floor 1.4588e-4 of theta(c)
-    ("ratios = 0.5, 0.000030517578125", _FLOOR),  # the second point, before the first runs
-    ("n = 2", "quantile transform undefined at q=0.05"),  # theta(1) = 0, log(n/2) = 0
+    ("p = 3\nn = 2097154", _NO_THETA),  # c = 3 / (2^21 + 2) in lowest terms
+    ("p = 3\nratios = 0.5, 0.00000143", _NO_THETA),  # n = 2097902, before point 1 runs
+    ("p = 2\nn = 2", "quantile transform undefined at q=0.05"),  # theta(1) = 0, log(n/2) = 0
 ])
 def test_sweep_point_without_a_model_is_refused_before_any_solve(
         command, points, message, tmp_path, monkeypatch, capsys):
     solved = []
     monkeypatch.setattr(montecarlo, "_collect", solved.append)
     cfg = tmp_path / "floor.cfg"
-    cfg.write_text(f"family = circulant\np = 2\nreplicates = 2\nseed = 1\n{points}\n")
+    cfg.write_text(f"family = circulant\nreplicates = 2\nseed = 1\n{points}\n")
     assert run_cli(command, "--config", str(cfg), "--threads", "1") == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"specnorm: error: {message}" in err and "Traceback" not in err
-    if message == _FLOOR:
-        assert "smallest c accepted at this tol is 0.000145" in err
     assert solved == []
 
 

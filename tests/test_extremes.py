@@ -38,7 +38,7 @@ def test_theta_reference_grid():
 
 
 def test_theta_vanishes_at_square_ratio():
-    assert abs(theta_c(1.0)) < 1e-12
+    assert theta_c(1.0) == 0.0
 
 
 def test_theta_strictly_decreasing():
@@ -48,11 +48,25 @@ def test_theta_strictly_decreasing():
         assert b < a
 
 
-def test_theta_truncation_respects_tolerance():
-    for c in (0.07, 0.3, 0.85):
-        coarse = theta_c(c, tol=1e-4)
-        fine = theta_c(c, tol=1e-12)
-        assert abs(coarse - fine) <= 1e-4
+def test_theta_matches_closed_forms():
+    # at n = 2, 3 and 4 the residue sum has one or two distinct terms, each a closed form
+    cos1, root3 = math.cos(1.0), math.sqrt(3.0)
+    exact = {
+        1 / 2: -2 * math.log(cos1),
+        1 / 4: -2 * math.log(cos1 * math.cos(math.sqrt(2.0))),
+        1 / 3: -2 * math.log(math.sin(1.5 * root3) / (3 * math.sin(root3 / 2))),
+    }
+    for c, want in exact.items():
+        assert theta_c(c) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_theta_reads_the_ratio_in_lowest_terms():
+    assert theta_c(64 / 128) == theta_c(1 / 2)
+
+
+def test_theta_at_small_ratios():
+    small = theta_c(2 / 65536)
+    assert math.isfinite(small) and small > theta_c(1 / 4096)
 
 
 def test_theta_domain():
@@ -60,44 +74,8 @@ def test_theta_domain():
         theta_c(0.0)
     with pytest.raises(ValueError):
         theta_c(1.2)
-    with pytest.raises(ValueError):
-        theta_c(0.5, tol=0.0)
-    with pytest.raises(ValueError):
-        theta_c(0.5, tol=math.nan)
-
-
-def _theta_floor_from_message(c, tol):
-    with pytest.raises(ValueError) as exc:
-        theta_c(c, tol)
-    message = str(exc.value)
-    assert f"c={c}" in message and f"tol={tol}" in message
-    return float(message.rsplit(" ", 1)[1])
-
-
-def test_theta_term_cap_boundary(monkeypatch):
-    # a small cap puts the boundary near c = 0.21 at tol 1e-10
-    monkeypatch.setattr(extremes, "_THETA_MAX_TERMS", 2**12)
-    floor = _theta_floor_from_message(0.1, 1e-10)
-    assert 0.2 < floor < 0.25
-    assert extremes._theta_terms(floor, 1e-10) <= 2**12
-    assert math.isfinite(theta_c(floor, 1e-10))
-    assert _theta_floor_from_message(floor * (1 - 1e-9), 1e-10) == floor
-
-
-def test_theta_refuses_past_the_real_cap_and_sums_up_to_it():
-    floor = _theta_floor_from_message(1e-4, 1e-10)
-    assert 1.4e-4 < floor < 1.5e-4
-    with pytest.raises(ValueError):
-        theta_c(floor * (1 - 1e-9))
-    # at the cap: 2**26 terms, about 2.4 s
-    assert theta_c(floor) > theta_c(1e-3) > 0
-
-
-def test_theta_refuses_a_tol_no_ratio_can_meet():
-    with pytest.raises(ValueError, match="no c in"):
-        theta_c(1.0, tol=1e-30)
-    with pytest.raises(ValueError, match="no c in"):
-        theta_c(1e-3, tol=5e-324)
+    with pytest.raises(ValueError, match=r"c = p/n with n <= 2\^20 in lowest terms"):
+        theta_c(0.123456789)
 
 
 def test_gumbel_cdf_at_location():

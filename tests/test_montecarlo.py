@@ -234,11 +234,12 @@ def test_config_refuses_a_non_integer_count_or_seed_by_name(field, value):
         replace(TINY, **{field: value})
 
 
-def test_paired_bound_refuses_a_ratio_below_the_theta_floor_before_any_solve(monkeypatch):
+def test_paired_bound_refuses_a_ratio_without_theta_before_any_solve(monkeypatch):
     solved = []
     monkeypatch.setattr(mc, "_collect", solved.append)
-    cfg = ExperimentConfig(family="circulant", p=2, n=65536, replicates=2)
-    with pytest.raises(ValueError, match="theta\\(c\\) at c=3.0517578125e-05"):
+    # c = 3 / (2^21 + 2) in lowest terms: no p/n with n <= 2^20
+    cfg = ExperimentConfig(family="circulant", p=3, n=2**21 + 2, replicates=2)
+    with pytest.raises(ValueError, match=r"theta\(c\) needs c = p/n with n <= 2\^20"):
         paired_bound_experiment(cfg)
     assert solved == []
 
