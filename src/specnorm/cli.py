@@ -36,8 +36,8 @@ from .montecarlo import (
     reference_constant,
     run_experiment,
 )
-from .norms import ScalingError, check_solver_settings, require_scalable, scaled_norm
-from .norms import spectral_norm_dense, spectral_norm_fast
+from .norms import DEFAULT_MAX_ITER, DEFAULT_TOL, ScalingError, check_solver_settings
+from .norms import require_scalable, scaled_norm, spectral_norm_dense, spectral_norm_fast
 from .sinekernel import k_table
 from .structured import (
     DISTRIBUTIONS,
@@ -120,7 +120,7 @@ def _resolve_seed(args) -> int:
 
 def cmd_ktable(args) -> int:
     try:
-        rows = k_table(_parse_grid(args.grid), p_base=args.p_base, outer_tol=args.outer_tol)
+        rows = k_table(_parse_grid(args.grid), p_base=args.p_base)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     out = [
@@ -405,7 +405,6 @@ def build_parser() -> _Parser:
                        help="limiting-constant table over a ratio grid")
     p.add_argument("--grid", required=True, help="ratio grid start:step:stop")
     p.add_argument("--p-base", type=int, default=1000, dest="p_base")
-    p.add_argument("--outer-tol", type=float, default=1e-13, dest="outer_tol")
     p.set_defaults(func=cmd_ktable)
 
     p = sub.add_parser("theta", parents=[common], help="Gumbel shift table over a ratio grid")
@@ -418,10 +417,11 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="norm solver's relative residual, clamped to [16 eps, 1e-8]")
-    p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter",
-                   help="cap on the norm solver's Krylov steps")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="norm solver's relative residual, clamped to [16 eps, 1e-8] "
+                   "(default %(default)g)")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, dest="max_iter",
+                   help="cap on the norm solver's Krylov steps (default %(default)d)")
     p.add_argument("--dense-check", action="store_true", dest="dense_check",
                    help="cross-check against the dense oracle (exit 3 on disagreement)")
     p.set_defaults(func=cmd_norm)

@@ -34,7 +34,8 @@ from typing import TextIO
 import numpy as np
 
 from .extremes import DominanceReport, b_statistic, dominance_check, gumbel_model
-from .norms import check_solver_settings, require_scalable, scaled_norm, spectral_norms
+from .norms import DEFAULT_MAX_ITER, DEFAULT_TOL, check_solver_settings, require_scalable
+from .norms import scaled_norm, spectral_norms
 from .sinekernel import k_estimate
 from .structured import (
     _CIRCULANT_LIKE,
@@ -85,8 +86,8 @@ class ExperimentConfig:
     base_seed: int = 0
     statistics: tuple[str, ...] = ("scaled_norm",)
     workers: int = 1
-    norm_tol: float = 1e-10  # norm solver's relative residual, clamped to [16 eps, 1e-8]
-    norm_max_iter: int = 100_000  # cap on the norm solver's Krylov steps
+    norm_tol: float = DEFAULT_TOL  # norm solver's relative residual, clamped to [16 eps, 1e-8]
+    norm_max_iter: int = DEFAULT_MAX_ITER  # cap on the norm solver's Krylov steps
 
     def __post_init__(self):
         # reuse the spec validation for the template fields
@@ -405,10 +406,13 @@ def reference_constant(cfg: ExperimentConfig | MatrixSpec) -> float:
 
 
 def n_for_ratio(p: int, ratio: float) -> int:
-    """Column count of a sweep point: n = floor(p / ratio), ratio in (0, 1]."""
+    """Column count of a sweep point: n = floor(p / ratio), ratio in (0, 1].
+    A quotient within 1e-9 relative of an integer is that integer, so that
+    a float ratio rounded below p/n, as 0.07 is below 7/100, still gives n."""
     if not 0 < ratio <= 1:
         raise ValueError(f"ratios must lie in (0, 1], got {ratio}")
-    return math.floor(p / ratio)
+    q = p / ratio
+    return round(q) if abs(q - round(q)) <= 1e-9 * q else math.floor(q)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ __all__ = [
     "GramEigenpairs",
     "NormResult",
     "ScalingError",
+    "DEFAULT_MAX_ITER",
+    "DEFAULT_TOL",
+    "TOL_CAP",
     "check_solver_settings",
     "gram_lanczos",
     "spectral_norms",
@@ -32,6 +35,7 @@ __all__ = [
     "spectral_norm_dense",
     "scaled_norm",
     "require_scalable",
+    "toeplitz_gram",
 ]
 
 _log = logging.getLogger(__name__)
@@ -42,7 +46,10 @@ _START_STREAM = 2**63
 _TOL_FLOOR = 16.0 * float(np.finfo(float).eps)
 # largest: a looser stop can certify the second eigenvalue of a Gram operator
 # before the top Ritz value has separated from it
-_TOL_CAP = 1e-8
+TOL_CAP = 1e-8
+# the norm solver's defaults, for every caller: relative residual and step cap
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 100_000
 # the Krylov basis grows by this many rows at a time and is refused past
 # this many bytes
 _BASIS_CHUNK = 32
@@ -310,7 +317,7 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
                          "and finite")
     q = q / lengths[:, None]
     cap = min(max_iter, dim)
-    tol = min(max(tol, _TOL_FLOOR), _TOL_CAP)
+    tol = min(max(tol, _TOL_FLOOR), TOL_CAP)
     out = GramEigenpairs(
         values=np.zeros(count),
         vectors=np.zeros((count, dim)),
@@ -366,6 +373,14 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
     return out
 
 
+def toeplitz_gram(first: np.ndarray, size: int):
+    """Kernel spectra of the symmetric size x size Toeplitz matrices G with
+    first columns the rows of `first`, and the map (spectra, x) -> G x on
+    the rows of x: one circular convolution per step."""
+    spectrum, m = toeplitz_spectrum(first, size)
+    return (spectrum,), lambda spectra, x: circular_convolve(spectra[0], x, m)[:, :size]
+
+
 def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
     """Kernel spectra of the p x p Gram matrices A A^T of a stacked symbol,
     one row per draw, and the map (spectra, y) -> A A^T y on the rows of y.
@@ -391,8 +406,7 @@ def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
     e0[..., 0] = 1.0
     first = matvec(sym, spec, rmatvec(sym, spec, e0))
     if spec.family in _CIRCULANT_LIKE:
-        spectrum, m = toeplitz_spectrum(first, p)
-        return (spectrum,), lambda spectra, y: circular_convolve(spectra[0], y, m)[:, :p]
+        return toeplitz_gram(first, p)
     right = sym.values[:, sym.size - p :].copy()  # B^T e_0: lags -p..-1
     left = sym.values[:, n - p + 1 : n + 1][:, ::-1].copy()  # B e_0: values[n - i]
     right[:, 0] = left[:, 0] = 0.0  # lag -p is in no entry of A
@@ -409,10 +423,7 @@ def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
 
 
 def spectral_norms(
-    sym: SymbolVector,
-    spec: MatrixSpec,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    sym: SymbolVector, spec: MatrixSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> GramEigenpairs:
     """Top eigenpair of A A^T for each row of a stacked symbol, solved as one
     block of :func:`gram_lanczos`; ``values`` are the squared norms sigma^2.
@@ -439,10 +450,7 @@ def spectral_norms(
 
 
 def spectral_norm_fast(
-    sym: SymbolVector,
-    spec: MatrixSpec,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    sym: SymbolVector, spec: MatrixSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> NormResult:
     """Largest singular value, certified by Lanczos on the Gram operator A A^T.
 

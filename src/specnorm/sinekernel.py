@@ -16,20 +16,20 @@ I / sqrt(p), with the rigorous two-sided bracket
 Convolution matrices are never materialized. The Gram matrix W^T W of the
 convolution matrix W of a frozen vector is the Toeplitz matrix of that
 vector's autocorrelation, so each inner Lanczos step is one FFT circular
-convolution with a kernel spectrum taken once per solve, laid out by
-:func:`specnorm.dft.toeplitz_spectrum`, the helper that also applies the
-norm solver's short-side Gram operators (`specnorm.norms`).
+convolution with a kernel spectrum taken once per solve, by
+:func:`specnorm.norms.toeplitz_gram`, the operator the norm solver also
+uses for circulant Gram matrices.
 
 Every estimate starts cold, from flat unit vectors, and converges in a few
 sweeps; a table over a ratio grid is one such estimate per ratio.
 
-The inner solves stop at the relative residual sqrt(outer_tol), which the
-Lanczos core clamps to its 1e-8 cap at the default outer_tol. That is as
-accurate as the value needs: a Ritz value errs by O(residual^2 / gap), and
-the returned I is the Ritz value of the p-side solve, whose top eigenvalue
-is well separated. Warm-started from the previous sweep's vectors, the last
-sweep's solves stop after a step or two, so a converged estimate is a pair
-certified stationary at the inner tolerance, not one solved again.
+The inner solves stop at the Lanczos core's cap on the relative residual,
+:data:`specnorm.norms.TOL_CAP`. That is as accurate as the value needs: a
+Ritz value errs by O(residual^2 / gap), and the returned I is the Ritz value
+of the p-side solve, whose top eigenvalue is well separated. Warm-started
+from the previous sweep's vectors, the last sweep's solves stop after a
+step or two, so a converged estimate is a pair certified stationary at the
+inner tolerance, not one solved again.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import autocorrelate, circular_convolve, convolve_full, toeplitz_spectrum
-from .norms import gram_lanczos
+from .dft import autocorrelate, convolve_full
+from .norms import TOL_CAP, gram_lanczos, toeplitz_gram
 from .structured import replicate_stream
 
 __all__ = [
@@ -61,6 +61,8 @@ _log = logging.getLogger(__name__)
 _EPS = float(np.finfo(float).eps)
 # cap on the alternation sweeps of one estimate
 _OUTER_MAX = 5000
+# the sweeps stop once I moves by at most this much (or by its rounding noise)
+_SWEEP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -92,14 +94,6 @@ class SingularPair:
     converged: bool
 
 
-def _gram_operator(w: np.ndarray, cols: int):
-    """Kernel spectrum (a one-row stack) and map (spectra, x) -> W^T W x for
-    the banded convolution matrix W of w: W^T W is the symmetric cols x cols
-    Toeplitz matrix of w's autocorrelation at lags 0..len(w)-1 (zero past them)."""
-    spectrum, m = toeplitz_spectrum(autocorrelate(w)[None, w.size - 1 :], cols)
-    return (spectrum,), lambda spectra, x: circular_convolve(spectra[0], x, m)[:, :cols]
-
-
 def _fix_sign(u: np.ndarray) -> np.ndarray:
     # make the first non-negligible coordinate positive so iterates compare
     nz = np.flatnonzero(np.abs(u) > 1e-14)
@@ -109,10 +103,7 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
 
 
 def principal_right_singular(
-    w,
-    cols: int,
-    tol: float = 1e-12,
-    start: np.ndarray | None = None,
+    w, cols: int, tol: float, start: np.ndarray | None = None
 ) -> SingularPair:
     """Top right singular pair of the banded convolution matrix W of w.
 
@@ -137,7 +128,8 @@ def principal_right_singular(
         u = np.asarray(start, dtype=float)
         if u.shape != (cols,):
             raise ValueError(f"start vector must have length {cols}")
-    kernels, apply = _gram_operator(wv, cols)
+    # W^T W: the Toeplitz matrix of w's autocorrelation at lags 0..len(w)-1
+    kernels, apply = toeplitz_gram(autocorrelate(wv)[None, wv.size - 1 :], cols)
     top = gram_lanczos(apply, kernels, u[None], tol, cols)
     return SingularPair(
         vector=_fix_sign(top.vectors[0]),
@@ -151,45 +143,40 @@ def _bracket_lo(i_value: float, p: int) -> float:
     return math.sqrt(max(i_value**2 / p - 1.0 / (3.0 * p), 0.0))
 
 
-def k_estimate(p: int, n: int, outer_tol: float = 1e-13) -> tuple[KEstimate, ExtremalPair]:
+def k_estimate(p: int, n: int) -> tuple[KEstimate, ExtremalPair]:
     """Alternating maximization of the product-polynomial norm.
 
     Starting from vectors proportional to ones, alternately replaces w by
     the principal right singular vector of the convolution matrix of v,
     then v by that of the matrix of w, until the singular value changes by
-    at most `outer_tol` between sweeps (at most `_OUTER_MAX` sweeps). The
-    default tolerance sits above the double-precision noise floor of the
-    singular value, which the stopping rule also guards against explicitly.
+    at most `_SWEEP_TOL` (1e-13) between sweeps, or by its double-precision
+    noise floor if that is larger (at most `_OUTER_MAX` sweeps).
 
-    Each inner solve stops at the relative residual sqrt(outer_tol)
-    (clamped by :func:`specnorm.norms.gram_lanczos` to [16 eps, 1e-8]): the
+    Each inner solve stops at the relative residual
+    :data:`specnorm.norms.TOL_CAP` (1e-8), the Lanczos core's cap: the
     returned I is a Ritz value, whose error is of order residual^2 / gap.
-    `converged` certifies that I moved by at most `outer_tol` in the last
-    sweep and that both of that sweep's solves met the inner tolerance, so
-    (w, v) is stationary for the alternation to that residual. `outer_tol`
-    must be finite and positive.
+    `converged` certifies that I moved by at most the sweep tolerance in the
+    last sweep and that both of that sweep's solves met the inner
+    tolerance, so (w, v) is stationary for the alternation to that residual.
     """
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    if not (math.isfinite(outer_tol) and outer_tol > 0):
-        raise ValueError(f"outer_tol must be finite and positive, got {outer_tol}")
     w = np.full(n, 1.0 / math.sqrt(n))
     v = np.full(p, 1.0 / math.sqrt(p))
 
-    inner_tol = math.sqrt(outer_tol)
     i_prev = None
     i_val = 0.0
     converged = False
     sweeps = 0
     inner_ok = True
     for sweeps in range(1, _OUTER_MAX + 1):
-        rw = principal_right_singular(v, n, tol=inner_tol, start=w)
+        rw = principal_right_singular(v, n, tol=TOL_CAP, start=w)
         w = rw.vector
-        rv = principal_right_singular(w, p, tol=inner_tol, start=v)
+        rv = principal_right_singular(w, p, tol=TOL_CAP, start=v)
         v = rv.vector
         i_val = rv.sigma
         inner_ok = rw.converged and rv.converged
-        if i_prev is not None and abs(i_val - i_prev) <= max(outer_tol, 16.0 * _EPS * i_val):
+        if i_prev is not None and abs(i_val - i_prev) <= max(_SWEEP_TOL, 16.0 * _EPS * i_val):
             converged = inner_ok
             break
         i_prev = i_val
@@ -226,13 +213,7 @@ def i_value_direct(pair: ExtremalPair) -> float:
     return float(np.linalg.norm(convolve_full(v, w)))
 
 
-def k_table(
-    ratios,
-    p_base: int,
-    *,
-    outer_tol: float = 1e-13,
-    p_step: int | None = None,
-) -> list[KEstimate]:
+def k_table(ratios, p_base: int, *, p_step: int | None = None) -> list[KEstimate]:
     """Estimates of the limiting constant on a grid of aspect ratios.
 
     Each ratio r in (0, 1] must give an integral row count p = r * p_base;
@@ -255,7 +236,7 @@ def k_table(
     rows = []
     for p in sorted(counts):
         t0 = time.perf_counter()
-        est, _ = k_estimate(p, p_base, outer_tol=outer_tol)
+        est, _ = k_estimate(p, p_base)
         _log.info("K row p=%d n=%d: %d sweeps, %.3f s",
                   p, p_base, est.outer_iterations, time.perf_counter() - t0)
         rows.append(est)

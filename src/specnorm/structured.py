@@ -166,24 +166,19 @@ def _entry_count(spec: MatrixSpec) -> int:
 
 
 def build_symbol(spec: MatrixSpec, rng: np.random.Generator | None = None) -> SymbolVector:
-    """Draw the symbol for `spec` and attach its DFT diagonal.
-
-    Draw order is fixed: a single flat vector of `_entry_count(spec)` i.i.d.
-    values is laid out per family, so a given stream always produces the
-    same matrix.
-    """
-    if rng is None:
-        rng = replicate_stream(spec.seed)
-    entries = draw_entries(rng, spec.dist, _entry_count(spec))
-    return symbol_from_values(_layout(spec, entries), spec)
+    """Draw the symbol for `spec` and attach its DFT diagonal: row 0 of
+    :func:`build_symbols` on the one stream `rng` (default: the stream of
+    the spec seed)."""
+    stack = build_symbols(spec, [replicate_stream(spec.seed) if rng is None else rng])
+    return SymbolVector(values=stack.values[0], size=stack.size, diag=stack.diag[0])
 
 
 def build_symbols(spec: MatrixSpec, rngs) -> SymbolVector:
     """A stack of symbols for `spec`, one row per stream in `rngs`.
 
-    Row i of ``values`` and ``diag`` is bit for bit what
-    ``build_symbol(spec, rngs[i])`` draws: each stream gives its flat vector
-    of draws, and every row is laid out at once and takes one stacked
+    Draw order is fixed: each stream gives a single flat vector of
+    `_entry_count(spec)` i.i.d. values, so a given stream always produces
+    the same matrix. Every row is laid out at once and takes one stacked
     :func:`dft_forward`, whose rows equal their transforms on their own.
     """
     count = _entry_count(spec)

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import json
 import math
 import re
@@ -71,14 +73,24 @@ def test_ktable_p_step_is_refused(capsys):
     assert "unrecognized arguments: --p-step" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
-def test_ktable_refuses_outer_tol_not_finite_and_positive(value, capsys):
-    # names the user's value, not the inner tolerance derived from it
-    code = run_cli("ktable", "--grid", "1:0:1", "--p-base", "10", "--outer-tol", value)
+def test_ktable_outer_tol_is_refused(capsys):
+    # the sweep tolerance is fixed inside k_estimate; there is no flag to set it
+    code = run_cli("ktable", "--grid", "1:0:1", "--p-base", "10", "--outer-tol", "1e-13")
     assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert f"outer_tol must be finite and positive, got {float(value)}" in err
-    assert "math domain error" not in err and "Traceback" not in err
+    assert "unrecognized arguments: --outer-tol" in capsys.readouterr().err
+
+
+def test_norm_solver_defaults_are_one_pair_of_values():
+    # the library, the experiment config and `norm`'s flags share one tol and one step cap
+    want = {"tol": 1e-10, "max_iter": 100_000}
+    for solver in (norms.spectral_norms, norms.spectral_norm_fast):
+        params = inspect.signature(solver).parameters
+        assert {key: params[key].default for key in want} == want
+    config = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    assert {"tol": config["norm_tol"], "max_iter": config["norm_max_iter"]} == want
+    args = build_parser().parse_args(["norm", "--family", "circulant", "--p", "2", "--n", "4"])
+    assert {"tol": args.tol, "max_iter": args.max_iter} == want
+    assert (norms.DEFAULT_TOL, norms.DEFAULT_MAX_ITER) == (want["tol"], want["max_iter"])
 
 
 def test_ktable_json_format(tmp_path):

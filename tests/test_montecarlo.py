@@ -167,6 +167,8 @@ def test_paired_bound_worker_count_is_bit_identical():
 
 def test_n_for_ratio():
     assert [n_for_ratio(250, r) for r in (1.0, 0.3, 0.1)] == [250, 833, 2500]
+    # a float ratio rounded below p/n still gives n: 7 / 0.07 is 99.99999999999999
+    assert [n_for_ratio(7, 0.07), n_for_ratio(17, 0.34), n_for_ratio(2, 0.3)] == [100, 50, 6]
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             n_for_ratio(10, bad)
