@@ -73,11 +73,15 @@ def test_ktable_p_step_is_refused(capsys):
     assert "unrecognized arguments: --p-step" in capsys.readouterr().err
 
 
-def test_ktable_outer_tol_is_refused(capsys):
-    # the sweep tolerance is fixed inside k_estimate; there is no flag to set it
-    code = run_cli("ktable", "--grid", "1:0:1", "--p-base", "10", "--outer-tol", "1e-13")
+@pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+def test_ktable_refuses_outer_tol_not_finite_and_positive(value, capsys):
+    # the sweep tolerance is fixed inside k_estimate; there is no flag to set it,
+    # so any value is a usage error, never a math domain error
+    code = run_cli("ktable", "--grid", "1:0:1", "--p-base", "10", "--outer-tol", value)
     assert code == EXIT_USAGE
-    assert "unrecognized arguments: --outer-tol" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --outer-tol" in err
+    assert "math domain error" not in err and "Traceback" not in err
 
 
 def test_norm_solver_defaults_are_one_pair_of_values():
@@ -156,6 +160,8 @@ def test_norm_rejects_wide_p(capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--tol", "0", "tol must be positive"),
+    ("--tol", "-1", "tol must be positive"),
+    ("--tol", "nan", "tol must be positive"),
     ("--max-iter", "0", "max_iter must be at least 1"),
 ])
 def test_norm_rejects_invalid_solver_settings(flag, value, message, capsys):

@@ -106,6 +106,17 @@ def test_principal_singular_single_column():
     assert res.sigma == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol, message", [
+    (-1.0, "tol must be positive"),
+    (0.0, "tol must be positive"),
+    (math.nan, "tol must be positive"),
+    ("1e-8", "tol must be a real number"),
+])
+def test_principal_singular_refuses_bad_tol(tol, message):
+    with pytest.raises(ValueError, match=message):
+        principal_right_singular([1.0, 0.5], cols=4, tol=tol)
+
+
 def test_principal_singular_matches_dense_svd():
     rng = np.random.default_rng(20)
     w = rng.standard_normal(20)
