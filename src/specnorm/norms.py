@@ -60,6 +60,10 @@ _SHIFT = 64.0 * float(np.finfo(float).eps)
 # k |theta|, since the computed pivots are exact only for a matrix within a
 # few eps of T entrywise
 _COUNT_SLACK = 4.0 * float(np.finfo(float).eps)
+# steps that run the stopping check: every step through this one, then every
+# _CHECK_STRIDE-th; the schedule depends on the step alone, never on the block
+_CHECK_EVERY_THROUGH = 16
+_CHECK_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,8 @@ class GramEigenpairs:
     steps: np.ndarray  # Krylov steps taken
     converged: np.ndarray
     residuals: np.ndarray  # bounds ||G y - value y||; an eigenvalue of G lies this close
-    dense_steps: np.ndarray  # steps whose Ritz pair took the dense extraction
+    checked_steps: np.ndarray  # steps that ran the stopping check
+    dense_steps: np.ndarray  # checked steps whose Ritz pair took the dense extraction
 
 
 def _grow(basis: np.ndarray, cap: int) -> np.ndarray:
@@ -133,12 +138,12 @@ def _top_ritz(
     count certifies it, and which rows took the dense extraction instead.
 
     `rho` is a value near the top of T, the Rayleigh quotient of `guess`:
-    the core passes the previous step's theta, and its s extended by 0 as
-    the guess. Per row, s is one step of inverse iteration from the guess,
-    an LDL^T solve with ``T - rho (1 + 64 eps) I``, normalized; theta is
-    the Rayleigh quotient of s and ``r_T = ||T s - theta s||``, so some
-    eigenvalue of T lies within r_T of theta. One Sturm count then shows
-    that none lies above ``x = theta + r_T + _COUNT_SLACK k |theta|``: every
+    the core passes the theta of the row's last check, and that check's s
+    padded with zeros to length k as the guess. Per row, s is one step of
+    inverse iteration from the guess, an LDL^T solve with
+    ``T - rho (1 + 64 eps) I``, normalized; theta is the Rayleigh quotient
+    of s and ``r_T = ||T s - theta s||``, so some eigenvalue of T lies
+    within r_T of theta. One Sturm count then shows that none lies above ``x = theta + r_T + _COUNT_SLACK k |theta|``: every
     pivot of the LDL^T factorization of ``T - x I`` is negative (Parlett,
     The Symmetric Eigenvalue Problem, 3.3). The computed pivots are exact
     for a matrix within a few eps of T entrywise (Kahan 1966); the slack
@@ -280,16 +285,27 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
     and a unit vector s, the Ritz vector Q s therefore has residual norm
     at most ``beta_k |e_k^T s| + ||T s - theta s||``, and some eigenvalue of
     G lies within that bound of theta; the second term is at rounding level
-    once s has converged. Each step takes theta and s from
-    :func:`_top_ritz`: one LDL^T solve and one Sturm count per row, O(k),
+    once s has converged.
+
+    The stopping check runs at every step through `_CHECK_EVERY_THROUGH`,
+    then at every `_CHECK_STRIDE`-th step (20, 24, ...), and at a row's
+    last step: exact termination (beta_k = 0, or the basis spans the whole
+    space; the residual is then 0) or the step cap. Other steps only
+    extend T and the basis. A check takes theta and s from
+    :func:`_top_ritz`, seeded with the last check's s padded with zeros
+    and its theta: one LDL^T solve and one Sturm count per row, O(k),
     which certify theta as T's top eigenvalue to within
     ``||T s - theta s||``. A row whose count fails, or that stops on exact
     termination or at the step cap, takes the dense ``eigvalsh`` extraction
-    instead; `dense_steps` counts those steps. A row stops once its bound
-    is at most ``tol * theta``, on exact termination (beta_k = 0, or the basis spans
-    the whole space; the residual is then 0), or after `max_iter` steps
-    with converged=False; stopped rows leave the active set and the rest go
-    on. Each step calls `apply` once. tol is clamped to [16 eps, 1e-8]: the
+    instead; `checked_steps` counts a row's checks and `dense_steps` those
+    that took the dense extraction. A row stops at the first check where
+    its bound is at most ``tol * theta`` (past step 16, a few steps after
+    the first step where it would have held), on exact termination, or at
+    `max_iter` steps, converged only if its bound holds there. Stopped rows
+    leave the active set and the rest go on. The schedule depends on the
+    step alone, so every caller and block size shares it.
+
+    Each step calls `apply` once. tol is clamped to [16 eps, 1e-8]: the
     floor is rounding level, and above the cap a row can stop on the second
     eigenvalue before the top Ritz value has separated from it. From a
     random start the top Ritz value approximates the largest eigenvalue,
@@ -324,6 +340,7 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
         steps=np.zeros(count, dtype=int),
         converged=np.zeros(count, dtype=bool),
         residuals=np.zeros(count),
+        checked_steps=np.zeros(count, dtype=int),
         dense_steps=np.zeros(count, dtype=int),
     )
     active = np.arange(count)
@@ -344,30 +361,45 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
         w -= _combine(q_k, _project(q_k, w))
         alphas = np.concatenate([alphas, h[:, -1:]], axis=1)
         beta = _row_norms(w)
-        # the previous Ritz vector, extended by 0, seeds the inverse iteration
-        guess = np.concatenate([s, np.zeros((len(active), 1))], axis=1)
         # exact termination: the Krylov space is invariant or the whole space
         exact = (beta == 0.0) | (k == dim)
-        theta, s, t_residual, dense = _top_ritz(alphas, betas, guess, theta, exact | (k == cap))
-        out.dense_steps[active] += dense
-        residual = beta * np.abs(s[:, -1]) + t_residual
-        residual[exact] = 0.0
-        converged = residual <= tol * theta
-        done = converged | (k == cap)
-        if done.any():
-            rows = active[done]
-            y = _combine(q_k[done], s[done])
-            out.values[rows] = theta[done]
-            out.vectors[rows] = y / _row_norms(y)[:, None]
-            out.steps[rows] = k
-            out.converged[rows] = converged[done]
-            out.residuals[rows] = residual[done]
-            if done.all():
+        final = exact | (k == cap)
+        scheduled = k <= _CHECK_EVERY_THROUGH or k % _CHECK_STRIDE == 0
+        if scheduled or final.any():
+            # off the schedule only the final rows are checked, and they all stop
+            check = slice(None) if scheduled else final
+            rows = active[check]
+            # the last check's Ritz vector, padded with 0, seeds the inverse iteration
+            guess = np.zeros((rows.size, k))
+            guess[:, : s.shape[1]] = s[check]
+            ritz, ritz_vector, t_residual, dense = _top_ritz(
+                alphas[check], betas[check], guess, theta[check], final[check]
+            )
+            out.checked_steps[rows] += 1
+            out.dense_steps[rows] += dense
+            residual = beta[check] * np.abs(ritz_vector[:, -1]) + t_residual
+            residual[exact[check]] = 0.0
+            converged = residual <= tol * ritz
+            done = converged | final[check]
+            if done.any():
+                stopped = rows[done]
+                y = _combine(q_k[check][done], ritz_vector[done])
+                out.values[stopped] = ritz[done]
+                out.vectors[stopped] = y / _row_norms(y)[:, None]
+                out.steps[stopped] = k
+                out.converged[stopped] = converged[done]
+                out.residuals[stopped] = residual[done]
+            if scheduled:
+                s, theta, stop = ritz_vector, ritz, done
+            else:
+                stop = final
+            if stop.all():
                 break
-            keep = ~done
-            active, basis, alphas, betas = active[keep], basis[keep], alphas[keep], betas[keep]
-            s, theta, w, beta = s[keep], theta[keep], w[keep], beta[keep]
-            kernels = tuple(kernel[keep] for kernel in kernels)
+            if stop.any():
+                keep = ~stop
+                active, basis, alphas, betas = active[keep], basis[keep], alphas[keep], betas[keep]
+                s, theta, w, beta = s[keep], theta[keep], w[keep], beta[keep]
+                kernels = tuple(kernel[keep] for kernel in kernels)
         betas = np.concatenate([betas, beta[:, None]], axis=1)
         q = w / beta[:, None]
     return out
@@ -442,9 +474,9 @@ def spectral_norms(
     if _log.isEnabledFor(logging.INFO):  # numpy's first median maps 0.7 MiB
         _log.info(
             "norm block of %d rows: kernel length %d, steps median %g max %d, "
-            "dense extraction on %d of %d row-steps",
+            "dense extraction on %d of %d checked row-steps",
             count, fast_length(2 * spec.p - 1), np.median(top.steps), top.steps.max(),
-            top.dense_steps.sum(), top.steps.sum(),
+            top.dense_steps.sum(), top.checked_steps.sum(),
         )
     return top
 
@@ -464,7 +496,9 @@ def spectral_norm_fast(
     within `residual` of sigma_max^2, and from the random start it is the
     largest one with high probability. The result is converged once `residual` <= tol *
     sigma_max^2, with tol clamped to [16 eps, 1e-8]; without that
-    certificate after `max_iter` steps it has converged=False.
+    certificate after `max_iter` steps it has converged=False. The bound is
+    checked at every step through 16, then at every 4th step and at the
+    last (see :func:`gram_lanczos`).
     """
     stack = SymbolVector(values=sym.values[None], size=sym.size, diag=sym.diag[None])
     top = spectral_norms(stack, spec, tol, max_iter)

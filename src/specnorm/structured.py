@@ -131,14 +131,26 @@ def replicate_stream(base_seed: int, replicate: int = 0) -> np.random.Generator:
 
 def draw_entries(rng: np.random.Generator, dist: str, count: int) -> np.ndarray:
     """Draw `count` i.i.d. entries with mean 0 and variance 1."""
+    out = np.empty(count)
+    _draw_into(rng, dist, out)
+    return out
+
+
+def _draw_into(rng: np.random.Generator, dist: str, out: np.ndarray) -> None:
+    """Fill `out` with the draws :func:`draw_entries` returns for its length."""
     if dist == "gaussian":
-        return rng.standard_normal(count)
-    if dist == "rademacher":
-        return rng.integers(0, 2, count) * 2.0 - 1.0
-    if dist == "uniform_centered":
+        rng.standard_normal(out=out)
+    elif dist == "rademacher":
+        np.multiply(rng.integers(0, 2, out.size), 2.0, out=out)
+        out -= 1.0
+    elif dist == "uniform_centered":
+        # rounds as rng.uniform(-half, half): -half + (2 half) u
         half = math.sqrt(3.0)
-        return rng.uniform(-half, half, count)
-    raise ValueError(f"unknown distribution {dist!r}")
+        rng.random(out=out)
+        out *= 2.0 * half
+        out -= half
+    else:
+        raise ValueError(f"unknown distribution {dist!r}")
 
 
 def embedding_size(spec: MatrixSpec) -> int:
@@ -177,12 +189,15 @@ def build_symbols(spec: MatrixSpec, rngs) -> SymbolVector:
     """A stack of symbols for `spec`, one row per stream in `rngs`.
 
     Draw order is fixed: each stream gives a single flat vector of
-    `_entry_count(spec)` i.i.d. values, so a given stream always produces
-    the same matrix. Every row is laid out at once and takes one stacked
-    :func:`dft_forward`, whose rows equal their transforms on their own.
+    `_entry_count(spec)` i.i.d. values, drawn straight into its row, so a
+    given stream always produces the same matrix. Every row is laid out at
+    once and takes one stacked :func:`dft_forward`, whose rows equal their
+    transforms on their own.
     """
-    count = _entry_count(spec)
-    entries = np.stack([draw_entries(rng, spec.dist, count) for rng in rngs])
+    rngs = list(rngs)
+    entries = np.empty((len(rngs), _entry_count(spec)))
+    for rng, row in zip(rngs, entries):
+        _draw_into(rng, spec.dist, row)
     values = _layout(spec, entries)
     return SymbolVector(values=values, size=embedding_size(spec), diag=dft_forward(values))
 

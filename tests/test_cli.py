@@ -208,6 +208,12 @@ def test_norm_refuses_a_single_column(capsys):
     assert "Traceback" not in err
 
 
+def checked_steps(steps):
+    """Steps at which a solve that stopped after `steps` ran its stopping
+    check: each through 16, every 4th after that, and the last."""
+    return sum(1 for k in range(1, steps + 1) if k <= 16 or k % 4 == 0 or k == steps)
+
+
 @pytest.mark.parametrize("family,symmetric,n", [
     ("toeplitz", False, 200),
     ("circulant", True, 200),
@@ -226,7 +232,8 @@ def test_norm_verbose_logs_the_block_solve(family, symmetric, n, capsys):
     (line,) = loud.err.splitlines()
     # kernel length fast_length(2p - 1) = 40 at p = 20, whatever n
     assert re.fullmatch(rf"specnorm\.norms: norm block of 1 rows: kernel length 40, steps median "
-                        rf"{steps} max {steps}, dense extraction on \d+ of {steps} row-steps", line)
+                        rf"{steps} max {steps}, dense extraction on \d+ of "
+                        rf"{checked_steps(int(steps))} checked row-steps", line)
 
 
 @pytest.mark.parametrize("argv,line", [
@@ -416,9 +423,10 @@ def test_serial_mc_logs_each_block_solve(tmp_path, capsys, monkeypatch):
     steps = []
     for line in lines[:10]:
         block = re.fullmatch(r"specnorm\.norms: norm block of 1 rows: kernel length 32, "
-                             r"steps median (\d+) max \1, dense extraction on \d+ of \1 row-steps",
-                             line)
+                             r"steps median (\d+) max \1, dense extraction on \d+ of (\d+) "
+                             r"checked row-steps", line)
         assert block, line
+        assert int(block[2]) == checked_steps(int(block[1])), line
         steps.append(int(block[1]))
     # the run line summarizes the replicates' steps
     assert re.fullmatch(r"specnorm\.montecarlo: 10 replicates in 10 blocks, serial: \d+\.\d{3} s, "

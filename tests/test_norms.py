@@ -451,6 +451,61 @@ def test_block_row_stopped_by_max_iter_is_flagged_alone():
     assert [_bits(res) for res in block] == [_bits(res) for res in capped]
 
 
+def _checked(k):
+    """Whether the Lanczos core runs its stopping check at step k when the
+    row neither terminates exactly nor reaches its cap there."""
+    return k <= 16 or k % 4 == 0
+
+
+def test_c7_rows_stop_at_checks_and_match_their_single_solves_and_dense():
+    # C7 (circulant 64 x 128, seed 101, replicates 0-99): rows stop on both
+    # sides of step 16
+    spec = MatrixSpec("circulant", p=64, n=128, seed=101)
+    streams = range(100)
+    top = norms.spectral_norms(build_symbols(spec, [replicate_stream(101, r) for r in streams]),
+                               spec)
+    assert top.converged.all()
+    assert top.steps.min() <= 16 < 24 < top.steps.max() < spec.p
+    assert all(_checked(k) for k in top.steps)
+    # off the schedule a running row skips the check
+    assert top.checked_steps.tolist() == [sum(map(_checked, range(1, k + 1))) for k in top.steps]
+    assert (top.dense_steps <= top.checked_steps).all()
+    assert (top.residuals <= norms.DEFAULT_TOL * top.values).all()
+    syms = [build_symbol(spec, replicate_stream(101, r)) for r in streams]
+    single = [spectral_norm_fast(sym, spec) for sym in syms]
+    assert [_bits(res) for res in _rows(top)] == [_bits(res) for res in single]
+    for sym, res in zip(syms, single):
+        oracle = spectral_norm_dense(dense_materialize(sym, spec)).sigma_max
+        assert abs(res.sigma_max - oracle) <= 1e-8 * oracle
+
+
+def test_c7_rows_at_a_cap_off_the_schedule_are_checked_there():
+    spec = MatrixSpec("circulant", p=64, n=128, seed=101)
+    cap = 23
+    assert not _checked(cap)
+    streams = range(40)
+    syms = [build_symbol(spec, replicate_stream(101, r)) for r in streams]
+    free = [spectral_norm_fast(sym, spec) for sym in syms]
+    top = norms.spectral_norms(build_symbols(spec, [replicate_stream(101, r) for r in streams]),
+                               spec, max_iter=cap)
+    block = _rows(top)
+    assert [res.iterations for res in block] == [min(res.iterations, cap) for res in free]
+    # rows that stopped before the cap are the uncapped solves
+    assert [_bits(b) for b, f in zip(block, free) if f.iterations < cap] == [
+        _bits(f) for f in free if f.iterations < cap
+    ]
+    at_cap = [(b, sym) for b, sym in zip(block, syms) if b.iterations == cap]
+    # the cap takes a check: a row whose bound holds there has converged
+    assert {b.converged for b, _ in at_cap} == {True, False}
+    for b, sym in at_cap:
+        assert b.converged == (b.residual <= norms.DEFAULT_TOL * b.sigma_max**2)
+        if b.converged:
+            oracle = spectral_norm_dense(dense_materialize(sym, spec)).sigma_max
+            assert abs(b.sigma_max - oracle) <= 1e-8 * oracle
+    capped = [spectral_norm_fast(sym, spec, max_iter=cap) for sym in syms]
+    assert [_bits(res) for res in block] == [_bits(res) for res in capped]
+
+
 def test_block_basis_past_its_byte_budget_is_refused(monkeypatch):
     spec = MatrixSpec("toeplitz", p=12, n=25, seed=1)
     stack = build_symbols(spec, [replicate_stream(1, r) for r in range(3)])

@@ -26,9 +26,9 @@ class StubStream:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def standard_normal(self, count):
-        assert count == self.values.size
-        return self.values
+    def standard_normal(self, out):
+        assert out.shape == self.values.shape
+        out[...] = self.values
 
 
 def all_specs(p, n, seed=0):
@@ -175,6 +175,24 @@ def test_draw_entries_moments():
         x = draw_entries(rng, dist, 200_000)
         assert abs(x.mean()) < 0.02
         assert abs(x.var() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_build_symbols_draws_each_row_as_draw_entries_does(dist):
+    # drawn in place, each row holds the bits of draw_entries on its stream
+    # and of the plain generator calls that draw a fresh array
+    half = np.sqrt(3.0)
+    fresh = {
+        "gaussian": lambda rng, count: rng.standard_normal(count),
+        "rademacher": lambda rng, count: rng.integers(0, 2, count) * 2.0 - 1.0,
+        "uniform_centered": lambda rng, count: rng.uniform(-half, half, count),
+    }[dist]
+    spec = MatrixSpec("toeplitz", p=300, n=1000, dist=dist, seed=31)
+    stack = build_symbols(spec, [replicate_stream(31, r) for r in range(3)])
+    for r in range(3):
+        row = stack.values[r].tobytes()
+        assert row == draw_entries(replicate_stream(31, r), dist, 1300).tobytes()
+        assert row == fresh(replicate_stream(31, r), 1300).tobytes()
 
 
 def test_replicate_stream_reproducible_and_split():
