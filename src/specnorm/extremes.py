@@ -137,7 +137,6 @@ def _kernel_spectrum(p: int, n: int) -> np.ndarray:
 class BStatistic:
     value: float  # max quadratic form divided by p
     argmax_j: int
-    centered: float  # value - log(n/2)
 
 
 def b_statistic(diag, p: int) -> BStatistic:
@@ -162,7 +161,7 @@ def b_statistic(diag, p: int) -> BStatistic:
     half = forms[: n // 2 + 1]
     j = int(np.argmax(half))
     value = float(half[j] / p)
-    return BStatistic(value=value, argmax_j=j, centered=value - math.log(n / 2.0))
+    return BStatistic(value=value, argmax_j=j)
 
 
 @dataclass(frozen=True)

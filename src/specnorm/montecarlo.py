@@ -323,7 +323,8 @@ def _converged(cfg: ExperimentConfig, converged: np.ndarray) -> np.ndarray:
             f"{len(failed)} of {cfg.replicates} replicates failed to converge; "
             f"failed (base_seed, replicate): {pairs}{more}. Each replays as "
             "spectral_norm_fast(build_symbol(spec, replicate_stream(base_seed, replicate)), "
-            "spec) with spec the config's matrix at seed base_seed"
+            f"spec, tol={cfg.norm_tol!r}, max_iter={cfg.norm_max_iter!r}) with spec the "
+            "config's matrix at seed base_seed"
         )
     return converged
 

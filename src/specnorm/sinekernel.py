@@ -43,7 +43,6 @@ import numpy as np
 
 from .dft import autocorrelate, convolve_full
 from .norms import TOL_CAP, gram_lanczos, toeplitz_gram
-from .structured import replicate_stream
 
 __all__ = [
     "ExtremalPair",
@@ -102,9 +101,7 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def principal_right_singular(
-    w, cols: int, tol: float, start: np.ndarray | None = None
-) -> SingularPair:
+def principal_right_singular(w, cols: int, tol: float, start: np.ndarray) -> SingularPair:
     """Top right singular pair of the banded convolution matrix W of w.
 
     Runs the Lanczos core :func:`specnorm.norms.gram_lanczos`, as a block
@@ -113,21 +110,19 @@ def principal_right_singular(
     circular convolution with a kernel spectrum taken once per call, and
     neither matrix is ever formed. The result is converged once the Ritz
     residual is at most ``tol * sigma^2`` (tol clamped as there);
-    `iterations` counts Krylov steps (at most `cols`). `start` lets the
-    alternation warm-start from the previous iterate; the default start is
-    a fixed pseudo-random vector. (The Gram matrix is persymmetric, so a
-    structured start such as all-ones spans only flip-even Krylov vectors
-    and can miss a flip-odd principal vector.)
+    `iterations` counts Krylov steps (at most `cols`). The caller picks
+    `start`: the Gram matrix is persymmetric, so a structured start such as
+    all-ones spans only flip-even Krylov vectors and can miss a flip-odd
+    principal vector. A positive start is safe for a positive w: W^T W is
+    then a nonnegative Toeplitz matrix, irreducible once w has two entries,
+    with a positive principal vector (Perron-Frobenius).
     """
     if cols < 1:
         raise ValueError("cols must be at least 1")
     wv = np.asarray(w, dtype=float)
-    if start is None:
-        u = replicate_stream(0x5EED).standard_normal(cols)
-    else:
-        u = np.asarray(start, dtype=float)
-        if u.shape != (cols,):
-            raise ValueError(f"start vector must have length {cols}")
+    u = np.asarray(start, dtype=float)
+    if u.shape != (cols,):
+        raise ValueError(f"start vector must have length {cols}")
     # W^T W: the Toeplitz matrix of w's autocorrelation at lags 0..len(w)-1
     kernels, apply = toeplitz_gram(autocorrelate(wv)[None, wv.size - 1 :], cols)
     top = gram_lanczos(apply, kernels, u[None], tol, cols)
@@ -158,6 +153,13 @@ def k_estimate(p: int, n: int) -> tuple[KEstimate, ExtremalPair]:
     `converged` certifies that I moved by at most the sweep tolerance in the
     last sweep and that both of that sweep's solves met the inner
     tolerance, so (w, v) is stationary for the alternation to that residual.
+
+    Each solve warm-starts from the previous vector. The flat first starts
+    are safe although the Gram matrices are persymmetric: with a positive
+    frozen vector, W^T W is a nonnegative irreducible Toeplitz matrix, so
+    its principal vector is positive (Perron-Frobenius), never flip-odd
+    (a frozen vector of length 1 gives a multiple of the identity, which
+    keeps the start), and each solve hands a positive vector on.
     """
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")

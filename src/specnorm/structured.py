@@ -40,7 +40,6 @@ __all__ = [
     "SymbolVector",
     "ResourceLimitError",
     "replicate_stream",
-    "draw_entries",
     "embedding_size",
     "build_symbol",
     "build_symbols",
@@ -129,15 +128,8 @@ def replicate_stream(base_seed: int, replicate: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def draw_entries(rng: np.random.Generator, dist: str, count: int) -> np.ndarray:
-    """Draw `count` i.i.d. entries with mean 0 and variance 1."""
-    out = np.empty(count)
-    _draw_into(rng, dist, out)
-    return out
-
-
 def _draw_into(rng: np.random.Generator, dist: str, out: np.ndarray) -> None:
-    """Fill `out` with the draws :func:`draw_entries` returns for its length."""
+    """Fill `out` with i.i.d. draws of mean 0 and variance 1."""
     if dist == "gaussian":
         rng.standard_normal(out=out)
     elif dist == "rademacher":

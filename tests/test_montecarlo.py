@@ -342,11 +342,14 @@ def test_experiment_error_names_replayable_replicates():
     message = str(exc.value)
     assert message.startswith("8 of 8 replicates failed to converge")
     assert "(91, 0), (91, 1), (91, 2), (91, 3), (91, 4) and 3 more" in message
-    # each named pair replays the failure on its own
+    # each named pair replays the failure on its own, through the call the message states
+    settings = re.search(r"\bspec, tol=(\S+), max_iter=(\d+)\)", message)
+    tol, max_iter = float(settings.group(1)), int(settings.group(2))
+    assert (tol, max_iter) == (cfg.norm_tol, cfg.norm_max_iter)
     spec = cfg.template_spec()
     for r in range(5):
         sym = build_symbol(spec, replicate_stream(91, r))
-        assert not spectral_norm_fast(sym, spec, max_iter=cfg.norm_max_iter).converged
+        assert not spectral_norm_fast(sym, spec, tol=tol, max_iter=max_iter).converged
 
 
 @pytest.fixture

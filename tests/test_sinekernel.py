@@ -97,12 +97,13 @@ def test_gram_operator_matches_banded_reference(length, cols):
 
 
 def test_principal_singular_identity_padding():
-    res = principal_right_singular([1.0], cols=3, tol=1e-12)
+    res = principal_right_singular([1.0], cols=3, tol=1e-12, start=np.ones(3))
     assert res.sigma == pytest.approx(1.0, abs=1e-12)
 
 
 def test_principal_singular_single_column():
-    res = principal_right_singular(np.array([1.0, 1.0]) / math.sqrt(2), cols=1, tol=1e-12)
+    res = principal_right_singular(np.array([1.0, 1.0]) / math.sqrt(2), cols=1, tol=1e-12,
+                                   start=np.ones(1))
     assert res.sigma == pytest.approx(1.0, abs=1e-12)
 
 
@@ -114,13 +115,15 @@ def test_principal_singular_single_column():
 ])
 def test_principal_singular_refuses_bad_tol(tol, message):
     with pytest.raises(ValueError, match=message):
-        principal_right_singular([1.0, 0.5], cols=4, tol=tol)
+        principal_right_singular([1.0, 0.5], cols=4, tol=tol, start=np.ones(4))
 
 
 def test_principal_singular_matches_dense_svd():
     rng = np.random.default_rng(20)
     w = rng.standard_normal(20)
-    res = principal_right_singular(w, cols=15, tol=1e-14)
+    # a random start: w's Gram matrix is persymmetric, and a flat start spans
+    # only flip-even Krylov vectors
+    res = principal_right_singular(w, cols=15, tol=1e-14, start=rng.standard_normal(15))
     want = np.linalg.svd(conv_matrix(w, 15), compute_uv=False)[0]
     assert abs(res.sigma - want) < 1e-9
 
@@ -171,6 +174,18 @@ def test_fixed_point_self_consistency():
     sweep = principal_right_singular(w, 30, tol=sweep_tol / 10, start=pair.v)
     assert sweep.converged
     assert abs(sweep.sigma - est.i_value) <= 10 * sweep_tol
+
+
+@pytest.mark.parametrize(
+    "p, n", [(1, 1), (3, 7), (12, 12), (30, 70), (64, 128), (17, 1000), (200, 2000)]
+)
+def test_flat_warm_starts_keep_the_extremal_pair_positive(p, n):
+    # with a positive frozen vector W^T W is a nonnegative irreducible Toeplitz
+    # matrix, so its principal vector is positive (Perron-Frobenius), never the
+    # flip-odd vector that a flat start of a persymmetric matrix would miss
+    _, pair = k_estimate(p, n)
+    assert (pair.w > 0).all()
+    assert (pair.v > 0).all()
 
 
 def tight_alternation(p, n, sweep_tol=1e-13):
@@ -226,7 +241,7 @@ def test_sweep_accuracy_is_not_a_parameter():
         k_estimate(3, 7, outer_tol=1e-13)
     with pytest.raises(TypeError):
         k_table([1.0], p_base=10, outer_tol=1e-13)
-    with pytest.raises(TypeError):  # every caller names the inner tolerance
+    with pytest.raises(TypeError):  # every caller names the inner tolerance and the start
         principal_right_singular([1.0], 3)
 
 

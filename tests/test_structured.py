@@ -10,7 +10,6 @@ from specnorm.structured import (
     build_symbol,
     build_symbols,
     dense_materialize,
-    draw_entries,
     embedding_size,
     matvec,
     projection_entry,
@@ -169,18 +168,18 @@ def test_rmatvec_is_adjoint(spec):
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
 
-def test_draw_entries_moments():
-    rng = replicate_stream(2024)
+def test_drawn_entries_have_mean_0_and_variance_1():
     for dist in DISTRIBUTIONS:
-        x = draw_entries(rng, dist, 200_000)
+        x = build_symbol(MatrixSpec("toeplitz", p=1000, n=199_000, dist=dist, seed=2024)).values
+        assert x.size == 200_000
         assert abs(x.mean()) < 0.02
         assert abs(x.var() - 1.0) < 0.02
 
 
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_build_symbols_draws_each_row_as_draw_entries_does(dist):
-    # drawn in place, each row holds the bits of draw_entries on its stream
-    # and of the plain generator calls that draw a fresh array
+def test_build_symbols_draws_each_row_as_the_plain_generator_calls_do(dist):
+    # drawn in place, each row holds the bits of the plain generator calls
+    # that draw a fresh array on its stream
     half = np.sqrt(3.0)
     fresh = {
         "gaussian": lambda rng, count: rng.standard_normal(count),
@@ -191,7 +190,6 @@ def test_build_symbols_draws_each_row_as_draw_entries_does(dist):
     stack = build_symbols(spec, [replicate_stream(31, r) for r in range(3)])
     for r in range(3):
         row = stack.values[r].tobytes()
-        assert row == draw_entries(replicate_stream(31, r), dist, 1300).tobytes()
         assert row == fresh(replicate_stream(31, r), 1300).tobytes()
 
 
