@@ -55,7 +55,7 @@ EXIT_USAGE = 64
 
 _DEFAULT_SEED = 12345
 
-_log = logging.getLogger(__name__)
+_log = logging.getLogger("specnorm.cli")  # not __name__, "__main__" under python -m
 
 
 class UsageError(Exception):
@@ -175,6 +175,8 @@ def cmd_norm(args) -> int:
     # the oracle first: past the dense limit it refuses before the fast solve runs
     oracle = spectral_norm_dense(dense_materialize(sym, spec)) if args.dense_check else None
     result = spectral_norm_fast(sym, spec)
+    _log.info("norm solve: %d steps, certified residual %.3g, converged %s",
+              result.iterations, result.residual, _fmt(result.converged))
     row = {
         "family": spec.family,
         "symmetric": spec.symmetric,
@@ -391,7 +393,7 @@ def build_parser() -> _Parser:
     common.add_argument("--output", help="write results to this path (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("-v", "--verbose", action="count", default=0,
-                        help="log each norm block and Monte Carlo run to stderr")
+                        help="log each norm solve, table row and Monte Carlo run to stderr")
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None,
                         help="seed (default: the config's seed, else %d)" % _DEFAULT_SEED)

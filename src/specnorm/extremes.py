@@ -135,22 +135,25 @@ def _kernel_spectrum(p: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BStatistic:
-    value: float  # max quadratic form divided by p
-    argmax_j: int
+    value: float | np.ndarray  # max quadratic form divided by p
+    argmax_j: int | np.ndarray
 
 
 def b_statistic(diag, p: int) -> BStatistic:
-    """Lower-bound statistic for the squared norm of a Gaussian circulant draw.
+    """Lower-bound statistic for the squared norm of a Gaussian circulant draw,
+    for each row of a stack of DFT diagonals, shape (..., n).
 
     Evaluates all n quadratic forms as one circular convolution of |diag|^2
     with the fixed Fejer kernel, whose spectrum is a closed-form triangle
     (O(n log n)), then maximizes over j = 0..n/2; forms at j and n-j
-    coincide because |diag| is even.
+    coincide because |diag| is even. Every operation acts on each row
+    alone, so a row's statistic is bit-identical to its own call. One
+    diagonal gives a float and an int, a stack one array of each.
     """
     d = np.asarray(diag)
-    if d.ndim != 1:
-        raise ValueError(f"diag must be one-dimensional, got shape {d.shape}")
-    n = d.size
+    if d.ndim == 0:
+        raise ValueError("diag must hold at least one axis, got a scalar")
+    n = d.shape[-1]
     if n % 2 != 0:
         raise ValueError(f"even embedding size required, got n={n}")
     if not 1 <= p <= n:
@@ -158,9 +161,11 @@ def b_statistic(diag, p: int) -> BStatistic:
     power = np.abs(d)
     power *= power
     forms = circular_convolve(_kernel_spectrum(p, n), power, n)
-    half = forms[: n // 2 + 1]
-    j = int(np.argmax(half))
-    value = float(half[j] / p)
+    half = forms[..., : n // 2 + 1]
+    j = np.argmax(half, axis=-1)
+    value = np.max(half, axis=-1) / p
+    if d.ndim == 1:
+        return BStatistic(value=float(value), argmax_j=int(j))
     return BStatistic(value=value, argmax_j=j)
 
 

@@ -12,7 +12,9 @@ the first pooled call and serves every later call with the same worker
 count, so a sweep pays process start-up once. Its workers stay until
 `shutdown_pool` or interpreter exit. Workers keep the module state they
 started with; a global changed in the parent afterwards does not reach
-them. On glibc, workers keep the heap their replicates free (see
+them, and they log nothing: a block's diagnostics return in its arrays, and
+`_collect` logs one line per run, so `-v` prints the same serially or
+pooled. On glibc, workers keep the heap their replicates free (see
 `_keep_freed_heap`).
 """
 
@@ -168,22 +170,21 @@ def _needs_norm(cfg: ExperimentConfig) -> bool:
 
 def _replicate(cfg: ExperimentConfig, block: range) -> dict[str, np.ndarray]:
     """Replicates `block`, drawn as one stack with each row from its own
-    stream, their norms solved as one block, then the lower-bound statistic
-    per replicate, as cfg.statistics need. One array per quantity, one entry
-    per replicate: "sigma" and "b" (nan when not computed), the norm solve's
-    "steps" and certified "residual" (0 when not computed) and "converged"."""
+    stream, their norms solved as one block and their lower-bound statistics
+    taken by one call, as cfg.statistics need. One array per quantity, one
+    entry per replicate: "converged" (true where no norm is solved); for a
+    norm, "sigma" and the solve's "steps", certified "residual",
+    "checked_steps" and "dense_steps"; for the lower bound, "b"."""
     spec = cfg.template_spec()
     sym = build_symbols(spec, [replicate_stream(cfg.base_seed, r) for r in block])
-    count = len(block)
-    out = {"sigma": np.full(count, math.nan), "steps": np.zeros(count, dtype=int),
-           "residual": np.zeros(count), "converged": np.ones(count, dtype=bool),
-           "b": np.full(count, math.nan)}
+    out = {"converged": np.ones(len(block), dtype=bool)}
     if _needs_norm(cfg):
         top = spectral_norms(sym, spec, cfg.norm_tol, cfg.norm_max_iter)
         out.update(sigma=np.sqrt(top.values), steps=top.steps, residual=top.residuals,
+                   checked_steps=top.checked_steps, dense_steps=top.dense_steps,
                    converged=top.converged)
     if "b_statistic" in cfg.statistics:
-        out["b"] = np.array([b_statistic(diag, cfg.p).value for diag in sym.diag])
+        out["b"] = b_statistic(sym.diag, cfg.p).value
     return out
 
 
@@ -285,7 +286,9 @@ def _collect(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     """The `_replicate` arrays of all replicates, entry r for replicate r,
     block by block, serially or over cfg.workers processes. A replicate's
     entries do not depend on the block it falls in, so neither the block
-    size nor the worker count changes any result."""
+    size nor the worker count changes any result. Logs the run's one INFO
+    line: blocks, seconds, minor faults and, for a norm, the steps, largest
+    residual and dense extractions summed over the blocks' arrays."""
     t0 = time.perf_counter()
     size = _block_rows(cfg)
     blocks = [range(lo, min(lo + size, cfg.replicates)) for lo in range(0, cfg.replicates, size)]
@@ -301,7 +304,9 @@ def _collect(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     solves = ""
     if _needs_norm(cfg) and _log.isEnabledFor(logging.INFO):  # numpy's first median maps 0.7 MiB
         solves = (f", steps median {np.median(arrays['steps']):g} max {arrays['steps'].max()}, "
-                  f"residual max {arrays['residual'].max():.3g}")
+                  f"residual max {arrays['residual'].max():.3g}, dense extraction on "
+                  f"{arrays['dense_steps'].sum()} of {arrays['checked_steps'].sum()} "
+                  "checked row-steps")
     _log.info("%d replicates in %d blocks, %s: %.3f s, %.1f minor faults per replicate%s",
               cfg.replicates, len(blocks), how, seconds, faults, solves)
     return arrays
@@ -371,7 +376,9 @@ def collect_samples(
     """Per-statistic sample arrays over converged replicates, plus the
     excluded count. Raises ExperimentError past the 0.1% exclusion cap.
     raw_path is opened before the first replicate, so a path that cannot be
-    written fails at once; a run that fails afterwards leaves it empty."""
+    written fails at once. Every replicate's rows are written before the
+    exclusion cap is checked, so a run that raises ExperimentError leaves
+    them all in raw_path, the failed ones flagged "excluded"."""
     sink = open(raw_path, "w", newline="") if raw_path is not None else contextlib.nullcontext()
     with sink as raw:
         arrays = _collect(cfg)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import circular_convolve, fast_length, toeplitz_spectrum
+from .dft import circular_convolve, toeplitz_spectrum
 from .structured import (
     _CIRCULANT_LIKE,
     _DENSE_ENTRY_LIMIT,
@@ -37,8 +36,6 @@ __all__ = [
     "require_scalable",
     "toeplitz_gram",
 ]
-
-_log = logging.getLogger(__name__)
 
 # stream tag for Lanczos start vectors; replicate streams use small ids
 _START_STREAM = 2**63
@@ -465,40 +462,26 @@ def spectral_norms(
     kernels are taken once per block, and the core drops a row's kernels
     when the row stops. Every row starts from the vector of the spec seed,
     so row i gets exactly the solve ``spectral_norm_fast`` makes for
-    symbol row i.
+    symbol row i. It logs nothing: the diagnostics return in the arrays.
     """
     kernels, apply = _short_side_gram(sym, spec)
     count = sym.diag.shape[0]
     start = replicate_stream(spec.seed, _START_STREAM).standard_normal(spec.p)
-    top = gram_lanczos(apply, kernels, np.broadcast_to(start, (count, spec.p)), tol, max_iter)
-    if _log.isEnabledFor(logging.INFO):  # numpy's first median maps 0.7 MiB
-        _log.info(
-            "norm block of %d rows: kernel length %d, steps median %g max %d, "
-            "dense extraction on %d of %d checked row-steps",
-            count, fast_length(2 * spec.p - 1), np.median(top.steps), top.steps.max(),
-            top.dense_steps.sum(), top.checked_steps.sum(),
-        )
-    return top
+    return gram_lanczos(apply, kernels, np.broadcast_to(start, (count, spec.p)), tol, max_iter)
 
 
 def spectral_norm_fast(
     sym: SymbolVector, spec: MatrixSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> NormResult:
-    """Largest singular value, certified by Lanczos on the Gram operator A A^T.
-
-    Runs :func:`gram_lanczos` on the p x p Gram operator A A^T of the
-    shorter side. A step applies it as one circular convolution of length
-    m = fast_length(2p - 1) for circulant-like families, three for Toeplitz
-    and Hankel, symmetric or not (see :func:`spectral_norms`). The start
-    vector is a deterministic pseudo-random vector derived from the spec
-    seed. `iterations` counts Krylov steps (at most p). `residual` is the
-    certified bound, in units of sigma^2: an eigenvalue of A A^T lies
-    within `residual` of sigma_max^2, and from the random start it is the
-    largest one with high probability. The result is converged once `residual` <= tol *
-    sigma_max^2, with tol clamped to [16 eps, 1e-8]; without that
-    certificate after `max_iter` steps it has converged=False. The bound is
-    checked at every step through 16, then at every 4th step and at the
-    last (see :func:`gram_lanczos`).
+    """Largest singular value of one symbol, certified: row 0 of
+    :func:`spectral_norms` on a one-row stack, from the deterministic
+    pseudo-random start of the spec seed. `iterations` counts Krylov steps
+    (at most p). `residual` is the certified bound, in units of sigma^2: an
+    eigenvalue of A A^T lies within `residual` of sigma_max^2, and from the
+    random start it is the largest one with high probability. The result is
+    converged once `residual` <= tol * sigma_max^2, with tol clamped to
+    [16 eps, 1e-8]; without that certificate after `max_iter` steps it has
+    converged=False (:func:`gram_lanczos` says at which steps it is checked).
     """
     stack = SymbolVector(values=sym.values[None], size=sym.size, diag=sym.diag[None])
     top = spectral_norms(stack, spec, tol, max_iter)

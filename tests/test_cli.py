@@ -4,8 +4,11 @@ import functools
 import inspect
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from specnorm.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, build_p
 from specnorm.extremes import g_c_quantile
 from specnorm.montecarlo import ExperimentConfig, reference_constant, run_experiment
 from specnorm.sinekernel import k_estimate
-from specnorm.structured import MatrixSpec, build_symbol
+from specnorm.structured import MatrixSpec, build_symbol, build_symbols, replicate_stream
 
 
 def run_cli(*argv):
@@ -199,19 +202,13 @@ def test_norm_refuses_a_single_column(capsys):
     assert "Traceback" not in err
 
 
-def checked_steps(steps):
-    """Steps at which a solve that stopped after `steps` ran its stopping
-    check: each through 16, every 4th after that, and the last."""
-    return sum(1 for k in range(1, steps + 1) if k <= 16 or k % 4 == 0 or k == steps)
-
-
 @pytest.mark.parametrize("family,symmetric,n", [
     ("toeplitz", False, 200),
     ("circulant", True, 200),
     ("hankel", True, 200),
     ("hankel", False, 20),  # square
 ])
-def test_norm_verbose_logs_the_block_solve(family, symmetric, n, capsys):
+def test_norm_verbose_logs_the_solve(family, symmetric, n, capsys):
     argv = ["norm", "--family", family, "--p", "20", "--n", str(n), "--seed", "4"]
     argv += ["--symmetric"] if symmetric else []
     assert run_cli(*argv) == EXIT_OK
@@ -219,12 +216,12 @@ def test_norm_verbose_logs_the_block_solve(family, symmetric, n, capsys):
     assert run_cli(*argv, "-v") == EXIT_OK
     loud = capsys.readouterr()
     assert loud.out == quiet.out and quiet.err == ""
-    steps = next(csv.DictReader(quiet.out.splitlines()))["iterations"]
+    spec = MatrixSpec(family, p=20, n=n, symmetric=symmetric, seed=4)
+    result = norms.spectral_norm_fast(build_symbol(spec), spec)
+    assert next(csv.DictReader(quiet.out.splitlines()))["iterations"] == str(result.iterations)
     (line,) = loud.err.splitlines()
-    # kernel length fast_length(2p - 1) = 40 at p = 20, whatever n
-    assert re.fullmatch(rf"specnorm\.norms: norm block of 1 rows: kernel length 40, steps median "
-                        rf"{steps} max {steps}, dense extraction on \d+ of "
-                        rf"{checked_steps(int(steps))} checked row-steps", line)
+    assert line == (f"specnorm.cli: norm solve: {result.iterations} steps, "
+                    f"certified residual {result.residual:.3g}, converged true")
 
 
 @pytest.mark.parametrize("argv,line", [
@@ -412,7 +409,8 @@ def test_mc_refuses_a_single_column(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_serial_mc_logs_each_block_solve(tmp_path, capsys, monkeypatch):
+def test_serial_mc_logs_one_run_line_with_its_blocks_solver_counts(tmp_path, capsys,
+                                                                    monkeypatch):
     monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1)  # one replicate per block
     cfg = tmp_path / "mc.cfg"
     cfg.write_text(MC_CONFIG)
@@ -421,21 +419,18 @@ def test_serial_mc_logs_each_block_solve(tmp_path, capsys, monkeypatch):
     assert run_cli("mc", "--config", str(cfg), "--threads", "1", "-v") == EXIT_OK
     loud = capsys.readouterr()
     assert loud.out == quiet.out and quiet.err == ""
-    lines = loud.err.splitlines()
-    assert len(lines) == 11  # ten blocks, then the run
-    steps = []
-    for line in lines[:10]:
-        block = re.fullmatch(r"specnorm\.norms: norm block of 1 rows: kernel length 32, "
-                             r"steps median (\d+) max \1, dense extraction on \d+ of (\d+) "
-                             r"checked row-steps", line)
-        assert block, line
-        assert int(block[2]) == checked_steps(int(block[1])), line
-        steps.append(int(block[1]))
-    # the run line summarizes the replicates' steps
+    # MC_CONFIG's ten replicates, solved as one block: a row's counts do not
+    # depend on its block
+    spec = MatrixSpec("circulant", p=16, n=32, seed=5)
+    top = norms.spectral_norms(build_symbols(spec, [replicate_stream(5, r) for r in range(10)]),
+                               spec)
+    (line,) = loud.err.splitlines()
     assert re.fullmatch(r"specnorm\.montecarlo: 10 replicates in 10 blocks, serial: \d+\.\d{3} s, "
                         r"\d+\.\d minor faults per replicate, "
-                        rf"steps median {np.median(steps):g} max {max(steps)}, residual max \S+",
-                        lines[10]), lines[10]
+                        rf"steps median {np.median(top.steps):g} max {top.steps.max()}, "
+                        rf"residual max {top.residuals.max():.3g}, "
+                        rf"dense extraction on {top.dense_steps.sum()} of "
+                        rf"{top.checked_steps.sum()} checked row-steps", line), line
 
 
 SWEEP_CONFIG = 'family = circulant\np = 8\nreplicates = 10\nratios = "1.0, 0.5"\n'
@@ -448,6 +443,13 @@ def test_sweep_refuses_raw_output(tmp_path, command):
     cfg.write_text(SWEEP_CONFIG + f"raw_output = {raw}\n")
     assert run_cli(command, "--config", str(cfg)) == EXIT_USAGE
     assert not raw.exists()
+
+
+# the run line of one SWEEP_CONFIG ratio over 2 workers
+SWEEP_RUN_LINE = (r"specnorm\.montecarlo: 10 replicates in 2 blocks, 2 workers, "
+                  r"pool (started|reused): \d+\.\d{3} s, \d+\.\d minor faults per replicate, "
+                  r"steps median \d+(\.5)? max \d+, residual max \S+, "
+                  r"dense extraction on \d+ of \d+ checked row-steps")
 
 
 @pytest.mark.parametrize("command", ["mc", "paired"])
@@ -463,11 +465,56 @@ def test_verbose_logs_runs_to_stderr_and_leaves_stdout_alone(tmp_path, capsys, c
     lines = loud.err.splitlines()
     assert len(lines) == 2  # one per ratio
     for line in lines:
-        assert re.fullmatch(r"specnorm\.montecarlo: 10 replicates in 2 blocks, 2 workers, "
-                            r"pool (started|reused): \d+\.\d{3} s, "
-                            r"\d+\.\d minor faults per replicate, steps median \d+(\.5)? "
-                            r"max \d+, residual max \S+", line), line
+        assert re.fullmatch(SWEEP_RUN_LINE, line), line
     assert "pool reused" in lines[1]
+
+
+def run_module(*argv):
+    """`python -m specnorm.cli` in a fresh process, this package first on its path."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "specnorm.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_pooled_verbose_mc_in_a_fresh_process_writes_one_line_per_ratio(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    done = run_module("mc", "--config", str(cfg), "--threads", "2", "-v")
+    assert done.returncode == EXIT_OK, done.stderr
+    lines = done.stderr.splitlines()  # file descriptor 2, where pool workers write too
+    assert len(lines) == 2, lines
+    assert re.fullmatch(SWEEP_RUN_LINE, lines[0]) and "pool started" in lines[0], lines
+    assert re.fullmatch(SWEEP_RUN_LINE, lines[1]) and "pool reused" in lines[1], lines
+
+
+def test_verbose_norm_under_python_m_writes_its_solve_line():
+    done = run_module("norm", "--family", "toeplitz", "--p", "20", "--n", "200", "--seed", "4",
+                      "-v")
+    assert done.returncode == EXIT_OK, done.stderr
+    (line,) = done.stderr.splitlines()  # logged as specnorm.cli, not __main__
+    assert re.fullmatch(r"specnorm\.cli: norm solve: \d+ steps, certified residual \S+, "
+                        r"converged true", line), line
+
+
+@pytest.mark.parametrize("order", [("", "-v"), ("-v", "")], ids=["quiet-then-verbose",
+                                                                   "verbose-then-quiet"])
+def test_pooled_verbose_output_does_not_depend_on_the_pools_history(tmp_path, capfd, order):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    montecarlo.shutdown_pool()
+    try:
+        for flag in order:  # the first call starts the pool, the second reuses it
+            argv = ["mc", "--config", str(cfg), "--threads", "2"] + ([flag] if flag else [])
+            assert run_cli(*argv) == EXIT_OK
+            lines = capfd.readouterr().err.splitlines()  # fd 2: the workers' writes too
+            if flag:
+                assert len(lines) == 2, lines
+                assert all(re.fullmatch(SWEEP_RUN_LINE, line) for line in lines), lines
+            else:
+                assert lines == []
+    finally:
+        montecarlo.shutdown_pool()
 
 
 def test_gumbel_compare(tmp_path):

@@ -202,11 +202,29 @@ def test_b_statistic_dominates_max_power():
     assert stat.value >= float(np.max(np.abs(sym.diag) ** 2)) - 1e-12
 
 
-def test_b_statistic_rejects_a_stack_of_diagonals():
-    spec = MatrixSpec("circulant", p=4, n=8, seed=2)
-    stacked = build_symbols(spec, [replicate_stream(2), replicate_stream(2)])
-    with pytest.raises(ValueError, match=r"\(2, 8\)"):
-        b_statistic(stacked.diag, 4)
+@pytest.mark.parametrize("p,n,rows", [(64, 128, 50), (256, 512, 40), (16384, 65536, 1)])
+def test_b_statistic_rows_of_a_stack_equal_their_own_calls(p, n, rows):
+    spec = MatrixSpec("circulant", p=p, n=n, seed=11)
+    stacked = build_symbols(spec, [replicate_stream(11, r) for r in range(rows)])
+    stat = b_statistic(stacked.diag, p)
+    assert stat.value.shape == stat.argmax_j.shape == (rows,)
+    for row, diag in enumerate(stacked.diag):
+        single = b_statistic(diag, p)
+        assert isinstance(single.value, float) and isinstance(single.argmax_j, int)
+        assert stat.value[row].tobytes() == np.float64(single.value).tobytes()
+        assert stat.argmax_j[row] == single.argmax_j
+    # any leading axes: a (2, rows/2, n) stack gives the same rows
+    if rows % 2 == 0:
+        folded = b_statistic(stacked.diag.reshape(2, rows // 2, n), p)
+        assert folded.value.tobytes() == stat.value.tobytes()
+        assert folded.argmax_j.ravel().tolist() == stat.argmax_j.tolist()
+
+
+def test_b_statistic_refuses_a_scalar_and_an_odd_stack():
+    with pytest.raises(ValueError, match="scalar"):
+        b_statistic(np.complex128(1.0), 1)
+    with pytest.raises(ValueError, match="n=9"):
+        b_statistic(np.ones((2, 9), dtype=complex), 3)
 
 
 def test_b_statistic_rejects_odd_or_oversized():

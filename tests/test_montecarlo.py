@@ -17,7 +17,7 @@ import pytest
 
 import specnorm.montecarlo as mc
 import specnorm.norms as norms
-from specnorm.extremes import gumbel_model, gumbel_quantile, theta_c
+from specnorm.extremes import b_statistic, gumbel_model, gumbel_quantile, theta_c
 from specnorm.montecarlo import (
     ExperimentConfig,
     ExperimentError,
@@ -103,6 +103,19 @@ def test_raw_sink_schema(tmp_path):
     assert rows[0] == ["replicate", "statistic", "value", "flag"]
     assert len(rows) == 1 + 6 * 2
     assert {row[3] for row in rows[1:]} == {"ok"}
+
+
+def test_failed_experiment_leaves_every_raw_row_flagged(tmp_path):
+    # rows are written before the exclusion cap is checked: the flags name what failed
+    path = tmp_path / "raw.csv"
+    cfg = ExperimentConfig(family="circulant", p=16, n=32, replicates=20, norm_max_iter=8)
+    with pytest.raises(ExperimentError):
+        collect_samples(cfg, raw_path=str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["replicate", "statistic", "value", "flag"]
+    assert [row[:2] for row in rows[1:]] == [[str(r), "scaled_norm"] for r in range(20)]
+    assert [row[3] for row in rows[1:]] == ["excluded"] * 20  # 8 steps certify none at p = 16
 
 
 def test_square_ratio_scaled_median_envelope():
@@ -281,6 +294,19 @@ def test_block_size_and_workers_do_not_change_paired_arrays(monkeypatch):
     monkeypatch.undo()
     assert mc._block_rows(replace(cfg, workers=2)) == 30
     assert _paired_bytes(replace(cfg, workers=2)) == want
+
+
+def test_a_block_takes_one_b_statistic_call(monkeypatch):
+    shapes = []
+
+    def counted(diag, p):
+        shapes.append(diag.shape)
+        return b_statistic(diag, p)
+
+    monkeypatch.setattr(mc, "b_statistic", counted)
+    monkeypatch.setattr(mc, "_block_rows", lambda _cfg: 7)
+    mc._collect(replace(C7, replicates=60, statistics=("b_statistic",)))
+    assert shapes == [(7, 128)] * 8 + [(4, 128)]
 
 
 def test_block_keeps_exclusions_per_row(monkeypatch):
