@@ -121,7 +121,9 @@ def circular_convolve(spectrum, x, size: int) -> np.ndarray:
     stack of any size.
     """
     f = half_spectrum(x, size)
-    out = f if np.broadcast_shapes(np.shape(spectrum), f.shape) == f.shape else None
+    # in place when the spectrum's shape ends f's, so that the product has f's shape
+    shape = np.shape(spectrum)
+    out = f if shape == f.shape[f.ndim - len(shape) :] else None
     return np.fft.irfft(np.multiply(spectrum, f, out=out), size)
 
 

@@ -45,7 +45,6 @@ from .structured import (
     ResourceLimitError,
     build_symbols,
     embedding_size,
-    replicate_stream,
     require_integer,
 )
 
@@ -176,7 +175,7 @@ def _replicate(cfg: ExperimentConfig, block: range) -> dict[str, np.ndarray]:
     norm, "sigma" and the solve's "steps", certified "residual",
     "checked_steps" and "dense_steps"; for the lower bound, "b"."""
     spec = cfg.template_spec()
-    sym = build_symbols(spec, [replicate_stream(cfg.base_seed, r) for r in block])
+    sym = build_symbols(spec, cfg.base_seed, block)
     out = {"converged": np.ones(len(block), dtype=bool)}
     if _needs_norm(cfg):
         top = spectral_norms(sym, spec, cfg.norm_tol, cfg.norm_max_iter)

@@ -57,10 +57,9 @@ _SHIFT = 64.0 * float(np.finfo(float).eps)
 # k |theta|, since the computed pivots are exact only for a matrix within a
 # few eps of T entrywise
 _COUNT_SLACK = 4.0 * float(np.finfo(float).eps)
-# steps that run the stopping check: every step through this one, then every
-# _CHECK_STRIDE-th; the schedule depends on the step alone, never on the block
-_CHECK_EVERY_THROUGH = 16
-_CHECK_STRIDE = 4
+# checks of at most this many rows run the O(k) recurrences on Python floats,
+# row by row; larger ones run them on (rows,) arrays, position by position
+_FLOAT_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -151,20 +150,17 @@ def _top_ritz(
     :func:`_top_ritz_dense` instead, as do the rows in `final`, which stop
     on exact termination or at the step cap and so need the exact top.
 
-    The recurrences run over positions (see :func:`_positions`), on Python
-    floats for one row and on (rows,) arrays for a block, with the same
-    IEEE operations either way; the rest acts along each row. So a row's
-    results do not depend on the rest of the stack.
+    The recurrences run over positions (see :func:`_positions`), row by
+    row on Python floats for a check of at most `_FLOAT_ROWS` rows and on
+    (rows,) arrays for a larger one, with the same IEEE operations either
+    way; the rest acts along each row. So a row's results do not depend on
+    the rest of the stack.
     """
     count, k = alphas.shape
     if k == 1:
         return (*_top_ritz_dense(alphas, betas, guess), np.zeros(count, dtype=bool))
-    try:
-        with np.errstate(all="ignore"):
-            theta, s, t_residual, certified = _certified_ritz(alphas, betas, guess, rho)
-    except ZeroDivisionError:  # a zero pivot of one row; in a block it leaves inf or nan
-        theta, s, t_residual = np.empty(count), np.empty((count, k)), np.empty(count)
-        certified = np.zeros(count, dtype=bool)
+    with np.errstate(all="ignore"):
+        theta, s, t_residual, certified = _certified_ritz(alphas, betas, guess, rho)
     dense = final | ~certified
     if dense.any():
         theta[dense], s[dense], t_residual[dense] = _top_ritz_dense(
@@ -177,14 +173,11 @@ def _certified_ritz(
     alphas: np.ndarray, betas: np.ndarray, guess: np.ndarray, rho: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """theta, s and r_T of :func:`_top_ritz`'s O(k) extraction, and the rows
-    whose Sturm count certifies theta. A zero pivot raises
-    ZeroDivisionError on Python floats, and turns a row of a block to inf or
-    nan, which no count certifies."""
-    count, k = alphas.shape
-    shifted = _positions(alphas - (rho * (1.0 + _SHIFT))[:, None])
-    x = np.array(_ldl_solve(shifted, _positions(betas), _positions(guess)))
-    # back to one C-ordered row per problem, so reductions run along rows
-    x = np.ascontiguousarray(x.reshape(k, count).T)
+    whose Sturm count certifies theta. A zero pivot leaves its row's solve
+    and pivots inf or nan (see :func:`_positions`), which no count
+    certifies; the other rows go on."""
+    k = alphas.shape[1]
+    x = _positions(_ldl_solve, alphas - (rho * (1.0 + _SHIFT))[:, None], betas, guess)
     length = _row_norms(x)
     s = x / length[:, None]
     ts = alphas * s  # T s
@@ -193,16 +186,30 @@ def _certified_ritz(
     theta = np.add.reduce(s * ts, axis=-1)
     t_residual = _row_norms(ts - theta[:, None] * s)
     top = theta + t_residual + _COUNT_SLACK * k * np.abs(theta)
-    pivots = _pivots(_positions(alphas - top[:, None]), _positions(betas * betas))
-    below = np.reshape(np.less(pivots, 0.0).all(axis=0), count)
+    # every pivot is tested: a nan one fails, as a zero one does
+    below = np.less(_positions(_pivots, alphas - top[:, None], betas * betas), 0.0).all(axis=-1)
     # r_T places an eigenvalue near theta only for a unit s
     return theta, s, t_residual, below & (length > 0.0) & (length < np.inf)
 
 
-def _positions(a: np.ndarray):
-    """The entries of a stack of rows, position by position: Python floats
-    for one row, contiguous (rows,) arrays for a block."""
-    return a[0].tolist() if len(a) == 1 else np.ascontiguousarray(a.T)
+def _positions(recurrence, *stacks: np.ndarray) -> np.ndarray:
+    """`recurrence` run position by position over the rows of `stacks`, one
+    row of the result per row. For at most `_FLOAT_ROWS` rows it runs row by
+    row on Python floats, where a zero pivot raises ZeroDivisionError and
+    leaves its row nan; for more, on contiguous (rows,) arrays, where it
+    leaves inf or nan. Either way a row's entries see the same IEEE
+    operations."""
+    if len(stacks[0]) > _FLOAT_ROWS:
+        out = recurrence(*(np.ascontiguousarray(stack.T) for stack in stacks))
+        # back to one C-ordered row per problem, so reductions run along rows
+        return np.ascontiguousarray(np.array(out).T)
+    rows = []
+    for row in zip(*(stack.tolist() for stack in stacks)):
+        try:
+            rows.append(recurrence(*row))
+        except ZeroDivisionError:
+            rows.append([math.nan] * len(row[0]))
+    return np.array(rows)
 
 
 def _ldl_solve(diag, off, rhs) -> list:
@@ -284,23 +291,23 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
     G lies within that bound of theta; the second term is at rounding level
     once s has converged.
 
-    The stopping check runs at every step through `_CHECK_EVERY_THROUGH`,
-    then at every `_CHECK_STRIDE`-th step (20, 24, ...), and at a row's
-    last step: exact termination (beta_k = 0, or the basis spans the whole
-    space; the residual is then 0) or the step cap. Other steps only
-    extend T and the basis. A check takes theta and s from
-    :func:`_top_ritz`, seeded with the last check's s padded with zeros
-    and its theta: one LDL^T solve and one Sturm count per row, O(k),
-    which certify theta as T's top eigenvalue to within
-    ``||T s - theta s||``. A row whose count fails, or that stops on exact
-    termination or at the step cap, takes the dense ``eigvalsh`` extraction
-    instead; `checked_steps` counts a row's checks and `dense_steps` those
-    that took the dense extraction. A row stops at the first check where
-    its bound is at most ``tol * theta`` (past step 16, a few steps after
-    the first step where it would have held), on exact termination, or at
-    `max_iter` steps, converged only if its bound holds there. Stopped rows
-    leave the active set and the rest go on. The schedule depends on the
-    step alone, so every caller and block size shares it.
+    The stopping check runs at steps 1-4, then at every 2nd step through
+    12, then at every 4th (16, 20, ...), and at a row's last step: exact
+    termination (beta_k = 0, or the basis spans the whole space; the
+    residual is then 0) or the step cap. Other steps only extend T and the
+    basis. A check takes theta and s from :func:`_top_ritz`, seeded with
+    the last check's s padded with zeros and its theta: one LDL^T solve and
+    one Sturm count per row, O(k), which certify theta as T's top
+    eigenvalue to within ``||T s - theta s||``. A row whose count fails, or
+    that stops on exact termination or at the step cap, takes the dense
+    ``eigvalsh`` extraction instead; `checked_steps` counts a row's checks
+    and `dense_steps` those that took the dense extraction. A row stops at
+    the first check where its bound is at most ``tol * theta`` (up to 1
+    step after the first step where it would have held through step 12,
+    up to 3 after it), on exact termination, or at `max_iter` steps,
+    converged only if its bound holds there. Stopped rows leave the active
+    set and the rest go on. The schedule depends on the step alone, so
+    every caller and block size shares it.
 
     Each step calls `apply` once. tol is clamped to [16 eps, 1e-8]: the
     floor is rounding level, and above the cap a row can stop on the second
@@ -361,7 +368,8 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
         # exact termination: the Krylov space is invariant or the whole space
         exact = (beta == 0.0) | (k == dim)
         final = exact | (k == cap)
-        scheduled = k <= _CHECK_EVERY_THROUGH or k % _CHECK_STRIDE == 0
+        # the schedule depends on the step alone, never on the block
+        scheduled = k <= 4 or k % (2 if k <= 12 else 4) == 0
         if scheduled or final.any():
             # off the schedule only the final rows are checked, and they all stop
             check = slice(None) if scheduled else final

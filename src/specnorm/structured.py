@@ -170,26 +170,38 @@ def _entry_count(spec: MatrixSpec) -> int:
 
 
 def build_symbol(spec: MatrixSpec, rng: np.random.Generator | None = None) -> SymbolVector:
-    """Draw the symbol for `spec` and attach its DFT diagonal: row 0 of
-    :func:`build_symbols` on the one stream `rng` (default: the stream of
-    the spec seed)."""
-    stack = build_symbols(spec, [replicate_stream(spec.seed) if rng is None else rng])
+    """Draw the symbol for `spec` from the stream `rng` (default: the stream
+    of the spec seed) and attach its DFT diagonal; a stream gives the row
+    that :func:`build_symbols` draws from it."""
+    entries = np.empty((1, _entry_count(spec)))
+    _draw_into(replicate_stream(spec.seed) if rng is None else rng, spec.dist, entries[0])
+    stack = _symbols(spec, entries)
     return SymbolVector(values=stack.values[0], size=stack.size, diag=stack.diag[0])
 
 
-def build_symbols(spec: MatrixSpec, rngs) -> SymbolVector:
-    """A stack of symbols for `spec`, one row per stream in `rngs`.
+def build_symbols(spec: MatrixSpec, base_seed: int, replicates) -> SymbolVector:
+    """A stack of symbols for `spec`, row i drawn from the stream
+    ``replicate_stream(base_seed, replicates[i])``.
 
     Draw order is fixed: each stream gives a single flat vector of
     `_entry_count(spec)` i.i.d. values, drawn straight into its row, so a
-    given stream always produces the same matrix. Every row is laid out at
-    once and takes one stacked :func:`dft_forward`, whose rows equal their
-    transforms on their own.
+    given stream always produces the same matrix. One Philox bit generator,
+    re-keyed per row at counter 0, stands in for each row's stream. Every
+    row is laid out at once and takes one stacked :func:`dft_forward`, whose
+    rows equal their transforms on their own.
     """
-    rngs = list(rngs)
-    entries = np.empty((len(rngs), _entry_count(spec)))
-    for rng, row in zip(rngs, entries):
+    entries = np.empty((len(replicates), _entry_count(spec)))
+    rng = replicate_stream(base_seed)
+    state = rng.bit_generator.state
+    for replicate, row in zip(replicates, entries):
+        state["state"]["key"] = np.array([base_seed, replicate], dtype=np.uint64)
+        rng.bit_generator.state = state
         _draw_into(rng, spec.dist, row)
+    return _symbols(spec, entries)
+
+
+def _symbols(spec: MatrixSpec, entries: np.ndarray) -> SymbolVector:
+    """The stack of symbols laid out from rows of draws, with their DFT diagonals."""
     values = _layout(spec, entries)
     return SymbolVector(values=values, size=embedding_size(spec), diag=dft_forward(values))
 

@@ -22,7 +22,7 @@ from specnorm.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, build_p
 from specnorm.extremes import g_c_quantile
 from specnorm.montecarlo import ExperimentConfig, reference_constant, run_experiment
 from specnorm.sinekernel import k_estimate
-from specnorm.structured import MatrixSpec, build_symbol, build_symbols, replicate_stream
+from specnorm.structured import MatrixSpec, build_symbol, build_symbols
 
 
 def run_cli(*argv):
@@ -422,8 +422,7 @@ def test_serial_mc_logs_one_run_line_with_its_blocks_solver_counts(tmp_path, cap
     # MC_CONFIG's ten replicates, solved as one block: a row's counts do not
     # depend on its block
     spec = MatrixSpec("circulant", p=16, n=32, seed=5)
-    top = norms.spectral_norms(build_symbols(spec, [replicate_stream(5, r) for r in range(10)]),
-                               spec)
+    top = norms.spectral_norms(build_symbols(spec, 5, range(10)), spec)
     (line,) = loud.err.splitlines()
     assert re.fullmatch(r"specnorm\.montecarlo: 10 replicates in 10 blocks, serial: \d+\.\d{3} s, "
                         r"\d+\.\d minor faults per replicate, "

@@ -16,7 +16,7 @@ from specnorm.extremes import (
     kernel_from_projection,
     theta_c,
 )
-from specnorm.structured import MatrixSpec, build_symbol, build_symbols, replicate_stream
+from specnorm.structured import MatrixSpec, build_symbol, build_symbols
 
 TABLE = {
     0.1: 18.42,
@@ -205,7 +205,7 @@ def test_b_statistic_dominates_max_power():
 @pytest.mark.parametrize("p,n,rows", [(64, 128, 50), (256, 512, 40), (16384, 65536, 1)])
 def test_b_statistic_rows_of_a_stack_equal_their_own_calls(p, n, rows):
     spec = MatrixSpec("circulant", p=p, n=n, seed=11)
-    stacked = build_symbols(spec, [replicate_stream(11, r) for r in range(rows)])
+    stacked = build_symbols(spec, 11, range(rows))
     stat = b_statistic(stacked.diag, p)
     assert stat.value.shape == stat.argmax_j.shape == (rows,)
     for row, diag in enumerate(stacked.diag):

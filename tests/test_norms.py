@@ -178,7 +178,7 @@ def _is_5_smooth(m):
 def test_short_side_makes_one_product_pair_per_solve(monkeypatch, family, symmetric, p, n):
     calls, sizes = _count_products_and_gram_calls(monkeypatch)
     spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=3)
-    stack = build_symbols(spec, [replicate_stream(3, r) for r in range(6)])
+    stack = build_symbols(spec, 3, range(6))
     block = norms.spectral_norms(stack, spec)
     # one stacked pair for the first columns, then one Gram call per step
     assert calls == {"matvec": 1, "rmatvec": 1, "gram": block.steps.max()}
@@ -209,7 +209,7 @@ def test_short_side_gram_matches_dense(family, symmetric, p, n):
     spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=11)
     syms = [build_symbol(spec, replicate_stream(11, r)) for r in range(3)]
     kernels, apply = norms._short_side_gram(
-        build_symbols(spec, [replicate_stream(11, r) for r in range(3)]), spec)
+        build_symbols(spec, 11, range(3)), spec)
     y = np.random.default_rng(p + n).standard_normal((3, p))
     got = apply(kernels, y)
     for sym, row, out in zip(syms, y, got):
@@ -266,7 +266,7 @@ def test_every_row_of_a_block_of_20_matches_dense_and_its_single_solve(family, s
     spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=31)
     syms = [build_symbol(spec, replicate_stream(31, r)) for r in range(20)]
     block = _rows(norms.spectral_norms(
-        build_symbols(spec, [replicate_stream(31, r) for r in range(20)]), spec))
+        build_symbols(spec, 31, range(20)), spec))
     assert len({res.iterations for res in block}) > 1  # the kernels shrink on the way
     for r, (sym, res) in enumerate(zip(syms, block)):
         oracle = spectral_norm_dense(dense_materialize(sym, spec)).sigma_max
@@ -420,8 +420,8 @@ def _bits(result):
 
 def test_block_rows_equal_their_single_solves_bit_for_bit():
     # a Toeplitz shape, and C7's Gaussian circulant 64 x 128, whose rows take
-    # up to about 50 steps: Ritz extraction on Python floats for one row must
-    # match the stacked extraction at large k
+    # up to about 50 steps: Ritz extraction row by row on Python floats, in
+    # blocks of 1, 4 and 9 rows, must match the single solves at large k
     for spec, stream in [
         (MatrixSpec("toeplitz", p=40, n=90, seed=1), 40),
         (MatrixSpec("circulant", p=64, n=128, seed=101), 101),
@@ -433,8 +433,8 @@ def test_block_rows_equal_their_single_solves_bit_for_bit():
         for size in (1, 4, 9):
             block = []
             for lo in range(0, 9, size):
-                streams = [replicate_stream(stream, r) for r in range(lo, min(lo + size, 9))]
-                block += _rows(norms.spectral_norms(build_symbols(spec, streams), spec))
+                stack = build_symbols(spec, stream, range(lo, min(lo + size, 9)))
+                block += _rows(norms.spectral_norms(stack, spec))
             assert [_bits(res) for res in block] == [_bits(res) for res in single], (spec, size)
 
 
@@ -442,10 +442,14 @@ def test_block_row_stopped_by_max_iter_is_flagged_alone():
     spec = MatrixSpec("circulant", p=16, n=32, seed=5)
     syms = [build_symbol(spec, replicate_stream(5, r)) for r in range(12)]
     steps = [spectral_norm_fast(sym, spec).iterations for sym in syms]
-    cap = max(steps) - 1
-    assert min(steps) < cap
-    stack = build_symbols(spec, [replicate_stream(5, r) for r in range(12)])
+    # the last step before the slowest row's at which some row stops: a
+    # checked step, so every row still running there failed its check in
+    # the free solve
+    cap = max(s for s in steps if s < max(steps))
+    assert _checked(cap) and min(steps) <= cap
+    stack = build_symbols(spec, 5, range(12))
     block = _rows(norms.spectral_norms(stack, spec, max_iter=cap))
+    assert {res.converged for res in block} == {True, False}
     assert [res.converged for res in block] == [s <= cap for s in steps]
     assert [res.iterations for res in block] == [min(s, cap) for s in steps]
     capped = [spectral_norm_fast(sym, spec, max_iter=cap) for sym in syms]
@@ -454,16 +458,17 @@ def test_block_row_stopped_by_max_iter_is_flagged_alone():
 
 def _checked(k):
     """Whether the Lanczos core runs its stopping check at step k when the
-    row neither terminates exactly nor reaches its cap there."""
-    return k <= 16 or k % 4 == 0
+    row neither terminates exactly nor reaches its cap there: steps 1-4,
+    every 2nd step through 12, then every 4th."""
+    return k <= 4 or (k <= 12 and k % 2 == 0) or k % 4 == 0
 
 
 def test_c7_rows_stop_at_checks_and_match_their_single_solves_and_dense():
-    # C7 (circulant 64 x 128, seed 101, replicates 0-99): rows stop on both
-    # sides of step 16
+    # C7 (circulant 64 x 128, seed 101, replicates 0-99): rows stop from
+    # step 16 to past 24, and every row passes the checks of steps 1-12
     spec = MatrixSpec("circulant", p=64, n=128, seed=101)
     streams = range(100)
-    top = norms.spectral_norms(build_symbols(spec, [replicate_stream(101, r) for r in streams]),
+    top = norms.spectral_norms(build_symbols(spec, 101, streams),
                                spec)
     assert top.converged.all()
     assert top.steps.min() <= 16 < 24 < top.steps.max() < spec.p
@@ -487,7 +492,7 @@ def test_c7_rows_at_a_cap_off_the_schedule_are_checked_there():
     streams = range(40)
     syms = [build_symbol(spec, replicate_stream(101, r)) for r in streams]
     free = [spectral_norm_fast(sym, spec) for sym in syms]
-    top = norms.spectral_norms(build_symbols(spec, [replicate_stream(101, r) for r in streams]),
+    top = norms.spectral_norms(build_symbols(spec, 101, streams),
                                spec, max_iter=cap)
     block = _rows(top)
     assert [res.iterations for res in block] == [min(res.iterations, cap) for res in free]
@@ -509,7 +514,7 @@ def test_c7_rows_at_a_cap_off_the_schedule_are_checked_there():
 
 def test_block_basis_past_its_byte_budget_is_refused(monkeypatch):
     spec = MatrixSpec("toeplitz", p=12, n=25, seed=1)
-    stack = build_symbols(spec, [replicate_stream(1, r) for r in range(3)])
+    stack = build_symbols(spec, 1, range(3))
     # the budget holds per row: three vectors each, whatever the block size
     monkeypatch.setattr(norms, "_BASIS_BYTES", 3 * 12 * 8)
     assert norms.spectral_norms(stack, spec, max_iter=3).steps.tolist() == [3] * 3
@@ -553,7 +558,7 @@ def _tridiagonal(alphas, betas):
     return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
 
 
-def test_certified_extraction_is_within_its_residual_of_the_top_eigenvalue():
+def test_certified_extraction_is_within_its_residual_of_the_top_eigenvalue(monkeypatch):
     k = 12
     rng = np.random.default_rng(21)
     spectra = [
@@ -585,12 +590,62 @@ def test_certified_extraction_is_within_its_residual_of_the_top_eigenvalue():
     want = norms._top_ritz_dense(alphas[dense], betas[dense], guess[dense])
     for got, ref in zip((theta[dense], s[dense], t_residual[dense]), want):
         assert got.tobytes() == ref.tobytes()
-    # one row alone (on Python floats) gives the bits it gets in the stack
+    # one row alone gives the bits it gets in the stack, and so does the
+    # stack on (rows,) arrays instead of row by row on Python floats
     for i in range(5):
         row = slice(i, i + 1)
         alone = norms._top_ritz(alphas[row], betas[row], guess[row], rho[row], final[row])
         for got, ref in zip(alone, (theta, s, t_residual, dense)):
             assert got.tobytes() == ref[row].tobytes(), i
+    monkeypatch.setattr(norms, "_FLOAT_ROWS", 0)
+    stacked = norms._top_ritz(alphas, betas, guess, rho, final)
+    for got, ref in zip(stacked, (theta, s, t_residual, dense)):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("float_rows", [16, 0])
+def test_a_zero_pivot_leaves_the_other_rows_of_a_check_certified(monkeypatch, float_rows):
+    # a check of three rows, row by row on Python floats (at most 16 rows)
+    # and on (rows,) arrays
+    monkeypatch.setattr(norms, "_FLOAT_ROWS", float_rows)
+    k = 10
+    rng = np.random.default_rng(8)
+    steps = [_lanczos_tridiagonal(rng.uniform(0.0, 1.0, 30), k, i) for i in range(3)]
+    alphas, betas = (np.array(part) for part in zip(*steps))
+    guess, rho = np.zeros((3, k)), np.zeros(3)
+    for i in range(3):
+        values, vectors = np.linalg.eigh(_tridiagonal(alphas[i, :-1], betas[i, :-1]))
+        guess[i, :-1], rho[i] = vectors[:, -1], values[-1]
+    alphas[1, 0] = rho[1] = 0.0  # the first pivot of row 1's T - rho I is 0
+    with np.errstate(all="ignore"):
+        theta, s, t_residual, certified = norms._certified_ritz(alphas, betas, guess, rho)
+    assert certified.tolist() == [True, False, True]
+    for i in (0, 2):
+        row = slice(i, i + 1)
+        alone = norms._certified_ritz(alphas[row], betas[row], guess[row], rho[row])
+        for got, ref in zip(alone, (theta, s, t_residual, certified)):
+            assert got.tobytes() == ref[row].tobytes(), i
+    top = norms._top_ritz(alphas, betas, guess, rho, np.zeros(3, dtype=bool))
+    assert top[3].tolist() == [False, True, False]
+
+
+def test_checks_across_the_float_row_threshold_match_single_solves(monkeypatch):
+    # 24 C7 rows: checks hold more than 16 rows until enough rows stop, and
+    # several rows after that
+    spec = MatrixSpec("circulant", p=64, n=128, seed=101)
+    sizes = []
+    certify = norms._certified_ritz
+
+    def recorded(alphas, *args):
+        sizes.append(len(alphas))
+        return certify(alphas, *args)
+
+    monkeypatch.setattr(norms, "_certified_ritz", recorded)
+    top = norms.spectral_norms(build_symbols(spec, 101, range(24)), spec)
+    assert max(sizes) == 24 and any(1 < size <= norms._FLOAT_ROWS for size in sizes)
+    single = [spectral_norm_fast(build_symbol(spec, replicate_stream(101, r)), spec)
+              for r in range(24)]
+    assert [_bits(res) for res in _rows(top)] == [_bits(res) for res in single]
 
 
 def test_apply_gets_the_kernel_rows_of_the_rows_still_running():

@@ -187,10 +187,23 @@ def test_build_symbols_draws_each_row_as_the_plain_generator_calls_do(dist):
         "uniform_centered": lambda rng, count: rng.uniform(-half, half, count),
     }[dist]
     spec = MatrixSpec("toeplitz", p=300, n=1000, dist=dist, seed=31)
-    stack = build_symbols(spec, [replicate_stream(31, r) for r in range(3)])
+    stack = build_symbols(spec, 31, range(3))
     for r in range(3):
         row = stack.values[r].tobytes()
         assert row == fresh(replicate_stream(31, r), 1300).tobytes()
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_build_symbols_rows_are_their_replicate_streams_in_any_order(dist):
+    # one bit generator re-keyed per row: an odd draw count leaves a
+    # buffered half word after a Rademacher row, which must not reach the
+    # next row, and a repeated or out-of-order replicate draws as on its own
+    spec = MatrixSpec("toeplitz", p=3, n=4, dist=dist)
+    base = 2**63 + 5
+    replicates = [5, 0, 5, 2**40, 1]
+    stack = build_symbols(spec, base, replicates)
+    for row, r in zip(stack.values, replicates):
+        assert row.tobytes() == build_symbol(spec, replicate_stream(base, r)).values.tobytes()
 
 
 def test_replicate_stream_reproducible_and_split():
@@ -271,7 +284,7 @@ def test_spec_refuses_a_symmetric_flag_that_is_not_a_bool(value):
 def test_build_symbols_rows_equal_build_symbol_bit_for_bit(family, symmetric, dist, rows):
     # 7 x 19: embedding sizes 26, 38 and 19, odd and even
     spec = MatrixSpec(family, p=7, n=19, symmetric=symmetric, dist=dist, seed=23)
-    stack = build_symbols(spec, [replicate_stream(23, r) for r in range(rows)])
+    stack = build_symbols(spec, 23, range(rows))
     assert stack.size == embedding_size(spec)
     assert stack.values.shape == stack.diag.shape == (rows, stack.size)
     for r in range(rows):
@@ -284,7 +297,7 @@ def test_build_symbols_rows_equal_build_symbol_bit_for_bit(family, symmetric, di
 def test_stacked_products_equal_row_products_bit_for_bit(family):
     spec = MatrixSpec(family, p=7, n=19)
     syms = [build_symbol(spec, replicate_stream(17, r)) for r in range(5)]
-    stack = build_symbols(spec, [replicate_stream(17, r) for r in range(5)])
+    stack = build_symbols(spec, 17, range(5))
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal((5, spec.n)), rng.standard_normal((5, spec.p))
     ax, aty = matvec(stack, spec, x), rmatvec(stack, spec, y)
