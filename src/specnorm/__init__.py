@@ -5,7 +5,7 @@ Toeplitz norm with rigorous brackets, the shifted-Gumbel second-order
 theory for Gaussian circulants, and a reproducible Monte Carlo harness.
 """
 
-from .dft import autocorrelate, convolve_full, dft_forward
+from .dft import dft_forward
 from .extremes import (
     BStatistic,
     DominanceReport,
@@ -32,9 +32,7 @@ from .norms import NormResult, scaled_norm, spectral_norm_dense, spectral_norm_f
 from .sinekernel import (
     ExtremalPair,
     KEstimate,
-    i_value_direct,
     k_estimate,
-    k_lower_bound,
     k_table,
     principal_right_singular,
 )
@@ -48,7 +46,6 @@ from .structured import (
     projection_entry,
     replicate_stream,
     rmatvec,
-    symbol_from_values,
 )
 
 __version__ = "0.1.0"

@@ -192,8 +192,8 @@ def cmd_norm(args) -> int:
     columns = list(row)
     code = EXIT_OK if result.converged else EXIT_NUMERIC
     if oracle is not None:
-        rel = abs(result.sigma_max - oracle.sigma_max) / oracle.sigma_max
-        row["dense_sigma_max"] = oracle.sigma_max
+        rel = abs(result.sigma_max - oracle) / oracle
+        row["dense_sigma_max"] = oracle
         row["dense_rel_error"] = rel
         columns += ["dense_sigma_max", "dense_rel_error"]
         if rel > 1e-8:

@@ -1,5 +1,4 @@
-"""Unitary DFT, real circular convolution, Toeplitz kernels, full convolution,
-autocorrelation.
+"""Unitary DFT, real circular convolution, Toeplitz kernels.
 
 The unitary transform uses a positive-sign kernel,
 
@@ -11,9 +10,10 @@ For a real vector it is one real FFT: the conjugate of the half spectrum,
 mirrored onto the upper half by Hermitian symmetry.
 Every real product in the package (structured matrix products, Toeplitz
 sections such as the Gram operators of the norm solver and the sine-kernel
-constant, the lower-bound statistic's quadratic forms, real full
-convolutions) is one :func:`circular_convolve`, with the kernel held by its
-half spectrum; :func:`toeplitz_spectrum` lays out the Toeplitz kernels.
+constant, the autocorrelation lags of the sine-kernel Gram matrices, the
+lower-bound statistic's quadratic forms) is one :func:`circular_convolve`,
+with the kernel held by its half spectrum; :func:`toeplitz_spectrum` lays
+out the Toeplitz kernels.
 Arbitrary lengths are supported at O(N log N) cost; the heavy lifting is
 delegated to numpy's pocketfft backend, which falls back to a Bluestein
 chirp-z reduction for lengths with large prime factors. Transforms act
@@ -29,20 +29,9 @@ import numpy as np
 
 __all__ = [
     "dft_forward",
-    "convolve_full",
-    "autocorrelate",
     "fast_length",
     "toeplitz_spectrum",
 ]
-
-
-def _as_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    return v
 
 
 def _as_stack(x, name: str) -> np.ndarray:
@@ -147,28 +136,3 @@ def toeplitz_spectrum(column, size: int, row=None) -> tuple[np.ndarray, int]:
     kernel[..., m - k + 1 :] = r[..., 1:k][..., ::-1]
     return half_spectrum(kernel, m), m
 
-
-def convolve_full(a, b) -> np.ndarray:
-    """Full linear convolution c[k] = sum_j a[j] * b[k-j].
-
-    Output length is len(a) + len(b) - 1. Computed by FFT with zero padding
-    to a 5-smooth length; real inputs stay real.
-    """
-    u = _as_vector(a, "a")
-    v = _as_vector(b, "b")
-    n = u.size + v.size - 1
-    m = fast_length(n)
-    if np.isrealobj(u) and np.isrealobj(v):
-        return circular_convolve(half_spectrum(u, m), v, m)[:n]
-    return np.fft.ifft(np.fft.fft(u, m) * np.fft.fft(v, m))[:n]
-
-
-def autocorrelate(a) -> np.ndarray:
-    """Two-sided autocorrelation at lags -(L-1), ..., L-1.
-
-    Returns alpha with alpha[j] = sum_v a[j+v] * conj(a[v]), stored so that
-    lag j sits at index j + L - 1. For any input, alpha at lag 0 equals
-    ||a||_2**2 and alpha[-j] = conj(alpha[j]); real input gives real output.
-    """
-    v = _as_vector(a, "a")
-    return convolve_full(v, np.conj(v[::-1]))

@@ -499,7 +499,7 @@ def spectral_norm_fast(
     )
 
 
-def spectral_norm_dense(dense) -> NormResult:
+def spectral_norm_dense(dense) -> float:
     """Largest singular value of an explicit matrix (independent oracle path),
     from the deterministic LAPACK SVD."""
     m = np.asarray(dense, dtype=float)
@@ -507,8 +507,7 @@ def spectral_norm_dense(dense) -> NormResult:
         raise ValueError(f"dense input must be a matrix, got shape {m.shape}")
     if m.size > _DENSE_ENTRY_LIMIT:
         raise ResourceLimitError(f"dense norm refuses {m.size} entries > {_DENSE_ENTRY_LIMIT}")
-    sigma = float(np.linalg.svd(m, compute_uv=False)[0])
-    return NormResult(sigma, 0, True, 0.0)
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 class ScalingError(ValueError):

@@ -15,10 +15,10 @@ I / sqrt(p), with the rigorous two-sided bracket
 
 Convolution matrices are never materialized. The Gram matrix W^T W of the
 convolution matrix W of a frozen vector is the Toeplitz matrix of that
-vector's autocorrelation, so each inner Lanczos step is one FFT circular
-convolution with a kernel spectrum taken once per solve, by
-:func:`specnorm.norms.toeplitz_gram`, the operator the norm solver also
-uses for circulant Gram matrices.
+vector's autocorrelation, whose lags take one FFT circular convolution;
+each inner Lanczos step is one more, with a kernel spectrum taken once per
+solve, by :func:`specnorm.norms.toeplitz_gram`, the operator the norm
+solver also uses for circulant Gram matrices.
 
 Every estimate starts cold, from flat unit vectors, and converges in a few
 sweeps; a table over a ratio grid is one such estimate per ratio.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import autocorrelate, convolve_full
+from .dft import circular_convolve, fast_length, half_spectrum
 from .norms import TOL_CAP, gram_lanczos, toeplitz_gram
 
 __all__ = [
@@ -50,9 +50,7 @@ __all__ = [
     "SingularPair",
     "principal_right_singular",
     "k_estimate",
-    "k_lower_bound",
     "k_table",
-    "i_value_direct",
 ]
 
 _log = logging.getLogger(__name__)
@@ -101,14 +99,23 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _convolution_gram(w: np.ndarray, cols: int):
+    """`toeplitz_gram`'s (kernels, apply) for the cols x cols Gram matrix W^T W
+    of w's banded convolution matrix W: the Toeplitz matrix of w's lag 0..len(w)-1
+    autocorrelation, taken by one circular convolution of w with its reversal."""
+    m = fast_length(2 * w.size - 1)
+    lags = circular_convolve(half_spectrum(w, m), w[::-1], m)[w.size - 1 : 2 * w.size - 1]
+    return toeplitz_gram(lags[None], cols)
+
+
 def principal_right_singular(w, cols: int, tol: float, start: np.ndarray) -> SingularPair:
     """Top right singular pair of the banded convolution matrix W of w.
 
     Runs the Lanczos core :func:`specnorm.norms.gram_lanczos`, as a block
-    of one row, on the cols x cols Gram matrix W^T W. That matrix is the
-    Toeplitz matrix of w's autocorrelation; each step applies it by one
-    circular convolution with a kernel spectrum taken once per call, and
-    neither matrix is ever formed. The result is converged once the Ritz
+    of one row, on the cols x cols Gram matrix W^T W of the nonempty real
+    vector w: the Toeplitz matrix of w's autocorrelation, whose lags and
+    each step's product are circular convolutions (:func:`_convolution_gram`),
+    so neither matrix is ever formed. The result is converged once the Ritz
     residual is at most ``tol * sigma^2`` (tol clamped as there);
     `iterations` counts Krylov steps (at most `cols`). The caller picks
     `start`: the Gram matrix is persymmetric, so a structured start such as
@@ -120,11 +127,12 @@ def principal_right_singular(w, cols: int, tol: float, start: np.ndarray) -> Sin
     if cols < 1:
         raise ValueError("cols must be at least 1")
     wv = np.asarray(w, dtype=float)
+    if wv.ndim != 1 or wv.size == 0:
+        raise ValueError(f"w must be a nonempty one-dimensional array, got shape {wv.shape}")
     u = np.asarray(start, dtype=float)
     if u.shape != (cols,):
         raise ValueError(f"start vector must have length {cols}")
-    # W^T W: the Toeplitz matrix of w's autocorrelation at lags 0..len(w)-1
-    kernels, apply = toeplitz_gram(autocorrelate(wv)[None, wv.size - 1 :], cols)
+    kernels, apply = _convolution_gram(wv, cols)
     top = gram_lanczos(apply, kernels, u[None], tol, cols)
     return SingularPair(
         vector=_fix_sign(top.vectors[0]),
@@ -196,23 +204,6 @@ def k_estimate(p: int, n: int) -> tuple[KEstimate, ExtremalPair]:
         converged=converged,
     )
     return est, ExtremalPair(w=w, v=v)
-
-
-def k_lower_bound(p: int, n: int) -> float:
-    """Explicit lower bound sqrt(1 - p/(3n)) from triangular test sequences."""
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    return math.sqrt(1.0 - p / (3.0 * n))
-
-
-def i_value_direct(pair: ExtremalPair) -> float:
-    """Norm of the product polynomial of a unit pair, straight from convolution."""
-    w = np.asarray(pair.w, dtype=float)
-    v = np.asarray(pair.v, dtype=float)
-    for name, u in (("w", w), ("v", v)):
-        if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-            raise ValueError(f"{name} must have unit norm")
-    return float(np.linalg.norm(convolve_full(v, w)))
 
 
 def k_table(ratios, p_base: int, *, p_step: int | None = None) -> list[KEstimate]:

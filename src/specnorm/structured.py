@@ -43,7 +43,6 @@ __all__ = [
     "embedding_size",
     "build_symbol",
     "build_symbols",
-    "symbol_from_values",
     "matvec",
     "rmatvec",
     "dense_materialize",
@@ -204,15 +203,6 @@ def _symbols(spec: MatrixSpec, entries: np.ndarray) -> SymbolVector:
     """The stack of symbols laid out from rows of draws, with their DFT diagonals."""
     values = _layout(spec, entries)
     return SymbolVector(values=values, size=embedding_size(spec), diag=dft_forward(values))
-
-
-def symbol_from_values(values, spec: MatrixSpec) -> SymbolVector:
-    """Wrap an explicit symbol row (mainly for fixtures and oracles)."""
-    v = np.asarray(values, dtype=float)
-    size = embedding_size(spec)
-    if v.shape != (size,):
-        raise ValueError(f"symbol must have length {size}, got {v.shape}")
-    return SymbolVector(values=v, size=size, diag=dft_forward(v))
 
 
 def _operand(v, length: int, sym: SymbolVector, name: str) -> np.ndarray:

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 import specnorm.sinekernel as sinekernel
-from specnorm.dft import autocorrelate, convolve_full
-from specnorm.norms import toeplitz_gram
 from specnorm.sinekernel import (
     ExtremalPair,
-    i_value_direct,
+    _convolution_gram,
     k_estimate,
-    k_lower_bound,
     k_table,
     principal_right_singular,
 )
+
+from oracles import i_value_direct, k_lower_bound
 
 
 def conv_matrix(w, cols):
@@ -26,9 +25,9 @@ def conv_matrix(w, cols):
 
 def banded_rmatvec(w, y, cols):
     """Reference adjoint of the banded convolution matrix of w (which applies
-    as ``convolve_full(w, x)``): valid cross-correlation of y, length `cols`."""
+    as ``np.convolve(w, x)``): valid cross-correlation of y, length `cols`."""
     w = np.asarray(w)
-    return convolve_full(w[::-1], y)[w.size - 1 : w.size - 1 + cols]
+    return np.convolve(w[::-1], y)[w.size - 1 : w.size - 1 + cols]
 
 
 def dense_alternation(p, n, sweeps=500):
@@ -52,7 +51,7 @@ def test_convolution_matrix_applies_full_convolution():
     rng = np.random.default_rng(2)
     w = rng.standard_normal(6)
     x = rng.standard_normal(4)
-    np.testing.assert_allclose(conv_matrix(w, 4) @ x, convolve_full(w, x), atol=1e-12)
+    np.testing.assert_allclose(conv_matrix(w, 4) @ x, np.convolve(w, x), atol=1e-12)
 
 
 def test_banded_adjoint_against_dense():
@@ -62,7 +61,7 @@ def test_banded_adjoint_against_dense():
     m = conv_matrix(w, cols)
     x = rng.standard_normal(cols)
     y = rng.standard_normal(m.shape[0])
-    lhs = float(np.dot(convolve_full(w, x), y))
+    lhs = float(np.dot(np.convolve(w, x), y))
     rhs = float(np.dot(x, banded_rmatvec(w, y, cols)))
     assert abs(lhs - rhs) < 1e-11
     np.testing.assert_allclose(banded_rmatvec(w, y, cols), m.T @ y, atol=1e-12)
@@ -88,11 +87,11 @@ def test_gram_operator_matches_banded_reference(length, cols):
     rng = np.random.default_rng(100 * length + cols)
     w = rng.standard_normal(length)
     x = rng.standard_normal((3, cols))
-    kernels, apply = toeplitz_gram(autocorrelate(w)[None, length - 1 :], cols)
+    kernels, apply = _convolution_gram(w, cols)
     got = apply(kernels, x)
     assert got.shape == (3, cols)
     for row, xi in zip(got, x):
-        want = banded_rmatvec(w, convolve_full(w, xi), cols)
+        want = banded_rmatvec(w, np.convolve(w, xi), cols)
         assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -116,6 +115,13 @@ def test_principal_singular_single_column():
 def test_principal_singular_refuses_bad_tol(tol, message):
     with pytest.raises(ValueError, match=message):
         principal_right_singular([1.0, 0.5], cols=4, tol=tol, start=np.ones(4))
+
+
+@pytest.mark.parametrize("w, shape", [([], r"\(0,\)"), ([[1.0, 2.0], [3.0, 4.0]], r"\(2, 2\)")])
+def test_principal_singular_refuses_a_w_that_is_not_a_nonempty_vector(w, shape):
+    message = rf"^w must be a nonempty one-dimensional array, got shape {shape}$"
+    with pytest.raises(ValueError, match=message):
+        principal_right_singular(w, cols=4, tol=1e-8, start=np.ones(4))
 
 
 def test_principal_singular_matches_dense_svd():
@@ -246,15 +252,11 @@ def test_sweep_accuracy_is_not_a_parameter():
 
 
 def test_product_identity_at_converged_pair():
+    # ||v * w||^2 = w^T (V^T V) w, with V^T V the Toeplitz matrix of v's autocorrelation
     _, pair = k_estimate(14, 33)
-    energy = float(np.linalg.norm(convolve_full(pair.w, pair.v)) ** 2)
-    av = autocorrelate(pair.v)
-    aw = autocorrelate(pair.w)
-    p, n = pair.v.size, pair.w.size
-    lags = min(p, n) - 1
-    total = sum(
-        (np.conj(av[lag + p - 1]) * aw[lag + n - 1]).real for lag in range(-lags, lags + 1)
-    )
+    energy = float(np.linalg.norm(np.convolve(pair.w, pair.v)) ** 2)
+    kernels, apply = _convolution_gram(pair.v, pair.w.size)
+    total = float(apply(kernels, pair.w[None])[0] @ pair.w)
     assert abs(total - energy) < 1e-10 * max(1.0, energy)
 
 

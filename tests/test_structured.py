@@ -15,8 +15,9 @@ from specnorm.structured import (
     projection_entry,
     replicate_stream,
     rmatvec,
-    symbol_from_values,
 )
+
+from oracles import symbol_from_values
 
 
 class StubStream:
