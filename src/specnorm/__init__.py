@@ -40,7 +40,7 @@ from .structured import (
     MatrixSpec,
     ResourceLimitError,
     SymbolVector,
-    build_symbol,
+    build_symbols,
     dense_materialize,
     matvec,
     projection_entry,

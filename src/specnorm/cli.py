@@ -44,7 +44,7 @@ from .structured import (
     FAMILIES,
     MatrixSpec,
     ResourceLimitError,
-    build_symbol,
+    build_symbols,
     dense_materialize,
 )
 
@@ -171,9 +171,9 @@ def cmd_norm(args) -> int:
         require_scalable(spec.n)  # MatrixSpec allows n = 1
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     # the oracle first: past the dense limit it refuses before the fast solve runs
-    oracle = spectral_norm_dense(dense_materialize(sym, spec)) if args.dense_check else None
+    oracle = spectral_norm_dense(dense_materialize(sym, spec)[0]) if args.dense_check else None
     result = spectral_norm_fast(sym, spec)
     _log.info("norm solve: %d steps, certified residual %.3g, converged %s",
               result.iterations, result.residual, _fmt(result.converged))

@@ -135,8 +135,8 @@ def _kernel_spectrum(p: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BStatistic:
-    value: float | np.ndarray  # max quadratic form divided by p
-    argmax_j: int | np.ndarray
+    value: np.ndarray  # max quadratic form divided by p
+    argmax_j: np.ndarray
 
 
 def b_statistic(diag, p: int) -> BStatistic:
@@ -147,8 +147,8 @@ def b_statistic(diag, p: int) -> BStatistic:
     with the fixed Fejer kernel, whose spectrum is a closed-form triangle
     (O(n log n)), then maximizes over j = 0..n/2; forms at j and n-j
     coincide because |diag| is even. Every operation acts on each row
-    alone, so a row's statistic is bit-identical to its own call. One
-    diagonal gives a float and an int, a stack one array of each.
+    alone, so a row's statistic is bit-identical to its own call. Both
+    fields have the stack's leading shape.
     """
     d = np.asarray(diag)
     if d.ndim == 0:
@@ -162,11 +162,7 @@ def b_statistic(diag, p: int) -> BStatistic:
     power *= power
     forms = circular_convolve(_kernel_spectrum(p, n), power, n)
     half = forms[..., : n // 2 + 1]
-    j = np.argmax(half, axis=-1)
-    value = np.max(half, axis=-1) / p
-    if d.ndim == 1:
-        return BStatistic(value=float(value), argmax_j=int(j))
-    return BStatistic(value=value, argmax_j=j)
+    return BStatistic(value=np.max(half, axis=-1) / p, argmax_j=np.argmax(half, axis=-1))
 
 
 @dataclass(frozen=True)

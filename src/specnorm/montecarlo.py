@@ -326,7 +326,7 @@ def _converged(cfg: ExperimentConfig, converged: np.ndarray) -> np.ndarray:
         raise ExperimentError(
             f"{len(failed)} of {cfg.replicates} replicates failed to converge; "
             f"failed (base_seed, replicate): {pairs}{more}. Each replays as "
-            "spectral_norm_fast(build_symbol(spec, replicate_stream(base_seed, replicate)), "
+            "spectral_norm_fast(build_symbols(spec, base_seed, [replicate]), "
             f"spec, tol={cfg.norm_tol!r}, max_iter={cfg.norm_max_iter!r}) with spec the "
             "config's matrix at seed base_seed"
         )

@@ -481,22 +481,22 @@ def spectral_norms(
 def spectral_norm_fast(
     sym: SymbolVector, spec: MatrixSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> NormResult:
-    """Largest singular value of one symbol, certified: row 0 of
-    :func:`spectral_norms` on a one-row stack, from the deterministic
-    pseudo-random start of the spec seed. `iterations` counts Krylov steps
-    (at most p). `residual` is the certified bound, in units of sigma^2: an
-    eigenvalue of A A^T lies within `residual` of sigma_max^2, and from the
-    random start it is the largest one with high probability. The result is
-    converged once `residual` <= tol * sigma_max^2, with tol clamped to
-    [16 eps, 1e-8]; without that certificate after `max_iter` steps it has
-    converged=False (:func:`gram_lanczos` says at which steps it is checked).
+    """Largest singular value of a one-row stack of symbols, certified: row
+    0 of :func:`spectral_norms`, from the deterministic pseudo-random start
+    of the spec seed; any other row count raises ValueError. `iterations`
+    counts Krylov steps (at most p). `residual` is the certified bound, in
+    units of sigma^2: an eigenvalue of A A^T lies within `residual` of
+    sigma_max^2, and from the random start it is the largest one with high
+    probability. The result is converged once `residual` <= tol *
+    sigma_max^2, with tol clamped to [16 eps, 1e-8]; without that
+    certificate after `max_iter` steps it has converged=False
+    (:func:`gram_lanczos` says at which steps it is checked).
     """
-    stack = SymbolVector(values=sym.values[None], size=sym.size, diag=sym.diag[None])
-    top = spectral_norms(stack, spec, tol, max_iter)
-    return NormResult(
-        math.sqrt(top.values[0]), int(top.steps[0]), bool(top.converged[0]),
-        float(top.residuals[0]),
-    )
+    if sym.diag.shape[:-1] != (1,):
+        raise ValueError(f"spectral_norm_fast takes a one-row stack, got shape {sym.diag.shape}")
+    top = spectral_norms(sym, spec, tol, max_iter)
+    return NormResult(math.sqrt(top.values[0]), int(top.steps[0]), bool(top.converged[0]),
+                      float(top.residuals[0]))
 
 
 def spectral_norm_dense(dense) -> float:

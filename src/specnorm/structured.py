@@ -41,7 +41,6 @@ __all__ = [
     "ResourceLimitError",
     "replicate_stream",
     "embedding_size",
-    "build_symbol",
     "build_symbols",
     "matvec",
     "rmatvec",
@@ -104,17 +103,20 @@ class MatrixSpec:
 
 @dataclass(frozen=True)
 class SymbolVector:
-    """First row of the embedding circulant and its DFT diagonal.
+    """A stack of symbols (see :func:`build_symbols`): one row per draw in
+    ``values``, the first row of its embedding circulant, and in ``diag``,
+    its DFT diagonal, both of shape (R, size).
 
-    ``diag[j]`` is the unitary forward DFT of ``values``; for a real
-    symbol it satisfies diag[size - j] = conj(diag[j]). A stack of symbols
-    (see :func:`build_symbols`) holds one row per draw in ``values`` and
-    ``diag``, both of shape (R, size).
+    ``diag[..., j]`` is the unitary forward DFT of ``values``; for a real
+    symbol it satisfies diag[..., size - j] = conj(diag[..., j]).
     """
 
     values: np.ndarray
-    size: int
     diag: np.ndarray
+
+    @property
+    def size(self) -> int:  # the embedding size N
+        return self.values.shape[-1]
 
 
 def replicate_stream(base_seed: int, replicate: int = 0) -> np.random.Generator:
@@ -168,23 +170,14 @@ def _entry_count(spec: MatrixSpec) -> int:
     return size // 2 + 1 if spec.symmetric else size
 
 
-def build_symbol(spec: MatrixSpec, rng: np.random.Generator | None = None) -> SymbolVector:
-    """Draw the symbol for `spec` from the stream `rng` (default: the stream
-    of the spec seed) and attach its DFT diagonal; a stream gives the row
-    that :func:`build_symbols` draws from it."""
-    entries = np.empty((1, _entry_count(spec)))
-    _draw_into(replicate_stream(spec.seed) if rng is None else rng, spec.dist, entries[0])
-    stack = _symbols(spec, entries)
-    return SymbolVector(values=stack.values[0], size=stack.size, diag=stack.diag[0])
-
-
 def build_symbols(spec: MatrixSpec, base_seed: int, replicates) -> SymbolVector:
     """A stack of symbols for `spec`, row i drawn from the stream
     ``replicate_stream(base_seed, replicates[i])``.
 
     Draw order is fixed: each stream gives a single flat vector of
     `_entry_count(spec)` i.i.d. values, drawn straight into its row, so a
-    given stream always produces the same matrix. One Philox bit generator,
+    given stream always produces the same matrix; the draw of a spec's own
+    seed is ``build_symbols(spec, spec.seed, [0])``. One Philox bit generator,
     re-keyed per row at counter 0, stands in for each row's stream. Every
     row is laid out at once and takes one stacked :func:`dft_forward`, whose
     rows equal their transforms on their own.
@@ -202,11 +195,11 @@ def build_symbols(spec: MatrixSpec, base_seed: int, replicates) -> SymbolVector:
 def _symbols(spec: MatrixSpec, entries: np.ndarray) -> SymbolVector:
     """The stack of symbols laid out from rows of draws, with their DFT diagonals."""
     values = _layout(spec, entries)
-    return SymbolVector(values=values, size=embedding_size(spec), diag=dft_forward(values))
+    return SymbolVector(values=values, diag=dft_forward(values))
 
 
 def _operand(v, length: int, sym: SymbolVector, name: str) -> np.ndarray:
-    """`v` checked as one real vector of `length`, or one per row of a stacked `sym`."""
+    """`v` checked as real, one vector of `length` per row of `sym`."""
     vv = np.asarray(v)
     if np.iscomplexobj(vv):
         raise ValueError(f"{name} must be real, got dtype {vv.dtype}")
@@ -226,8 +219,8 @@ def matvec(sym: SymbolVector, spec: MatrixSpec, x) -> np.ndarray:
     The first p entries of the circulant times x zero-padded to the
     embedding size: a circular convolution whose kernel has the half
     spectrum sqrt(size) * diag[: size//2 + 1]. Column-reversed families
-    read x back to front first. For a stacked `sym`, x holds one vector
-    per row and row i of the result uses symbol row i.
+    read x back to front first. x holds one vector per symbol row, and
+    row i of the result uses symbol row i.
     """
     xv = _operand(x, spec.n, sym, "x")
     if spec.reversed_columns:
@@ -248,16 +241,17 @@ def rmatvec(sym: SymbolVector, spec: MatrixSpec, y) -> np.ndarray:
 
 
 def dense_materialize(sym: SymbolVector, spec: MatrixSpec) -> np.ndarray:
-    """Dense p-by-n matrix from the same symbol (oracle path)."""
-    if spec.p * spec.n > _DENSE_ENTRY_LIMIT:
-        raise ResourceLimitError(
-            f"dense path refuses p*n = {spec.p * spec.n} > {_DENSE_ENTRY_LIMIT}"
-        )
+    """Dense p-by-n matrices of the symbols, one per row of `sym` (oracle path)."""
+    draws = sym.values.size // sym.size
+    if draws * spec.p * spec.n > _DENSE_ENTRY_LIMIT:
+        many = f"{draws} rows of " if draws > 1 else ""
+        raise ResourceLimitError(f"dense path refuses {many}p*n = {spec.p * spec.n} > "
+                                 f"{_DENSE_ENTRY_LIMIT}")
     rows = np.arange(spec.p)[:, None]
     cols = np.arange(spec.n)[None, :]
     if spec.reversed_columns:
         cols = cols[:, ::-1]
-    return sym.values[(cols - rows) % sym.size]
+    return sym.values[..., (cols - rows) % sym.size]
 
 
 def projection_entry(r: int, size: int, k: int, l: int) -> complex:

@@ -32,9 +32,9 @@ def i_value_direct(pair: ExtremalPair) -> float:
 
 
 def symbol_from_values(values, spec: MatrixSpec) -> SymbolVector:
-    """Wrap an explicit symbol row."""
+    """Wrap an explicit symbol row as a one-row stack."""
     v = np.asarray(values, dtype=float)
     size = embedding_size(spec)
     if v.shape != (size,):
         raise ValueError(f"symbol must have length {size}, got {v.shape}")
-    return SymbolVector(values=v, size=size, diag=dft_forward(v))
+    return SymbolVector(values=v[None], diag=dft_forward(v[None]))

@@ -35,7 +35,7 @@ from specnorm.sinekernel import _convolution_gram, k_estimate, k_table
 from specnorm.structured import (
     FAMILIES,
     MatrixSpec,
-    build_symbol,
+    build_symbols,
     dense_materialize,
     matvec,
     rmatvec,
@@ -122,12 +122,12 @@ def test_c05_oracle_equivalence():
         n = int(rng.integers(2, 129))
         p = int(rng.integers(1, n + 1))
         spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=1000 + i)
-        sym = build_symbol(spec)
-        dense = dense_materialize(sym, spec)
+        sym = build_symbols(spec, spec.seed, [0])
+        (dense,) = dense_materialize(sym, spec)
         x = rng.standard_normal(n)
         ref = dense @ x
         scale = max(np.linalg.norm(ref), 1e-30)
-        worst_mv = max(worst_mv, np.linalg.norm(matvec(sym, spec, x) - ref) / scale)
+        worst_mv = max(worst_mv, np.linalg.norm(matvec(sym, spec, x[None])[0] - ref) / scale)
 
     worst_nm = 0.0
     for i in range(50):
@@ -135,9 +135,9 @@ def test_c05_oracle_equivalence():
         n = int(rng.integers(4, 97))
         p = int(rng.integers(1, min(n, 48) + 1))
         spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=5000 + i)
-        sym = build_symbol(spec)
+        sym = build_symbols(spec, spec.seed, [0])
         fast = spectral_norm_fast(sym, spec, tol=1e-12, max_iter=200_000)
-        oracle = spectral_norm_dense(dense_materialize(sym, spec))
+        oracle = spectral_norm_dense(dense_materialize(sym, spec)[0])
         assert fast.converged
         worst_nm = max(worst_nm, abs(fast.sigma_max - oracle) / oracle)
 
@@ -149,21 +149,21 @@ def test_c05_oracle_equivalence():
 def test_c06_exact_structural_identities():
     n = 256
     spec = MatrixSpec("circulant", p=n, n=n, seed=60)
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     res = spectral_norm_fast(sym, spec, tol=1e-13, max_iter=300_000)
     exact = math.sqrt(n) * float(np.abs(sym.diag).max())
     circ_err = abs(res.sigma_max - exact) / exact
 
     t_spec = MatrixSpec("toeplitz", p=23, n=57, seed=61)
     h_spec = MatrixSpec("hankel", p=23, n=57, seed=61)
-    sym_t = build_symbol(t_spec)
-    sv_t = np.linalg.svd(dense_materialize(sym_t, t_spec), compute_uv=False)
-    sv_h = np.linalg.svd(dense_materialize(sym_t, h_spec), compute_uv=False)
+    sym_t = build_symbols(t_spec, t_spec.seed, [0])
+    sv_t = np.linalg.svd(dense_materialize(sym_t, t_spec)[0], compute_uv=False)
+    sv_h = np.linalg.svd(dense_materialize(sym_t, h_spec)[0], compute_uv=False)
     sval_err = float(np.max(np.abs(sv_t - sv_h)) / sv_t[0])
 
     b_spec = MatrixSpec("circulant", p=8, n=16, seed=62)
-    sym_b = build_symbol(b_spec)
-    power = np.abs(sym_b.diag) ** 2
+    sym_b = build_symbols(b_spec, b_spec.seed, [0])
+    power = np.abs(sym_b.diag[0]) ** 2
     forms = np.empty(16)
     for j in range(16):
         total = 8 * power[j]
@@ -173,7 +173,7 @@ def test_c06_exact_structural_identities():
                 total += np.sin(np.pi * k * 8 / 16) ** 2 / np.sin(np.pi * k / 16) ** 2 * power[i] / 8
         forms[j] = total
     direct = forms[:9].max() / 8
-    b_err = abs(b_statistic(sym_b.diag, 8).value - direct)
+    b_err = abs(b_statistic(sym_b.diag, 8).value[0] - direct)
 
     ok = circ_err <= 1e-9 and sval_err <= 1e-12 and b_err <= 1e-10
     report("C6 exact structural identities", ok,
@@ -301,10 +301,11 @@ def test_c10_property_suites_and_budget():
     ident_err = abs(identity - np.linalg.norm(np.convolve(v, w)) ** 2)
 
     spec = MatrixSpec("hankel", p=7, n=18, symmetric=True, seed=303)
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     xx, yy = rng.standard_normal(18), rng.standard_normal(7)
     adjoint = abs(
-        float(np.dot(matvec(sym, spec, xx), yy)) - float(np.dot(xx, rmatvec(sym, spec, yy)))
+        float(np.dot(matvec(sym, spec, xx[None])[0], yy))
+        - float(np.dot(xx, rmatvec(sym, spec, yy[None])[0]))
     )
 
     elapsed = time.time() - _SUITE_START

@@ -22,7 +22,7 @@ from specnorm.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, build_p
 from specnorm.extremes import g_c_quantile
 from specnorm.montecarlo import ExperimentConfig, reference_constant, run_experiment
 from specnorm.sinekernel import k_estimate
-from specnorm.structured import MatrixSpec, build_symbol, build_symbols
+from specnorm.structured import MatrixSpec, build_symbols
 
 
 def run_cli(*argv):
@@ -151,7 +151,7 @@ def test_norm_square_circulant_identity(tmp_path):
     assert code == EXIT_OK
     row = read_csv(out)[0]
     spec = MatrixSpec("circulant", p=64, n=64, seed=21)
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     exact = math.sqrt(64) * float(np.abs(sym.diag).max())
     assert float(row["sigma_max"]) == pytest.approx(exact, abs=1e-9 * exact)
     assert float(row["reference"]) == 1.0
@@ -217,7 +217,7 @@ def test_norm_verbose_logs_the_solve(family, symmetric, n, capsys):
     loud = capsys.readouterr()
     assert loud.out == quiet.out and quiet.err == ""
     spec = MatrixSpec(family, p=20, n=n, symmetric=symmetric, seed=4)
-    result = norms.spectral_norm_fast(build_symbol(spec), spec)
+    result = norms.spectral_norm_fast(build_symbols(spec, spec.seed, [0]), spec)
     assert next(csv.DictReader(quiet.out.splitlines()))["iterations"] == str(result.iterations)
     (line,) = loud.err.splitlines()
     assert line == (f"specnorm.cli: norm solve: {result.iterations} steps, "
@@ -584,6 +584,21 @@ def test_paired_sweep(tmp_path):
     for row in rows:
         c, n = float(row["ratio"]), int(row["n"])
         assert float(row["q50_model"]) == pytest.approx(g_c_quantile(0.5, c, n), abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["gumbel-compare", "paired"])
+@pytest.mark.parametrize("statistics", ["centered_norm_sq", "b_statistic", "bogus"])
+def test_gumbel_commands_ignore_the_config_statistics(command, statistics, tmp_path):
+    # each takes its own pair, so one config can serve mc and both of them
+    cfg = tmp_path / "shared.cfg"
+    outs = []
+    for extra in ("", f"\nstatistics = {statistics}"):
+        cfg.write_text("family = circulant\np = 16\nn = 32\nreplicates = 40\nseed = 4" + extra)
+        out = tmp_path / f"out{len(outs)}.csv"
+        code = run_cli(command, "--config", str(cfg), "--threads", "1", "--output", str(out))
+        assert code == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_paired_dominance_output(tmp_path):

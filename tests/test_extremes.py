@@ -16,7 +16,7 @@ from specnorm.extremes import (
     kernel_from_projection,
     theta_c,
 )
-from specnorm.structured import MatrixSpec, build_symbol, build_symbols
+from specnorm.structured import MatrixSpec, build_symbols
 
 TABLE = {
     0.1: 18.42,
@@ -158,7 +158,7 @@ def test_kernel_spectrum_is_flat_at_square_ratio(n):
 
 def test_b_statistic_square_ratio_reduces_to_max_power():
     spec = MatrixSpec("circulant", p=16, n=16, seed=4)
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     stat = b_statistic(sym.diag, 16)
     assert stat.value == pytest.approx(float(np.max(np.abs(sym.diag) ** 2)), abs=1e-10)
 
@@ -178,26 +178,26 @@ def _direct_forms(power, p):
 
 def test_b_statistic_matches_direct_double_loop():
     spec = MatrixSpec("circulant", p=8, n=16, seed=5)
-    sym = build_symbol(spec)
-    power = np.abs(sym.diag) ** 2
+    sym = build_symbols(spec, spec.seed, [0])
+    power = np.abs(sym.diag[0]) ** 2
     forms = _direct_forms(power, 8)
     stat = b_statistic(sym.diag, 8)
     want = forms[: 9].max() / 8
-    assert stat.value == pytest.approx(want, abs=1e-10)
-    assert forms[: 9].argmax() == stat.argmax_j
+    assert stat.value == pytest.approx([want], abs=1e-10)
+    assert stat.argmax_j.tolist() == [forms[: 9].argmax()]
 
 
 def test_quadratic_forms_symmetric_under_reflection():
     spec = MatrixSpec("circulant", p=6, n=20, seed=6)
-    sym = build_symbol(spec)
-    forms = _direct_forms(np.abs(sym.diag) ** 2, 6)
+    sym = build_symbols(spec, spec.seed, [0])
+    forms = _direct_forms(np.abs(sym.diag[0]) ** 2, 6)
     for j in range(1, 10):
         assert forms[j] == pytest.approx(forms[20 - j], abs=1e-10)
 
 
 def test_b_statistic_dominates_max_power():
     spec = MatrixSpec("circulant", p=12, n=48, seed=7)
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     stat = b_statistic(sym.diag, 12)
     assert stat.value >= float(np.max(np.abs(sym.diag) ** 2)) - 1e-12
 
@@ -208,11 +208,11 @@ def test_b_statistic_rows_of_a_stack_equal_their_own_calls(p, n, rows):
     stacked = build_symbols(spec, 11, range(rows))
     stat = b_statistic(stacked.diag, p)
     assert stat.value.shape == stat.argmax_j.shape == (rows,)
-    for row, diag in enumerate(stacked.diag):
-        single = b_statistic(diag, p)
-        assert isinstance(single.value, float) and isinstance(single.argmax_j, int)
-        assert stat.value[row].tobytes() == np.float64(single.value).tobytes()
-        assert stat.argmax_j[row] == single.argmax_j
+    for row in range(rows):
+        single = b_statistic(stacked.diag[row : row + 1], p)
+        assert single.value.shape == single.argmax_j.shape == (1,)
+        assert stat.value[row].tobytes() == single.value.tobytes()
+        assert stat.argmax_j[row] == single.argmax_j[0]
     # any leading axes: a (2, rows/2, n) stack gives the same rows
     if rows % 2 == 0:
         folded = b_statistic(stacked.diag.reshape(2, rows // 2, n), p)
@@ -229,7 +229,7 @@ def test_b_statistic_refuses_a_scalar_and_an_odd_stack():
 
 def test_b_statistic_rejects_odd_or_oversized():
     spec = MatrixSpec("circulant", p=3, n=9, seed=1)
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     with pytest.raises(ValueError):
         b_statistic(sym.diag, 3)
     with pytest.raises(ValueError):

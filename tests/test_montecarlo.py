@@ -27,7 +27,7 @@ from specnorm.montecarlo import (
     run_experiment,
 )
 from specnorm.norms import scaled_norm, spectral_norm_fast
-from specnorm.structured import MatrixSpec, ResourceLimitError, build_symbol, replicate_stream
+from specnorm.structured import MatrixSpec, ResourceLimitError, build_symbols
 
 TINY = ExperimentConfig(
     family="circulant", p=16, n=32, replicates=40, base_seed=91, statistics=("scaled_norm",)
@@ -37,7 +37,7 @@ TINY = ExperimentConfig(
 def test_single_replicate_summary_is_the_statistic():
     cfg = replace(TINY, replicates=1)
     spec = cfg.template_spec()
-    sym = build_symbol(spec, replicate_stream(cfg.base_seed, 0))
+    sym = build_symbols(spec, cfg.base_seed, [0])
     res = spectral_norm_fast(sym, spec, tol=cfg.norm_tol, max_iter=cfg.norm_max_iter)
     want = scaled_norm(res.sigma_max, spec)
     summary = run_experiment(cfg)["scaled_norm"]
@@ -273,7 +273,7 @@ def test_engine_records_equal_single_solves_bit_for_bit():
     spec = C7.template_spec()
     arrays = mc._collect(C7)
     for r in range(C7.replicates):
-        sym = build_symbol(spec, replicate_stream(C7.base_seed, r))
+        sym = build_symbols(spec, C7.base_seed, [r])
         res = spectral_norm_fast(sym, spec, tol=C7.norm_tol, max_iter=C7.norm_max_iter)
         assert arrays["sigma"][r].tobytes() == np.float64(res.sigma_max).tobytes()
         assert (arrays["steps"][r], arrays["converged"][r]) == (res.iterations, res.converged)
@@ -372,12 +372,13 @@ def test_experiment_error_names_replayable_replicates():
     assert message.startswith("8 of 8 replicates failed to converge")
     assert "(91, 0), (91, 1), (91, 2), (91, 3), (91, 4) and 3 more" in message
     # each named pair replays the failure on its own, through the call the message states
+    assert "spectral_norm_fast(build_symbols(spec, base_seed, [replicate]), spec, tol=" in message
     settings = re.search(r"\bspec, tol=(\S+), max_iter=(\d+)\)", message)
     tol, max_iter = float(settings.group(1)), int(settings.group(2))
     assert (tol, max_iter) == (cfg.norm_tol, cfg.norm_max_iter)
     spec = cfg.template_spec()
     for r in range(5):
-        sym = build_symbol(spec, replicate_stream(91, r))
+        sym = build_symbols(spec, 91, [r])
         assert not spectral_norm_fast(sym, spec, tol=tol, max_iter=max_iter).converged
 
 

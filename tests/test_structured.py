@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import specnorm.structured as structured
 from specnorm.structured import (
     DISTRIBUTIONS,
     FAMILIES,
     MatrixSpec,
     ResourceLimitError,
-    build_symbol,
+    SymbolVector,
     build_symbols,
     dense_materialize,
     embedding_size,
@@ -31,6 +32,14 @@ class StubStream:
         out[...] = self.values
 
 
+def drawn(spec, stream):
+    """The one-row stack laid out from one draw of `stream` (a generator or a
+    StubStream), through the helpers build_symbols draws and lays out with."""
+    entries = np.empty((1, structured._entry_count(spec)))
+    structured._draw_into(stream, spec.dist, entries[0])
+    return structured._symbols(spec, entries)
+
+
 def all_specs(p, n, seed=0):
     return [
         MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=seed)
@@ -42,23 +51,23 @@ def all_specs(p, n, seed=0):
 def test_delta_symbol_gives_flat_diagonal():
     spec = MatrixSpec("toeplitz", p=2, n=3)
     stub = StubStream([1, 0, 0, 0, 0])
-    sym = build_symbol(spec, stub)
-    np.testing.assert_allclose(sym.diag, np.full(5, 1 / np.sqrt(5)), atol=1e-14)
+    sym = drawn(spec, stub)
+    np.testing.assert_allclose(sym.diag, np.full((1, 5), 1 / np.sqrt(5)), atol=1e-14)
 
 
 def test_delta_symbol_circulant():
     spec = MatrixSpec("circulant", p=2, n=4)
-    sym = build_symbol(spec, StubStream([1, 0, 0, 0]))
-    np.testing.assert_allclose(sym.diag, np.full(4, 0.5), atol=1e-14)
+    sym = drawn(spec, StubStream([1, 0, 0, 0]))
+    np.testing.assert_allclose(sym.diag, np.full((1, 4), 0.5), atol=1e-14)
 
 
 def test_real_symbol_conjugate_symmetry():
     spec = MatrixSpec("toeplitz", p=400, n=624, seed=9)  # embedding size 2**10
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     n = sym.size
     assert n == 2**10
     j = np.arange(n)
-    err = np.abs(sym.diag[(n - j) % n] - np.conj(sym.diag[j]))
+    err = np.abs(sym.diag[0, (n - j) % n] - np.conj(sym.diag[0, j]))
     assert err.max() < 1e-12
 
 
@@ -66,8 +75,8 @@ def test_diagonal_component_variances():
     # half-spectrum real/imaginary parts each carry variance 1/2
     n = 2**14
     spec = MatrixSpec("circulant", p=n, n=n, seed=31415)
-    sym = build_symbol(spec)
-    interior = sym.diag[1 : n // 2]
+    sym = build_symbols(spec, spec.seed, [0])
+    interior = sym.diag[0, 1 : n // 2]
     assert abs(np.var(interior.real) - 0.5) < 0.05
     assert abs(np.var(interior.imag) - 0.5) < 0.05
 
@@ -86,57 +95,57 @@ def test_toeplitz_fixture_matrix():
     # symbol (a_0, a_1, a_2, a_{-2}, a_{-1}) = (1, 2, 3, 0, 4)
     spec = MatrixSpec("toeplitz", p=2, n=3)
     sym = symbol_from_values([1, 2, 3, 0, 4], spec)
-    np.testing.assert_allclose(dense_materialize(sym, spec), [[1, 2, 3], [4, 1, 2]])
-    np.testing.assert_allclose(matvec(sym, spec, [1, 0, 0]), [1, 4], atol=1e-12)
+    np.testing.assert_allclose(dense_materialize(sym, spec), [[[1, 2, 3], [4, 1, 2]]])
+    np.testing.assert_allclose(matvec(sym, spec, [[1, 0, 0]]), [[1, 4]], atol=1e-12)
 
 
 def test_circulant_fixture_row_sums():
     spec = MatrixSpec("circulant", p=2, n=3)
     sym = symbol_from_values([1, 2, 3], spec)
-    np.testing.assert_allclose(dense_materialize(sym, spec), [[1, 2, 3], [3, 1, 2]])
-    np.testing.assert_allclose(matvec(sym, spec, [1, 1, 1]), [6, 6], atol=1e-12)
+    np.testing.assert_allclose(dense_materialize(sym, spec), [[[1, 2, 3], [3, 1, 2]]])
+    np.testing.assert_allclose(matvec(sym, spec, [[1, 1, 1]]), [[6, 6]], atol=1e-12)
 
 
 def test_symmetric_circulant_row():
     spec = MatrixSpec("circulant", p=1, n=4, symmetric=True)
-    sym = build_symbol(spec, StubStream([10.0, 20.0, 30.0]))
-    np.testing.assert_allclose(dense_materialize(sym, spec), [[10, 20, 30, 20]])
+    sym = drawn(spec, StubStream([10.0, 20.0, 30.0]))
+    np.testing.assert_allclose(dense_materialize(sym, spec), [[[10, 20, 30, 20]]])
 
 
 def test_symmetric_toeplitz_pattern():
     spec = MatrixSpec("toeplitz", p=2, n=3, symmetric=True)
     a = np.array([1.0, 2.0, 3.0, 4.0])  # a_0..a_n with n = 3
-    sym = build_symbol(spec, StubStream(a))
-    np.testing.assert_allclose(dense_materialize(sym, spec), [[1, 2, 3], [2, 1, 2]])
+    sym = drawn(spec, StubStream(a))
+    np.testing.assert_allclose(dense_materialize(sym, spec), [[[1, 2, 3], [2, 1, 2]]])
 
 
 def test_hankel_is_column_reversed_toeplitz():
     t_spec = MatrixSpec("toeplitz", p=2, n=3, seed=5)
     h_spec = MatrixSpec("hankel", p=2, n=3, seed=5)
-    sym = build_symbol(t_spec)
-    t = dense_materialize(sym, t_spec)
-    h = dense_materialize(sym, h_spec)
+    sym = build_symbols(t_spec, t_spec.seed, [0])
+    (t,) = dense_materialize(sym, t_spec)
+    (h,) = dense_materialize(sym, h_spec)
     np.testing.assert_allclose(h, t[:, ::-1])
 
 
 def test_hankel_toeplitz_share_singular_values():
     t_spec = MatrixSpec("toeplitz", p=17, n=41, seed=8)
     h_spec = MatrixSpec("hankel", p=17, n=41, seed=8)
-    sym = build_symbol(t_spec)
-    st_ = np.linalg.svd(dense_materialize(sym, t_spec), compute_uv=False)
-    sh = np.linalg.svd(dense_materialize(sym, h_spec), compute_uv=False)
+    sym = build_symbols(t_spec, t_spec.seed, [0])
+    st_ = np.linalg.svd(dense_materialize(sym, t_spec)[0], compute_uv=False)
+    sh = np.linalg.svd(dense_materialize(sym, h_spec)[0], compute_uv=False)
     np.testing.assert_allclose(st_, sh, rtol=1e-12, atol=1e-12)
 
 
 def test_fast_matches_dense_fixed_size():
     rng = np.random.default_rng(97)
     spec = MatrixSpec("toeplitz", p=40, n=97, seed=12)
-    sym = build_symbol(spec)
-    dense = dense_materialize(sym, spec)
+    sym = build_symbols(spec, spec.seed, [0])
+    (dense,) = dense_materialize(sym, spec)
     for _ in range(100):
         x = rng.standard_normal(97)
         ref = dense @ x
-        err = np.linalg.norm(matvec(sym, spec, x) - ref) / np.linalg.norm(ref)
+        err = np.linalg.norm(matvec(sym, spec, x[None])[0] - ref) / np.linalg.norm(ref)
         assert err < 1e-10
 
 
@@ -146,32 +155,32 @@ def test_fast_matches_dense_fixed_size():
 )
 def test_fast_matches_dense_all_families(spec):
     rng = np.random.default_rng([spec.seed, FAMILIES.index(spec.family), spec.n])
-    sym = build_symbol(spec)
-    dense = dense_materialize(sym, spec)
+    sym = build_symbols(spec, spec.seed, [0])
+    (dense,) = dense_materialize(sym, spec)
     for _ in range(10):
         x = rng.standard_normal(spec.n)
         ref = dense @ x
-        assert np.linalg.norm(matvec(sym, spec, x) - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.linalg.norm(matvec(sym, spec, x[None])[0] - ref) <= 1e-10 * np.linalg.norm(ref)
         y = rng.standard_normal(spec.p)
         ref = dense.T @ y
-        assert np.linalg.norm(rmatvec(sym, spec, y) - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.linalg.norm(rmatvec(sym, spec, y[None])[0] - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("spec", all_specs(p=9, n=20, seed=21), ids=str)
 def test_rmatvec_is_adjoint(spec):
     rng = np.random.default_rng(55)
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     for _ in range(10):
-        x = rng.standard_normal(spec.n)
-        y = rng.standard_normal(spec.p)
-        lhs = float(np.dot(matvec(sym, spec, x), y))
-        rhs = float(np.dot(x, rmatvec(sym, spec, y)))
+        x = rng.standard_normal((1, spec.n))
+        y = rng.standard_normal((1, spec.p))
+        lhs = float(np.vdot(matvec(sym, spec, x), y))
+        rhs = float(np.vdot(x, rmatvec(sym, spec, y)))
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
 
 def test_drawn_entries_have_mean_0_and_variance_1():
     for dist in DISTRIBUTIONS:
-        x = build_symbol(MatrixSpec("toeplitz", p=1000, n=199_000, dist=dist, seed=2024)).values
+        x = build_symbols(MatrixSpec("toeplitz", p=1000, n=199_000, dist=dist), 2024, [0]).values
         assert x.size == 200_000
         assert abs(x.mean()) < 0.02
         assert abs(x.var() - 1.0) < 0.02
@@ -204,7 +213,7 @@ def test_build_symbols_rows_are_their_replicate_streams_in_any_order(dist):
     replicates = [5, 0, 5, 2**40, 1]
     stack = build_symbols(spec, base, replicates)
     for row, r in zip(stack.values, replicates):
-        assert row.tobytes() == build_symbol(spec, replicate_stream(base, r)).values.tobytes()
+        assert row.tobytes() == drawn(spec, replicate_stream(base, r)).values.tobytes()
 
 
 def test_replicate_stream_reproducible_and_split():
@@ -282,14 +291,14 @@ def test_spec_refuses_a_symmetric_flag_that_is_not_a_bool(value):
 @pytest.mark.parametrize("symmetric", [False, True])
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
 @pytest.mark.parametrize("rows", [1, 4])
-def test_build_symbols_rows_equal_build_symbol_bit_for_bit(family, symmetric, dist, rows):
+def test_build_symbols_rows_equal_own_stream_draws_bit_for_bit(family, symmetric, dist, rows):
     # 7 x 19: embedding sizes 26, 38 and 19, odd and even
     spec = MatrixSpec(family, p=7, n=19, symmetric=symmetric, dist=dist, seed=23)
     stack = build_symbols(spec, 23, range(rows))
     assert stack.size == embedding_size(spec)
     assert stack.values.shape == stack.diag.shape == (rows, stack.size)
     for r in range(rows):
-        sym = build_symbol(spec, replicate_stream(23, r))
+        sym = drawn(spec, replicate_stream(23, r))
         assert stack.values[r].tobytes() == sym.values.tobytes()
         assert stack.diag[r].tobytes() == sym.diag.tobytes()
 
@@ -297,30 +306,33 @@ def test_build_symbols_rows_equal_build_symbol_bit_for_bit(family, symmetric, di
 @pytest.mark.parametrize("family", ["toeplitz", "hankel", "circulant", "reverse_circulant"])
 def test_stacked_products_equal_row_products_bit_for_bit(family):
     spec = MatrixSpec(family, p=7, n=19)
-    syms = [build_symbol(spec, replicate_stream(17, r)) for r in range(5)]
+    syms = [build_symbols(spec, 17, [r]) for r in range(5)]
     stack = build_symbols(spec, 17, range(5))
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal((5, spec.n)), rng.standard_normal((5, spec.p))
     ax, aty = matvec(stack, spec, x), rmatvec(stack, spec, y)
     for i, sym in enumerate(syms):
-        assert ax[i].tobytes() == matvec(sym, spec, x[i]).tobytes()
-        assert aty[i].tobytes() == rmatvec(sym, spec, y[i]).tobytes()
+        assert ax[i].tobytes() == matvec(sym, spec, x[i : i + 1]).tobytes()
+        assert aty[i].tobytes() == rmatvec(sym, spec, y[i : i + 1]).tobytes()
     with pytest.raises(ValueError):
         matvec(stack, spec, x[0])
 
 
 def test_matvec_shape_checks():
     spec = MatrixSpec("toeplitz", p=2, n=3)
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     with pytest.raises(ValueError):
-        matvec(sym, spec, [1.0, 2.0])
+        matvec(sym, spec, [[1.0, 2.0]])
     with pytest.raises(ValueError):
-        rmatvec(sym, spec, [1.0, 2.0, 3.0])
+        rmatvec(sym, spec, [[1.0, 2.0, 3.0]])
+    # operands hold one vector per symbol row, so a 1-D one is refused
+    with pytest.raises(ValueError):
+        matvec(sym, spec, [1.0, 2.0, 3.0])
     # a complex operand is refused, not silently cast to its real part
     with pytest.raises(ValueError, match="x must be real"):
-        matvec(sym, spec, [1.0, 2.0, 3.0j])
+        matvec(sym, spec, [[1.0, 2.0, 3.0j]])
     with pytest.raises(ValueError, match="y must be real"):
-        rmatvec(sym, spec, np.array([1.0, 2.0], dtype=complex))
+        rmatvec(sym, spec, np.array([[1.0, 2.0]], dtype=complex))
     with pytest.raises(ValueError):
         symbol_from_values([1.0, 2.0], spec)
 
@@ -332,10 +344,24 @@ def test_dense_size_guard():
         dense_materialize(sym, spec)
 
 
+def test_dense_size_guard_counts_every_row(monkeypatch):
+    monkeypatch.setattr(structured, "_DENSE_ENTRY_LIMIT", 100)
+    spec = MatrixSpec("circulant", p=2, n=25)
+
+    def stack(rows):
+        return SymbolVector(values=np.zeros((rows, 25)), diag=np.zeros((rows, 25), dtype=complex))
+
+    assert dense_materialize(stack(2), spec).shape == (2, 2, 25)  # 100 entries
+    with pytest.raises(ResourceLimitError, match=r"^dense path refuses 3 rows of p\*n = 50 > 100$"):
+        dense_materialize(stack(3), spec)
+    with pytest.raises(ResourceLimitError, match=r"^dense path refuses p\*n = 150 > 100$"):
+        dense_materialize(stack(1), MatrixSpec("circulant", p=6, n=25))
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_symbol_round_trip_through_diag(seed):
     spec = MatrixSpec("toeplitz", p=4, n=9, seed=seed)
-    sym = build_symbol(spec)
+    sym = build_symbols(spec, spec.seed, [0])
     # diag is the unitary transform of the symbol row
-    back = np.fft.fft(sym.diag) / np.sqrt(sym.size)
+    back = np.fft.fft(sym.diag, axis=-1) / np.sqrt(sym.size)
     np.testing.assert_allclose(back.real, sym.values, atol=1e-10)
