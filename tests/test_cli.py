@@ -587,7 +587,7 @@ def test_paired_sweep(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["gumbel-compare", "paired"])
-@pytest.mark.parametrize("statistics", ["centered_norm_sq", "b_statistic", "bogus"])
+@pytest.mark.parametrize("statistics", ["scaled_norm", "centered_norm_sq", "b_statistic"])
 def test_gumbel_commands_ignore_the_config_statistics(command, statistics, tmp_path):
     # each takes its own pair, so one config can serve mc and both of them
     cfg = tmp_path / "shared.cfg"

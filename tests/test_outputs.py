@@ -1,12 +1,18 @@
 """Golden outputs: the exit code, stdout and written files of fixed commands,
 against the files under tests/outputs/.
 
-Every command runs in process through `cli.main`. On numpy 2 or later the
-text must match byte for byte. numpy 2.0 rewrote pocketfft, so on older
-numpy a last-bit FFT difference may move a float: there each number with a
-point or an exponent must agree at rtol 1e-12, or, printed with at most 12
-significant digits (as CSV prints floats), to one unit in its 12th; every
-other character must match exactly.
+Every command runs in process through `cli.main`. The files hold the text
+as numpy 2.4 printed it on the machine that made them. Exit codes and text
+must match exactly, after `golden_text` on both sides: it cuts each float
+with a decimal point to 12 significant digits, as the CSV outputs already
+print them, and leaves out the value of `dense_rel_error`, which is itself
+a rounding error (the exit code of `norm --dense-check` still gates it at
+1e-8). The digits it drops come from the kernels that BLAS, LAPACK and
+numpy's SIMD loops pick for the CPU, which no file can pin. A last-bit move
+can still flip a 12th digit when a value sits on a rounding boundary.
+
+On numpy < 2 (the CI floor job) the golden cases are skipped: nobody has
+yet seen what numpy 1.x prints for them (ROADMAP item 2).
 
 A change that means to alter an output regenerates the files with
 ``python tests/test_outputs.py`` and lists each changed file in CHANGES.md.
@@ -15,7 +21,6 @@ A change that means to alter an output regenerates the files with
 import contextlib
 import io
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -28,7 +33,7 @@ from specnorm.structured import FAMILIES
 
 OUTPUTS = Path(__file__).parent / "outputs"
 CODES = OUTPUTS / "exit_codes.json"
-EXACT = int(np.__version__.split(".")[0]) >= 2
+OLD_NUMPY = int(np.__version__.split(".")[0]) < 2
 
 # a config argument, replaced by the path of the case's config file
 CONFIG = "<config>"
@@ -86,37 +91,15 @@ def run_case(name: str, workdir: Path) -> tuple[int, dict[str, str]]:
     return code, outputs
 
 
-# a decimal literal; one with a point or an exponent is read as a float
-_NUMBER = re.compile(r"-?\d+(\.\d*)?([eE][-+]?\d+)?")
+# a float with a decimal point, as repr, json and the CSV writer print it
+_FLOAT = re.compile(r"-?\d+\.\d+(e[-+]\d+)?")
 
 
-def _print_slack(token: str) -> float:
-    """How far a float printed at 12 significant digits may sit from the same
-    computation's on another numpy: one unit in the 12th digit, with room for
-    the binary rounding of both decimals. 0 for a float printed with more."""
-    mantissa = token.lower().partition("e")[0]
-    value = abs(float(token))
-    if value == 0.0 or len(mantissa.lstrip("-").replace(".", "").lstrip("0")) > 12:
-        return 0.0
-    return 1.5 * 10.0 ** (math.floor(math.log10(value)) - 11)
-
-
-def matches(actual: str, expected: str, exact: bool = EXACT) -> bool:
-    """Whether `actual` is `expected`: byte for byte, or, not `exact`, up to
-    float noise (see the module docstring)."""
-    if exact or actual == expected:
-        return actual == expected
-    if _NUMBER.sub("#", actual) != _NUMBER.sub("#", expected):
-        return False
-    for got, want in zip(_NUMBER.finditer(actual), _NUMBER.finditer(expected)):
-        a, e = got.group(), want.group()
-        if not (want.group(1) or want.group(2)):  # an integer
-            if a != e:
-                return False
-        elif not (got.group(1) or got.group(2)) or not math.isclose(
-                float(a), float(e), rel_tol=1e-12, abs_tol=_print_slack(e)):
-            return False
-    return True
+def golden_text(text: str) -> str:
+    """`text` without the digits the golden files do not pin (see the module
+    docstring)."""
+    text = re.sub(r'("dense_rel_error": )[^,}\n]+', r'\1"rounding error"', text)
+    return _FLOAT.sub(lambda match: f"{float(match.group()):.12g}", text)
 
 
 def test_every_case_has_its_files():
@@ -125,6 +108,8 @@ def test_every_case_has_its_files():
     assert names == set(CASES)
 
 
+@pytest.mark.skipif(OLD_NUMPY,
+                    reason="goldens made on numpy 2.4; floor-job output not yet observed")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
     code, outputs = run_case(name, tmp_path)
@@ -133,21 +118,22 @@ def test_output_matches_golden(name, tmp_path):
         path.name.partition(".")[2] for path in OUTPUTS.glob(f"{name}.*"))
     for suffix, text in outputs.items():
         expected = (OUTPUTS / f"{name}.{suffix}").read_text()
-        assert matches(text, expected), f"{name}.{suffix}:\n{text}"
+        assert golden_text(text) == golden_text(expected), f"{name}.{suffix}:\n{text}"
 
 
-def test_loose_comparison_allows_float_noise_only():
-    expected = '{"sigma_max": 24.0531862409347, "steps": 17, "ok": true}\n0.123456789012,1e-05\n'
-    # the last bit of a full-precision float, and the last of 12 printed digits
-    noisy = '{"sigma_max": 24.053186240934704, "steps": 17, "ok": true}\n0.123456789013,1e-05\n'
-    assert matches(noisy, expected, exact=False)
-    assert not matches(noisy, expected, exact=True)
-    for wrong in ('{"sigma_max": 24.0531862419347, "steps": 17, "ok": true}\n0.123456789012,1e-05\n',
-                  '{"sigma_max": 24.0531862409347, "steps": 18, "ok": true}\n0.123456789012,1e-05\n',
-                  '{"sigma_max": 24.0531862409347, "steps": 17, "ok": false}\n0.123456789012,1e-05\n',
-                  '{"sigma_max": 24.0531862409347, "steps": 17, "ok": true}\n0.123456789012,1e-06\n',
-                  '{"sigma_max": 24.0531862409347, "steps": 17, "ok": true}\n0.123456789012,1\n'):
-        assert not matches(wrong, expected, exact=False), wrong
+def test_golden_text_drops_only_digits_no_file_pins():
+    def line(sigma: str, steps: int, error: str) -> str:
+        return f'{{"sigma_max": {sigma}, "iterations": {steps}, "dense_rel_error": {error}}}\n'
+
+    golden = golden_text(line("24.0531862409347", 17, "0.0") + "0.123456789012,1e-05\n")
+    # the last bit of a full-precision float, and a rounding error's value
+    assert golden_text(line("24.053186240934704", 17, "5.239582693872668e-16")
+                       + "0.123456789012,1e-05\n") == golden
+    for wrong in (line("24.0531862419347", 17, "0.0") + "0.123456789012,1e-05\n",
+                  line("24.0531862409347", 18, "0.0") + "0.123456789012,1e-05\n",
+                  line("24.0531862409347", 17, "0.0") + "0.123456789013,1e-05\n",
+                  line("24.0531862409347", 17, "0.0") + "0.123456789012,1e-06\n"):
+        assert golden_text(wrong) != golden, wrong
 
 
 def regenerate() -> None:
