@@ -37,6 +37,8 @@ OLD_NUMPY = int(np.__version__.split(".")[0]) < 2
 
 # a config argument, replaced by the path of the case's config file
 CONFIG = "<config>"
+# a --dominance-output argument, replaced by a path beside the config
+DOMINANCE = "<dominance>"
 # the C7 experiment: the paired bound on circulant 64x128
 C7 = {"family": "circulant", "p": 64, "n": 128, "replicates": 100, "seed": 101}
 
@@ -66,6 +68,16 @@ CASES.update({
         ["mc", "--config", CONFIG, "--threads", "1", "--format", "json"],
         {"family": "toeplitz", "p": 10, "n": 40, "replicates": 40, "seed": 11,
          "statistics": "centered_norm_sq", "raw_output": "raw.csv"}),
+    "mc_toeplitz_sweep_threads2": (
+        ["mc", "--config", CONFIG, "--threads", "2", "--format", "json"],
+        {"family": "toeplitz", "p": 8, "ratios": [0.25, 0.5, 1.0], "replicates": 30, "seed": 13,
+         "statistics": "scaled_norm"}),
+    "gumbel_compare_dominance": (
+        ["gumbel-compare", "--config", CONFIG, "--threads", "1", "--dominance-output", DOMINANCE],
+        {"family": "circulant", "p": 8, "n": 16, "replicates": 500, "seed": 17}),
+    "paired_half_dominance": (
+        ["paired", "--config", CONFIG, "--threads", "1", "--dominance-output", DOMINANCE],
+        {"family": "circulant", "p": 16, "n": 32, "replicates": 500, "seed": 20240902}),
     "ktable": (["ktable", "--grid", "0.5:0.5:1", "--p-base", "100"], None),
     "theta": (["theta", "--grid", "0.25:0.25:1"], None),
 })
@@ -73,21 +85,24 @@ CASES.update({
 
 def run_case(name: str, workdir: Path) -> tuple[int, dict[str, str]]:
     """Exit code of the case's command and its outputs by file suffix:
-    "stdout", and "raw.csv" for a raw_output file."""
+    "stdout", "raw.csv" for a raw_output file and "dominance.csv" for a
+    --dominance-output file."""
     argv, config = CASES[name]
+    files = {"dominance.csv": workdir / f"{name}.dominance.csv"} if DOMINANCE in argv else {}
     if config is not None:
         config = dict(config)
         if "raw_output" in config:
-            config["raw_output"] = str(workdir / config["raw_output"])
+            files["raw.csv"] = workdir / config["raw_output"]
+            config["raw_output"] = str(files["raw.csv"])
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(config))
         argv = [str(path) if arg == CONFIG else arg for arg in argv]
+    argv = [str(files["dominance.csv"]) if arg == DOMINANCE else arg for arg in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     outputs = {"stdout": out.getvalue()}
-    if config is not None and "raw_output" in config:
-        outputs["raw.csv"] = Path(config["raw_output"]).read_text()
+    outputs.update((suffix, path.read_text()) for suffix, path in files.items())
     return code, outputs
 
 
