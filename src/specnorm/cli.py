@@ -29,6 +29,7 @@ from .extremes import gumbel_model, theta_c
 from .montecarlo import (
     ExperimentConfig,
     ExperimentError,
+    STATISTICS,
     _require_gaussian_circulant,
     collect_samples,
     n_for_ratio,
@@ -281,10 +282,12 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
             raise UsageError("raw_output needs a single-experiment config, not a sweep")
         if ratios and getattr(args, "dominance_output", None):
             raise UsageError("--dominance-output needs a single-experiment config, not a sweep")
+        if "statistics" in data:  # checked as mc checks it, also where replaced below
+            data["statistics"] = _as_tuple(data["statistics"], str)
+            if unknown := [stat for stat in data["statistics"] if stat not in STATISTICS]:
+                raise ValueError(f"unknown statistic {unknown[0]!r}")
         if statistics is not None:
             data["statistics"] = statistics
-        elif "statistics" in data:
-            data["statistics"] = _as_tuple(data["statistics"], str)
         if "seed" in data and args.seed is not None:
             raise UsageError(f"--seed {args.seed} and the config's seed = {data['seed']} "
                              "both set the seed; give one")

@@ -601,6 +601,16 @@ def test_gumbel_commands_ignore_the_config_statistics(command, statistics, tmp_p
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command", ["mc", "gumbel-compare", "paired"])
+def test_unknown_config_statistic_is_refused_by_every_experiment_command(
+        command, tmp_path, capsys):
+    cfg = tmp_path / "bogus.cfg"
+    cfg.write_text("family = circulant\np = 16\nn = 32\nreplicates = 40\nseed = 4\n"
+                   "statistics = bogus\n")
+    assert run_cli(command, "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+    assert "invalid experiment config: unknown statistic 'bogus'" in capsys.readouterr().err
+
+
 def test_paired_dominance_output(tmp_path):
     cfg = tmp_path / "paired.cfg"
     cfg.write_text("family = circulant\np = 16\nn = 32\nreplicates = 500\nseed = 6\n")
