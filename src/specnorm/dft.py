@@ -4,10 +4,10 @@ The unitary transform uses a positive-sign kernel,
 
     forward:  y[s] = N**-0.5 * sum_t exp(+2j*pi*s*t/N) * x[t],
 
-so that the forward transform of a real symbol vector directly yields the
-eigenvalue diagonal of the associated circulant (see `specnorm.structured`).
-For a real vector it is one real FFT: the conjugate of the half spectrum,
-mirrored onto the upper half by Hermitian symmetry.
+so that the forward transform of a real symbol vector yields the eigenvalues
+of the associated circulant (see `specnorm.structured`). It takes real input
+only and returns the first N//2 + 1 of them, the conjugate of one real FFT:
+the rest are their conjugates, y[N - s] = conj(y[s]).
 Every real product in the package (structured matrix products, Toeplitz
 sections such as the Gram operators of the norm solver and the sine-kernel
 constant, the autocorrelation lags of the sine-kernel Gram matrices, the
@@ -58,34 +58,28 @@ def fast_length(n: int) -> int:
 
 
 def dft_forward(x) -> np.ndarray:
-    """Unitary DFT with the positive-sign kernel.
+    """Half of the unitary DFT with the positive-sign kernel, of a real x.
 
-    A real x takes one scaled ``rfft`` (negative-sign kernel): its conjugate
-    is y[s] for s <= N//2, and its mirror is the rest, as y[N - s] =
-    conj(y[s]) holds exactly. A complex x takes one ``ifft``.
+    One scaled ``rfft`` (negative-sign kernel), conjugated: y[s] for
+    s = 0..N//2. The rest of the transform is y[N - s] = conj(y[s]).
 
     Parameters
     ----------
     x : array_like
-        Real or complex vector of any length N >= 1, or a stack of them
-        along the leading axes.
+        Real vector of any length N >= 1, or a stack of them along the
+        leading axes. Complex input raises ValueError.
 
     Returns
     -------
-    numpy.ndarray of complex
+    numpy.ndarray of complex, shape (..., N//2 + 1)
         y with y[s] = N**-0.5 * sum_t exp(2j*pi*s*t/N) * x[t] along the last
-        axis. Preserves the Euclidean norm of each input vector.
+        axis. With weights 1, 2, ..., 2 and a last weight of 1 at even N,
+        sum |y[s]|^2 is the squared Euclidean norm of x.
     """
     v = _as_stack(x, "x")
     if np.iscomplexobj(v):
-        return np.fft.ifft(v, norm="ortho")  # numpy's ifft has the +2j*pi kernel
-    n = v.shape[-1]
-    r = np.fft.rfft(v, norm="ortho")
-    h = r.shape[-1]
-    y = np.empty(v.shape, dtype=r.dtype)
-    np.conjugate(r, out=y[..., :h])
-    y[..., h:] = r[..., n - h:0:-1]
-    return y
+        raise ValueError(f"x must be real, got dtype {v.dtype}")
+    return np.conjugate(np.fft.rfft(v, norm="ortho"))
 
 
 def half_spectrum(x, size: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 Contains the aspect-ratio-dependent location shift of the limiting shifted
 Gumbel law, its CDF/quantile, the square-root quantile transform used to
 compare against scaled norms, and the computable lower-bound statistic
-built from the DFT diagonal of one Gaussian circulant draw. Its quadratic
+built from the half DFT diagonal of one Gaussian circulant draw. Its quadratic
 forms share one Fejer-kernel weight sequence, a finite trigonometric sum
 whose spectrum is exactly a triangle, so no transform of it is taken.
 """
@@ -139,30 +139,31 @@ class BStatistic:
     argmax_j: np.ndarray
 
 
-def b_statistic(diag, p: int) -> BStatistic:
+def b_statistic(half, p: int, n: int) -> BStatistic:
     """Lower-bound statistic for the squared norm of a Gaussian circulant draw,
-    for each row of a stack of DFT diagonals, shape (..., n).
+    for each row of a stack of half DFT diagonals, shape (..., n//2 + 1).
 
-    Evaluates all n quadratic forms as one circular convolution of |diag|^2
-    with the fixed Fejer kernel, whose spectrum is a closed-form triangle
-    (O(n log n)), then maximizes over j = 0..n/2; forms at j and n-j
-    coincide because |diag| is even. Every operation acts on each row
-    alone, so a row's statistic is bit-identical to its own call. Both
-    fields have the stack's leading shape.
+    Evaluates all n quadratic forms as one circular convolution of |diag|^2,
+    the even mirror of |half|^2, with the fixed Fejer kernel, whose spectrum
+    is a closed-form triangle (O(n log n)), then maximizes over j = 0..n/2;
+    forms at j and n-j coincide. Every operation acts on each row alone, so
+    a row's statistic is bit-identical to its own call. Both fields have the
+    stack's leading shape.
     """
-    d = np.asarray(diag)
-    if d.ndim == 0:
-        raise ValueError("diag must hold at least one axis, got a scalar")
-    n = d.shape[-1]
+    h = np.asarray(half)
+    if h.ndim == 0:
+        raise ValueError("half must hold at least one axis, got a scalar")
     if n % 2 != 0:
         raise ValueError(f"even embedding size required, got n={n}")
+    if h.shape[-1] != n // 2 + 1:
+        raise ValueError(f"a half spectrum of n={n} has {n // 2 + 1} entries, got {h.shape[-1]}")
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    power = np.abs(d)
+    power = np.abs(h)
     power *= power
-    forms = circular_convolve(_kernel_spectrum(p, n), power, n)
-    half = forms[..., : n // 2 + 1]
-    return BStatistic(value=np.max(half, axis=-1) / p, argmax_j=np.argmax(half, axis=-1))
+    power = np.concatenate((power, power[..., -2:0:-1]), axis=-1)
+    forms = circular_convolve(_kernel_spectrum(p, n), power, n)[..., : n // 2 + 1]
+    return BStatistic(value=np.max(forms, axis=-1) / p, argmax_j=np.argmax(forms, axis=-1))
 
 
 @dataclass(frozen=True)

@@ -155,10 +155,11 @@ def _block_rows(cfg: ExperimentConfig) -> int:
     an equal share of the replicates per worker. Krylov bases are not charged:
     at worst, every basis grown to p vectors (norms._BASIS_BYTES caps each), a
     block holds 8 p^2 bytes more per replicate, 174 MB for 87 at p = 500."""
-    # 96 covers, per embedding entry, a replicate's symbol and DFT diagonal (24
-    # bytes, 32-36 at the draw's peak), the first columns' product pair (25 more)
-    # or the lower bound's work (36 at peak); a norm's kernels and basis add
-    # 0.31-0.63 MB per replicate at p = 500, where bases stop at 64-96 vectors
+    # 96 covers, per embedding entry, a replicate's symbol and half DFT diagonal
+    # (8 + 8 bytes, 24-28 at the draw's peak), the first columns' product pair
+    # (25 more) or the lower bound's work (24 more at peak); a norm's kernels
+    # and basis add 0.31-0.63 MB per replicate at p = 500, where bases stop at
+    # 64-96 vectors
     fit = max(1, _BLOCK_BYTES // (96 * embedding_size(cfg.template_spec())))
     return min(fit, math.ceil(cfg.replicates / cfg.workers))
 
@@ -183,7 +184,7 @@ def _replicate(cfg: ExperimentConfig, block: range) -> dict[str, np.ndarray]:
                    checked_steps=top.checked_steps, dense_steps=top.dense_steps,
                    converged=top.converged)
     if "b_statistic" in cfg.statistics:
-        out["b"] = b_statistic(sym.diag, cfg.p).value
+        out["b"] = b_statistic(sym.half, cfg.p, cfg.n).value
     return out
 
 

@@ -439,7 +439,7 @@ def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
     the first columns A A^T e_0 from one stacked product pair.
     """
     p, n = spec.p, spec.n
-    e0 = np.zeros(sym.diag.shape[:-1] + (p,))
+    e0 = np.zeros(sym.values.shape[:-1] + (p,))
     e0[..., 0] = 1.0
     first = matvec(sym, spec, rmatvec(sym, spec, e0))
     if spec.family in _CIRCULANT_LIKE:
@@ -473,7 +473,7 @@ def spectral_norms(
     symbol row i. It logs nothing: the diagnostics return in the arrays.
     """
     kernels, apply = _short_side_gram(sym, spec)
-    count = sym.diag.shape[0]
+    count = sym.values.shape[0]
     start = replicate_stream(spec.seed, _START_STREAM).standard_normal(spec.p)
     return gram_lanczos(apply, kernels, np.broadcast_to(start, (count, spec.p)), tol, max_iter)
 
@@ -492,8 +492,8 @@ def spectral_norm_fast(
     certificate after `max_iter` steps it has converged=False
     (:func:`gram_lanczos` says at which steps it is checked).
     """
-    if sym.diag.shape[:-1] != (1,):
-        raise ValueError(f"spectral_norm_fast takes a one-row stack, got shape {sym.diag.shape}")
+    if sym.values.shape[:-1] != (1,):
+        raise ValueError(f"spectral_norm_fast takes a one-row stack, got shape {sym.values.shape}")
     top = spectral_norms(sym, spec, tol, max_iter)
     return NormResult(math.sqrt(top.values[0]), int(top.steps[0]), bool(top.converged[0]),
                       float(top.residuals[0]))

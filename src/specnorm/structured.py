@@ -2,13 +2,14 @@
 
 A p-by-n member of any supported family is the upper-left corner of an
 N-by-N circulant whose first row (the "symbol") is laid out from one draw
-of i.i.d. entries. The circulant diagonalizes under the unitary DFT, and
-the first half of its diagonal is the half spectrum of a real circular
-convolution, so products cost O(N log N) in real FFTs; a dense
-construction of the same matrix is kept as an independent oracle. The
-norm solver (`specnorm.norms`) takes one stacked product pair per block
-from here and then applies the p x p Gram matrix A A^T as Toeplitz
-sections of length fast_length(2p - 1), for every family and shape.
+of i.i.d. entries. The circulant diagonalizes under the unitary DFT. A
+draw keeps entries 0..N//2 of its diagonal (the rest are their
+conjugates): the half spectrum of a real circular convolution, so products
+cost O(N log N) in real FFTs. A dense construction of the same matrix is
+kept as an independent oracle. The norm solver (`specnorm.norms`) takes
+one stacked product pair per block from here and then applies the p x p
+Gram matrix A A^T as Toeplitz sections of length fast_length(2p - 1), for
+every family and shape.
 
 Families and their embeddings:
 
@@ -104,15 +105,14 @@ class MatrixSpec:
 @dataclass(frozen=True)
 class SymbolVector:
     """A stack of symbols (see :func:`build_symbols`): one row per draw in
-    ``values``, the first row of its embedding circulant, and in ``diag``,
-    its DFT diagonal, both of shape (R, size).
-
-    ``diag[..., j]`` is the unitary forward DFT of ``values``; for a real
-    symbol it satisfies diag[..., size - j] = conj(diag[..., j]).
+    ``values``, the first row of its embedding circulant, shape (R, size),
+    and in ``half``, entries 0..size//2 of its DFT diagonal (the unitary
+    forward DFT of ``values``); entry size - j of the diagonal is
+    conj(half[..., j]), so no row stores it.
     """
 
     values: np.ndarray
-    diag: np.ndarray
+    half: np.ndarray
 
     @property
     def size(self) -> int:  # the embedding size N
@@ -193,9 +193,9 @@ def build_symbols(spec: MatrixSpec, base_seed: int, replicates) -> SymbolVector:
 
 
 def _symbols(spec: MatrixSpec, entries: np.ndarray) -> SymbolVector:
-    """The stack of symbols laid out from rows of draws, with their DFT diagonals."""
+    """The stack of symbols laid out from rows of draws, with their half DFT diagonals."""
     values = _layout(spec, entries)
-    return SymbolVector(values=values, diag=dft_forward(values))
+    return SymbolVector(values=values, half=dft_forward(values))
 
 
 def _operand(v, length: int, sym: SymbolVector, name: str) -> np.ndarray:
@@ -203,14 +203,10 @@ def _operand(v, length: int, sym: SymbolVector, name: str) -> np.ndarray:
     vv = np.asarray(v)
     if np.iscomplexobj(vv):
         raise ValueError(f"{name} must be real, got dtype {vv.dtype}")
-    want = sym.diag.shape[:-1] + (length,)
+    want = sym.half.shape[:-1] + (length,)
     if vv.shape != want:
         raise ValueError(f"{name} must have shape {want}, got {vv.shape}")
     return vv
-
-
-def _half_diag(sym: SymbolVector) -> np.ndarray:
-    return sym.diag[..., : sym.size // 2 + 1]
 
 
 def matvec(sym: SymbolVector, spec: MatrixSpec, x) -> np.ndarray:
@@ -218,14 +214,14 @@ def matvec(sym: SymbolVector, spec: MatrixSpec, x) -> np.ndarray:
 
     The first p entries of the circulant times x zero-padded to the
     embedding size: a circular convolution whose kernel has the half
-    spectrum sqrt(size) * diag[: size//2 + 1]. Column-reversed families
+    spectrum sqrt(size) * half. Column-reversed families
     read x back to front first. x holds one vector per symbol row, and
     row i of the result uses symbol row i.
     """
     xv = _operand(x, spec.n, sym, "x")
     if spec.reversed_columns:
         xv = xv[..., ::-1]
-    out = circular_convolve(_half_diag(sym), xv, sym.size)[..., : spec.p]
+    out = circular_convolve(sym.half, xv, sym.size)[..., : spec.p]
     out *= math.sqrt(sym.size)
     return out
 
@@ -233,7 +229,7 @@ def matvec(sym: SymbolVector, spec: MatrixSpec, x) -> np.ndarray:
 def rmatvec(sym: SymbolVector, spec: MatrixSpec, y) -> np.ndarray:
     """Transposed product (length-n output); adjoint of :func:`matvec`."""
     yv = _operand(y, spec.p, sym, "y")
-    out = circular_convolve(np.conj(_half_diag(sym)), yv, sym.size)[..., : spec.n]
+    out = circular_convolve(np.conj(sym.half), yv, sym.size)[..., : spec.n]
     out *= math.sqrt(sym.size)
     if spec.reversed_columns:
         out = out[..., ::-1]

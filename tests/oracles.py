@@ -2,7 +2,8 @@
 
 They take no part in the package's computations: `i_value_direct` forms the
 product polynomial by numpy's direct convolution, not by the package's FFT
-path, and `symbol_from_values` wraps a prescribed symbol row for fixtures.
+path, `symbol_from_values` wraps a prescribed symbol row for fixtures, and
+`full_diagonal` mirrors a draw's half DFT diagonal to the whole diagonal.
 """
 
 import math
@@ -37,4 +38,11 @@ def symbol_from_values(values, spec: MatrixSpec) -> SymbolVector:
     size = embedding_size(spec)
     if v.shape != (size,):
         raise ValueError(f"symbol must have length {size}, got {v.shape}")
-    return SymbolVector(values=v[None], diag=dft_forward(v[None]))
+    return SymbolVector(values=v[None], half=dft_forward(v[None]))
+
+
+def full_diagonal(half, n: int) -> np.ndarray:
+    """The whole unitary DFT of real n-point vectors from its entries
+    0..n//2, by y[n - s] = conj(y[s]), along the last axis."""
+    half = np.asarray(half)
+    return np.concatenate([half, np.conj(half[..., n - half.shape[-1] : 0 : -1])], axis=-1)

@@ -41,7 +41,7 @@ from specnorm.structured import (
     rmatvec,
 )
 
-from oracles import k_lower_bound
+from oracles import full_diagonal, k_lower_bound
 
 _SUITE_START = time.time()
 
@@ -151,7 +151,7 @@ def test_c06_exact_structural_identities():
     spec = MatrixSpec("circulant", p=n, n=n, seed=60)
     sym = build_symbols(spec, spec.seed, [0])
     res = spectral_norm_fast(sym, spec, tol=1e-13, max_iter=300_000)
-    exact = math.sqrt(n) * float(np.abs(sym.diag).max())
+    exact = math.sqrt(n) * float(np.abs(sym.half).max())
     circ_err = abs(res.sigma_max - exact) / exact
 
     t_spec = MatrixSpec("toeplitz", p=23, n=57, seed=61)
@@ -163,7 +163,7 @@ def test_c06_exact_structural_identities():
 
     b_spec = MatrixSpec("circulant", p=8, n=16, seed=62)
     sym_b = build_symbols(b_spec, b_spec.seed, [0])
-    power = np.abs(sym_b.diag[0]) ** 2
+    power = np.abs(full_diagonal(sym_b.half[0], 16)) ** 2
     forms = np.empty(16)
     for j in range(16):
         total = 8 * power[j]
@@ -173,7 +173,7 @@ def test_c06_exact_structural_identities():
                 total += np.sin(np.pi * k * 8 / 16) ** 2 / np.sin(np.pi * k / 16) ** 2 * power[i] / 8
         forms[j] = total
     direct = forms[:9].max() / 8
-    b_err = abs(b_statistic(sym_b.diag, 8).value[0] - direct)
+    b_err = abs(b_statistic(sym_b.half, 8, 16).value[0] - direct)
 
     ok = circ_err <= 1e-9 and sval_err <= 1e-12 and b_err <= 1e-10
     report("C6 exact structural identities", ok,
@@ -283,8 +283,12 @@ def test_c09_determinism(tmp_path):
 def test_c10_property_suites_and_budget():
     rng = np.random.default_rng(1010)
 
-    x = rng.standard_normal(123) + 1j * rng.standard_normal(123)
-    parseval = abs(np.linalg.norm(dft_forward(x)) - np.linalg.norm(x))
+    # two real vectors (the parts of the complex one drawn here before); the
+    # half of a real vector's transform holds entries 1..61 of 123 twice over
+    x = rng.standard_normal((2, 123))
+    weights = np.r_[1.0, np.full(61, 2.0)]
+    parseval = float(np.max(np.abs(np.sqrt(np.sum(weights * np.abs(dft_forward(x)) ** 2, axis=-1))
+                                   - np.linalg.norm(x, axis=-1))))
 
     a, b = rng.standard_normal(31), rng.standard_normal(17)
     m = a.size + b.size - 1

@@ -152,7 +152,7 @@ def test_norm_square_circulant_identity(tmp_path):
     row = read_csv(out)[0]
     spec = MatrixSpec("circulant", p=64, n=64, seed=21)
     sym = build_symbols(spec, spec.seed, [0])
-    exact = math.sqrt(64) * float(np.abs(sym.diag).max())
+    exact = math.sqrt(64) * float(np.abs(sym.half).max())
     assert float(row["sigma_max"]) == pytest.approx(exact, abs=1e-9 * exact)
     assert float(row["reference"]) == 1.0
 

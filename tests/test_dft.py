@@ -9,6 +9,8 @@ import specnorm
 from specnorm.dft import circular_convolve, dft_forward, fast_length, half_spectrum
 from specnorm.sinekernel import _convolution_gram
 
+from oracles import full_diagonal
+
 
 def direct_dft(x):
     """O(N^2) summation oracle for the unitary positive-sign transform."""
@@ -19,10 +21,25 @@ def direct_dft(x):
     return kernel @ x
 
 
-def conjugate_dft(y):
-    """Inverse of the unitary positive-sign transform, for round trips."""
-    y = np.asarray(y)
-    return np.fft.fft(y) / np.sqrt(y.shape[-1])
+def half_weights(n):
+    """Parseval weights of a half spectrum: 1, 2, ..., 2, and 1 at the end
+    for even n, where entry n/2 is its own mirror."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return w
+
+
+def half_norm(y, n):
+    """Euclidean norm of the full transform, from its half."""
+    return float(np.sqrt(np.sum(half_weights(n) * np.abs(y) ** 2)))
+
+
+def conjugate_dft(half, n):
+    """Inverse of the unitary positive-sign transform of a real n-vector,
+    from its half, for round trips."""
+    return np.fft.fft(full_diagonal(half, n)) / np.sqrt(n)
 
 
 def ramp_convolve(x):
@@ -58,46 +75,43 @@ def direct_convolve(a, b):
 
 
 def test_delta_transforms_to_constant():
-    np.testing.assert_allclose(dft_forward([1, 0, 0, 0]), np.full(4, 0.5), atol=1e-15)
+    np.testing.assert_allclose(dft_forward([1, 0, 0, 0]), np.full(3, 0.5), atol=1e-15)
 
 
 def test_constant_transforms_to_scaled_delta():
-    np.testing.assert_allclose(dft_forward([1, 1, 1, 1]), [2, 0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(dft_forward([1, 1, 1, 1]), [2, 0, 0], atol=1e-15)
 
 
 def test_unitarity_length_37():
-    rng = np.random.default_rng(37)
-    x = rng.standard_normal(37) + 1j * rng.standard_normal(37)
-    assert abs(np.linalg.norm(dft_forward(x)) - np.linalg.norm(x)) < 1e-12
+    x = np.random.default_rng(37).standard_normal(37)
+    assert abs(half_norm(dft_forward(x), 37) - np.linalg.norm(x)) < 1e-12
 
 
 def test_round_trip_prime_length():
-    rng = np.random.default_rng(101)
-    x = rng.standard_normal(101) + 1j * rng.standard_normal(101)
-    back = conjugate_dft(dft_forward(x))
+    x = np.random.default_rng(101).standard_normal(101)
+    back = conjugate_dft(dft_forward(x), 101)
     assert np.linalg.norm(back - x) / np.linalg.norm(x) < 1e-12
 
 
 def test_round_trip_large_power_of_two():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2**20)
-    back = conjugate_dft(dft_forward(x))
+    back = conjugate_dft(dft_forward(x), 2**20)
     assert np.linalg.norm(back - x) / np.linalg.norm(x) < 1e-12
 
 
 def test_matches_direct_oracle_all_lengths_up_to_64():
     rng = np.random.default_rng(64)
     for n in range(1, 65):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        err = np.linalg.norm(dft_forward(x) - direct_dft(x))
+        x = rng.standard_normal(n)
+        err = np.linalg.norm(full_diagonal(dft_forward(x), n) - direct_dft(x))
         assert err < 1e-11 * max(1.0, np.linalg.norm(x))
 
 
 @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_unitarity_property(n, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert abs(np.linalg.norm(dft_forward(x)) - np.linalg.norm(x)) <= 1e-12 * max(
+    x = np.random.default_rng(seed).standard_normal(n)
+    assert abs(half_norm(dft_forward(x), n) - np.linalg.norm(x)) <= 1e-12 * max(
         1.0, np.linalg.norm(x)
     )
 
@@ -173,16 +187,27 @@ def test_product_polynomial_identity(seed, p, n):
     assert abs(total - energy) <= 1e-10 * max(1.0, energy)
 
 
-@pytest.mark.parametrize(
-    "op, complex_input", [(dft_forward, True), (dft_forward, False), (ramp_convolve, False)]
-)
-def test_stacked_transform_is_row_by_row(op, complex_input):
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((6, 45))
-    if complex_input:
-        x = x + 1j * rng.standard_normal((6, 45))
+@pytest.mark.parametrize("op", [dft_forward, ramp_convolve])
+def test_stacked_transform_is_row_by_row(op):
+    x = np.random.default_rng(11).standard_normal((6, 45))
     y = op(x)
     assert all(y[i].tobytes() == op(x[i]).tobytes() for i in range(6))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 45, 128])
+def test_dft_forward_is_the_conjugate_half_of_rfft(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), rng.standard_normal((3, n)), rng.standard_normal((2, 2, n))):
+        y = dft_forward(x)
+        assert y.shape == x.shape[:-1] + (n // 2 + 1,)
+        assert y.tobytes() == np.conj(np.fft.rfft(x, norm="ortho")).tobytes()
+
+
+@pytest.mark.parametrize("x", [np.ones(4, dtype=complex), np.ones((3, 8), dtype=complex),
+                               [1.0, 1j]])
+def test_dft_forward_refuses_complex_input(x):
+    with pytest.raises(ValueError, match="x must be real"):
+        dft_forward(x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 45, 128])
@@ -190,18 +215,16 @@ def test_real_input_matches_complex_transform(n):
     x = np.random.default_rng(n).standard_normal(n)
     y = dft_forward(x)
     want = np.fft.ifft(x) * np.sqrt(n)
-    assert np.linalg.norm(y - want) <= 1e-15 * np.linalg.norm(x)
+    assert np.linalg.norm(full_diagonal(y, n) - want) <= 1e-15 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 45, 128])
-def test_real_input_diagonal_is_an_exact_hermitian_mirror(n):
+def test_real_input_half_diagonal_has_real_ends(n):
     y = dft_forward(np.random.default_rng(n).standard_normal(n))
-    for j in range(1, n):
-        if j < n - j:
-            assert y[n - j].tobytes() == np.conj(y[j]).tobytes(), j
-        elif j == n - j:
-            assert y[j].imag == 0.0  # its own mirror: real up to the sign of zero
+    assert y.shape == (n // 2 + 1,)
     assert y[0].imag == 0.0
+    if n % 2 == 0:
+        assert y[n // 2].imag == 0.0  # its own mirror: real up to the sign of zero
 
 
 def test_fft_is_called_only_in_the_dft_module():
@@ -209,6 +232,13 @@ def test_fft_is_called_only_in_the_dft_module():
     calls = re.compile(r"\b(np|numpy)\.fft\b")
     users = [f.name for f in sorted(package.glob("*.py")) if calls.search(f.read_text())]
     assert users == ["dft.py"]
+
+
+def test_the_package_takes_no_complex_fft():
+    # every transform is real: rfft or irfft, one spectrum per draw
+    package = Path(specnorm.__file__).parent
+    calls = re.compile(r"\b(np|numpy)\.fft\.i?fft\b")
+    assert [f.name for f in sorted(package.glob("*.py")) if calls.search(f.read_text())] == []
 
 
 @pytest.mark.parametrize("op", [dft_forward, ramp_convolve, autocorrelation_lags])

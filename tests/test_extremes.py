@@ -16,7 +16,10 @@ from specnorm.extremes import (
     kernel_from_projection,
     theta_c,
 )
+from specnorm.dft import circular_convolve
 from specnorm.structured import MatrixSpec, build_symbols
+
+from oracles import full_diagonal
 
 TABLE = {
     0.1: 18.42,
@@ -159,8 +162,8 @@ def test_kernel_spectrum_is_flat_at_square_ratio(n):
 def test_b_statistic_square_ratio_reduces_to_max_power():
     spec = MatrixSpec("circulant", p=16, n=16, seed=4)
     sym = build_symbols(spec, spec.seed, [0])
-    stat = b_statistic(sym.diag, 16)
-    assert stat.value == pytest.approx(float(np.max(np.abs(sym.diag) ** 2)), abs=1e-10)
+    stat = b_statistic(sym.half, 16, 16)
+    assert stat.value == pytest.approx(float(np.max(np.abs(sym.half) ** 2)), abs=1e-10)
 
 
 def _direct_forms(power, p):
@@ -179,9 +182,9 @@ def _direct_forms(power, p):
 def test_b_statistic_matches_direct_double_loop():
     spec = MatrixSpec("circulant", p=8, n=16, seed=5)
     sym = build_symbols(spec, spec.seed, [0])
-    power = np.abs(sym.diag[0]) ** 2
+    power = np.abs(full_diagonal(sym.half[0], 16)) ** 2
     forms = _direct_forms(power, 8)
-    stat = b_statistic(sym.diag, 8)
+    stat = b_statistic(sym.half, 8, 16)
     want = forms[: 9].max() / 8
     assert stat.value == pytest.approx([want], abs=1e-10)
     assert stat.argmax_j.tolist() == [forms[: 9].argmax()]
@@ -190,7 +193,7 @@ def test_b_statistic_matches_direct_double_loop():
 def test_quadratic_forms_symmetric_under_reflection():
     spec = MatrixSpec("circulant", p=6, n=20, seed=6)
     sym = build_symbols(spec, spec.seed, [0])
-    forms = _direct_forms(np.abs(sym.diag[0]) ** 2, 6)
+    forms = _direct_forms(np.abs(full_diagonal(sym.half[0], 20)) ** 2, 6)
     for j in range(1, 10):
         assert forms[j] == pytest.approx(forms[20 - j], abs=1e-10)
 
@@ -198,42 +201,75 @@ def test_quadratic_forms_symmetric_under_reflection():
 def test_b_statistic_dominates_max_power():
     spec = MatrixSpec("circulant", p=12, n=48, seed=7)
     sym = build_symbols(spec, spec.seed, [0])
-    stat = b_statistic(sym.diag, 12)
-    assert stat.value >= float(np.max(np.abs(sym.diag) ** 2)) - 1e-12
+    stat = b_statistic(sym.half, 12, 48)
+    assert stat.value >= float(np.max(np.abs(sym.half) ** 2)) - 1e-12
 
 
 @pytest.mark.parametrize("p,n,rows", [(64, 128, 50), (256, 512, 40), (16384, 65536, 1)])
 def test_b_statistic_rows_of_a_stack_equal_their_own_calls(p, n, rows):
     spec = MatrixSpec("circulant", p=p, n=n, seed=11)
     stacked = build_symbols(spec, 11, range(rows))
-    stat = b_statistic(stacked.diag, p)
+    stat = b_statistic(stacked.half, p, n)
     assert stat.value.shape == stat.argmax_j.shape == (rows,)
     for row in range(rows):
-        single = b_statistic(stacked.diag[row : row + 1], p)
+        single = b_statistic(stacked.half[row : row + 1], p, n)
         assert single.value.shape == single.argmax_j.shape == (1,)
         assert stat.value[row].tobytes() == single.value.tobytes()
         assert stat.argmax_j[row] == single.argmax_j[0]
     # any leading axes: a (2, rows/2, n) stack gives the same rows
     if rows % 2 == 0:
-        folded = b_statistic(stacked.diag.reshape(2, rows // 2, n), p)
+        folded = b_statistic(stacked.half.reshape(2, rows // 2, n // 2 + 1), p, n)
         assert folded.value.tobytes() == stat.value.tobytes()
         assert folded.argmax_j.ravel().tolist() == stat.argmax_j.tolist()
 
 
 def test_b_statistic_refuses_a_scalar_and_an_odd_stack():
     with pytest.raises(ValueError, match="scalar"):
-        b_statistic(np.complex128(1.0), 1)
+        b_statistic(np.complex128(1.0), 1, 2)
     with pytest.raises(ValueError, match="n=9"):
-        b_statistic(np.ones((2, 9), dtype=complex), 3)
+        b_statistic(np.ones((2, 5), dtype=complex), 3, 9)
 
 
 def test_b_statistic_rejects_odd_or_oversized():
     spec = MatrixSpec("circulant", p=3, n=9, seed=1)
     sym = build_symbols(spec, spec.seed, [0])
     with pytest.raises(ValueError):
-        b_statistic(sym.diag, 3)
+        b_statistic(sym.half, 3, 9)
     with pytest.raises(ValueError):
-        b_statistic(np.ones(16, dtype=complex), 17)
+        b_statistic(np.ones(9, dtype=complex), 17, 16)
+
+
+@pytest.mark.parametrize("n, length", [(16, 16), (16, 8), (16, 10), (2, 1), (2, 3), (64, 65)])
+def test_b_statistic_refuses_a_half_of_the_wrong_length(n, length):
+    with pytest.raises(ValueError, match=f"a half spectrum of n={n} has {n // 2 + 1} entries, "
+                                         f"got {length}"):
+        b_statistic(np.ones((3, length), dtype=complex), 1, n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 65])
+def test_b_statistic_refuses_an_odd_n(n):
+    # whatever the half's length: n//2 + 1 entries fit odd n, and are still refused
+    with pytest.raises(ValueError, match=f"even embedding size required, got n={n}"):
+        b_statistic(np.ones((2, n // 2 + 1), dtype=complex), 1, n)
+
+
+def _b_statistic_of_full_diagonal(diag, p):
+    """b_statistic as it read a whole DFT diagonal, shape (..., n)."""
+    n = diag.shape[-1]
+    power = np.abs(diag)
+    power *= power
+    forms = circular_convolve(extremes._kernel_spectrum(p, n), power, n)[..., : n // 2 + 1]
+    return np.max(forms, axis=-1) / p, np.argmax(forms, axis=-1)
+
+
+@pytest.mark.parametrize("p, n", [(1, 2), (2, 2), (3, 6), (6, 6), (16, 64), (64, 128)])
+def test_b_statistic_of_the_half_equals_the_full_diagonal_formula_bit_for_bit(p, n):
+    spec = MatrixSpec("circulant", p=p, n=n, seed=19)
+    sym = build_symbols(spec, 19, range(7))
+    stat = b_statistic(sym.half, p, n)
+    value, argmax_j = _b_statistic_of_full_diagonal(full_diagonal(sym.half, n), p)
+    assert stat.value.tobytes() == value.tobytes()
+    assert stat.argmax_j.tolist() == argmax_j.tolist()
 
 
 def _gumbel_samples(model, size, seed):

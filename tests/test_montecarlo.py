@@ -299,14 +299,14 @@ def test_block_size_and_workers_do_not_change_paired_arrays(monkeypatch):
 def test_a_block_takes_one_b_statistic_call(monkeypatch):
     shapes = []
 
-    def counted(diag, p):
-        shapes.append(diag.shape)
-        return b_statistic(diag, p)
+    def counted(half, p, n):
+        shapes.append((half.shape, n))
+        return b_statistic(half, p, n)
 
     monkeypatch.setattr(mc, "b_statistic", counted)
     monkeypatch.setattr(mc, "_block_rows", lambda _cfg: 7)
     mc._collect(replace(C7, replicates=60, statistics=("b_statistic",)))
-    assert shapes == [(7, 128)] * 8 + [(4, 128)]
+    assert shapes == [((7, 65), 128)] * 8 + [((4, 65), 128)]
 
 
 def test_block_keeps_exclusions_per_row(monkeypatch):

@@ -335,7 +335,7 @@ def test_square_circulant_exact_value():
     spec = MatrixSpec("circulant", p=n, n=n, seed=6)
     sym = build_symbols(spec, spec.seed, [0])
     res = spectral_norm_fast(sym, spec, tol=1e-13, max_iter=200_000)
-    exact = math.sqrt(n) * np.abs(sym.diag).max()
+    exact = math.sqrt(n) * np.abs(sym.half).max()
     assert abs(res.sigma_max - exact) < 1e-9 * exact
 
 
@@ -344,7 +344,7 @@ def test_norm_squared_dominates_bound_statistic():
         spec = MatrixSpec("circulant", p=16, n=32, seed=2000 + i)
         sym = build_symbols(spec, spec.seed, [0])
         res = spectral_norm_fast(sym, spec, tol=1e-12, max_iter=200_000)
-        bound = spec.p * b_statistic(sym.diag, spec.p).value
+        bound = spec.p * b_statistic(sym.half, spec.p, spec.n).value
         assert res.sigma_max**2 >= bound - 1e-9
 
 

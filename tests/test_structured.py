@@ -18,7 +18,7 @@ from specnorm.structured import (
     rmatvec,
 )
 
-from oracles import symbol_from_values
+from oracles import full_diagonal, symbol_from_values
 
 
 class StubStream:
@@ -52,13 +52,13 @@ def test_delta_symbol_gives_flat_diagonal():
     spec = MatrixSpec("toeplitz", p=2, n=3)
     stub = StubStream([1, 0, 0, 0, 0])
     sym = drawn(spec, stub)
-    np.testing.assert_allclose(sym.diag, np.full((1, 5), 1 / np.sqrt(5)), atol=1e-14)
+    np.testing.assert_allclose(sym.half, np.full((1, 3), 1 / np.sqrt(5)), atol=1e-14)
 
 
 def test_delta_symbol_circulant():
     spec = MatrixSpec("circulant", p=2, n=4)
     sym = drawn(spec, StubStream([1, 0, 0, 0]))
-    np.testing.assert_allclose(sym.diag, np.full((1, 4), 0.5), atol=1e-14)
+    np.testing.assert_allclose(sym.half, np.full((1, 3), 0.5), atol=1e-14)
 
 
 def test_real_symbol_conjugate_symmetry():
@@ -66,8 +66,12 @@ def test_real_symbol_conjugate_symmetry():
     sym = build_symbols(spec, spec.seed, [0])
     n = sym.size
     assert n == 2**10
-    j = np.arange(n)
-    err = np.abs(sym.diag[0, (n - j) % n] - np.conj(sym.diag[0, j]))
+    # the whole diagonal, by a complex transform of the symbol: its upper half
+    # is the conjugate of the half the draw keeps
+    diag = np.fft.ifft(sym.values[0]) * np.sqrt(n)
+    j = np.arange(n // 2 + 1)
+    assert sym.half.shape == (1, n // 2 + 1)
+    err = np.abs(diag[(n - j) % n] - np.conj(sym.half[0, j]))
     assert err.max() < 1e-12
 
 
@@ -76,7 +80,7 @@ def test_diagonal_component_variances():
     n = 2**14
     spec = MatrixSpec("circulant", p=n, n=n, seed=31415)
     sym = build_symbols(spec, spec.seed, [0])
-    interior = sym.diag[0, 1 : n // 2]
+    interior = sym.half[0, 1 : n // 2]
     assert abs(np.var(interior.real) - 0.5) < 0.05
     assert abs(np.var(interior.imag) - 0.5) < 0.05
 
@@ -296,11 +300,12 @@ def test_build_symbols_rows_equal_own_stream_draws_bit_for_bit(family, symmetric
     spec = MatrixSpec(family, p=7, n=19, symmetric=symmetric, dist=dist, seed=23)
     stack = build_symbols(spec, 23, range(rows))
     assert stack.size == embedding_size(spec)
-    assert stack.values.shape == stack.diag.shape == (rows, stack.size)
+    assert stack.values.shape == (rows, stack.size)
+    assert stack.half.shape == (rows, stack.size // 2 + 1)
     for r in range(rows):
         sym = drawn(spec, replicate_stream(23, r))
         assert stack.values[r].tobytes() == sym.values.tobytes()
-        assert stack.diag[r].tobytes() == sym.diag.tobytes()
+        assert stack.half[r].tobytes() == sym.half.tobytes()
 
 
 @pytest.mark.parametrize("family", ["toeplitz", "hankel", "circulant", "reverse_circulant"])
@@ -349,7 +354,7 @@ def test_dense_size_guard_counts_every_row(monkeypatch):
     spec = MatrixSpec("circulant", p=2, n=25)
 
     def stack(rows):
-        return SymbolVector(values=np.zeros((rows, 25)), diag=np.zeros((rows, 25), dtype=complex))
+        return SymbolVector(values=np.zeros((rows, 25)), half=np.zeros((rows, 13), dtype=complex))
 
     assert dense_materialize(stack(2), spec).shape == (2, 2, 25)  # 100 entries
     with pytest.raises(ResourceLimitError, match=r"^dense path refuses 3 rows of p\*n = 50 > 100$"):
@@ -362,6 +367,6 @@ def test_dense_size_guard_counts_every_row(monkeypatch):
 def test_symbol_round_trip_through_diag(seed):
     spec = MatrixSpec("toeplitz", p=4, n=9, seed=seed)
     sym = build_symbols(spec, spec.seed, [0])
-    # diag is the unitary transform of the symbol row
-    back = np.fft.fft(sym.diag, axis=-1) / np.sqrt(sym.size)
+    # half is the unitary transform of the symbol row, up to its mirror
+    back = np.fft.fft(full_diagonal(sym.half, sym.size), axis=-1) / np.sqrt(sym.size)
     np.testing.assert_allclose(back.real, sym.values, atol=1e-10)
