@@ -12,7 +12,8 @@ numpy's SIMD loops pick for the CPU, which no file can pin. A last-bit move
 can still flip a 12th digit when a value sits on a rounding boundary.
 
 On numpy < 2 (the CI floor job) the golden cases are skipped: nobody has
-yet seen what numpy 1.x prints for them (ROADMAP item 2).
+yet seen what numpy 1.x prints for them (ROADMAP item 2). `report` prints
+each case's differences from its files without failing, for such a run.
 
 A change that means to alter an output regenerates the files with
 ``python tests/test_outputs.py`` and lists each changed file in CHANGES.md.
@@ -149,6 +150,52 @@ def test_golden_text_drops_only_digits_no_file_pins():
                   line("24.0531862409347", 17, "0.0") + "0.123456789013,1e-05\n",
                   line("24.0531862409347", 17, "0.0") + "0.123456789012,1e-06\n"):
         assert golden_text(wrong) != golden, wrong
+
+
+def report() -> int:
+    """Run every case and print, per output file, its unified diff against
+    the golden file after `golden_text` on both sides, and any exit code
+    that differs. Returns 1 if some case differs, else 0."""
+    import difflib
+    import tempfile
+
+    codes = json.loads(CODES.read_text())
+    differing = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in sorted(CASES):
+            code, outputs = run_case(name, Path(workdir))
+            lines = [] if code == codes[name] else [f"exit code {code}, golden {codes[name]}\n"]
+            for suffix, text in sorted(outputs.items()):
+                path = OUTPUTS / f"{name}.{suffix}"
+                expected = golden_text(path.read_text()) if path.exists() else ""
+                lines += difflib.unified_diff(expected.splitlines(True),
+                                              golden_text(text).splitlines(True),
+                                              f"golden/{path.name}", f"this run/{path.name}")
+            print(f"{name}: {'differs' if lines else 'matches'}")
+            sys.stdout.writelines(lines)
+            if lines:
+                differing.append(name)
+    print(f"{len(differing)} of {len(CASES)} cases differ: {', '.join(differing) or 'none'}")
+    return int(bool(differing))
+
+
+def test_report_prints_each_differing_file_and_exit_code(tmp_path, monkeypatch, capsys):
+    import test_outputs
+
+    golden = tmp_path / "outputs"
+    golden.mkdir()
+    # this run's own text, so that the case matches on any numpy
+    (golden / "theta.stdout").write_text(run_case("theta", tmp_path)[1]["stdout"])
+    (golden / "exit_codes.json").write_text('{"theta": 0, "ktable": 3}')
+    monkeypatch.setattr(test_outputs, "OUTPUTS", golden)
+    monkeypatch.setattr(test_outputs, "CODES", golden / "exit_codes.json")
+    monkeypatch.setattr(test_outputs, "CASES", {name: CASES[name] for name in ("theta", "ktable")})
+    assert test_outputs.report() == 1
+    out = capsys.readouterr().out
+    assert "theta: matches\n" in out
+    assert "ktable: differs\nexit code 0, golden 3\n" in out
+    assert "+++ this run/ktable.stdout" in out  # no golden file: every line is new
+    assert out.endswith("1 of 2 cases differ: ktable\n")
 
 
 def regenerate() -> None:
