@@ -142,16 +142,12 @@ def cmd_ktable(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    grid = _parse_grid(args.grid)
-    for c in grid:
-        if not 0 < c <= 1:
-            raise UsageError(f"aspect ratios must lie in (0, 1], got {c}")
     rows = []
-    for c in grid:
+    for c in _parse_grid(args.grid):
         t0 = time.perf_counter()
         try:
             rows.append({"c": c, "theta": theta_c(c)})
-        except ValueError as exc:  # a c that is no p/n with n <= 2^20
+        except ValueError as exc:  # a c outside (0, 1], or no p/n with n <= 2^20
             raise UsageError(str(exc)) from None
         _log.info("theta row c=%.12g: %.3f s", c, time.perf_counter() - t0)
     with _open_output(args.output) as out:
@@ -172,7 +168,7 @@ def cmd_norm(args) -> int:
         require_scalable(spec.n)  # MatrixSpec allows n = 1
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     # the oracle first: past the dense limit it refuses before the fast solve runs
     oracle = spectral_norm_dense(dense_materialize(sym, spec)[0]) if args.dense_check else None
     result = spectral_norm_fast(sym, spec)

@@ -36,14 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GumbelModel:
-    """Location shift and aspect ratio of the shifted Gumbel limit."""
+    """Location shift of the shifted Gumbel limit: theta(c) at the aspect
+    ratio c, which :func:`gumbel_model` takes and :func:`theta_c` checks."""
 
     theta: float
-    c: float
 
     def __post_init__(self):
-        if not 0 < self.c <= 1:
-            raise ValueError(f"aspect ratio must lie in (0, 1], got {self.c}")
         if self.theta < 0:
             raise ValueError("theta must be nonnegative")
 
@@ -83,7 +81,7 @@ def theta_c(c: float) -> float:
 
 
 def gumbel_model(c: float) -> GumbelModel:
-    return GumbelModel(theta=theta_c(c), c=c)
+    return GumbelModel(theta=theta_c(c))
 
 
 def gumbel_cdf(x, model: GumbelModel):

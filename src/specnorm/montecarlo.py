@@ -76,7 +76,7 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a seedless matrix template plus replication settings."""
+    """One experiment: a matrix template, drawn from base_seed, plus replication settings."""
 
     family: str
     p: int
@@ -134,9 +134,9 @@ def _require_gaussian_circulant(cfg: ExperimentConfig, user: str) -> None:
 @dataclass(frozen=True)
 class McSummary:
     """One statistic over the converged replicates: its mean and its 0.05,
-    0.5 and 0.95 quantiles (linear interpolation between order statistics)."""
+    0.5 and 0.95 quantiles (linear interpolation between order statistics).
+    `run_experiment` keys each summary by its statistic's name."""
 
-    statistic: str
     count: int
     excluded: int
     mean: float
@@ -176,7 +176,7 @@ def _replicate(cfg: ExperimentConfig, block: range) -> dict[str, np.ndarray]:
     norm, "sigma" and the solve's "steps", certified "residual",
     "checked_steps" and "dense_steps"; for the lower bound, "b"."""
     spec = cfg.template_spec()
-    sym = build_symbols(spec, cfg.base_seed, block)
+    sym = build_symbols(spec, block)
     out = {"converged": np.ones(len(block), dtype=bool)}
     if _needs_norm(cfg):
         top = spectral_norms(sym, spec, cfg.norm_tol, cfg.norm_max_iter)
@@ -327,9 +327,8 @@ def _converged(cfg: ExperimentConfig, converged: np.ndarray) -> np.ndarray:
         raise ExperimentError(
             f"{len(failed)} of {cfg.replicates} replicates failed to converge; "
             f"failed (base_seed, replicate): {pairs}{more}. Each replays as "
-            "spectral_norm_fast(build_symbols(spec, base_seed, [replicate]), "
-            f"spec, tol={cfg.norm_tol!r}, max_iter={cfg.norm_max_iter!r}) with spec the "
-            "config's matrix at seed base_seed"
+            f"spectral_norm_fast(build_symbols(spec, [replicate]), spec, tol={cfg.norm_tol!r}, "
+            f"max_iter={cfg.norm_max_iter!r}) with spec the config's matrix at seed base_seed"
         )
     return converged
 
@@ -341,16 +340,13 @@ def _statistic_value(cfg: ExperimentConfig, stat: str, arrays: dict[str, np.ndar
     if stat == "centered_norm_sq":
         sigma = arrays["sigma"]
         return sigma * sigma / cfg.p - cfg.center()
-    if stat == "b_statistic":
-        return arrays["b"] - cfg.center()
-    raise ValueError(f"unknown statistic {stat!r}")
+    return arrays["b"] - cfg.center()  # b_statistic: ExperimentConfig refuses any other
 
 
-def _summarize(stat: str, values: np.ndarray, excluded: int) -> McSummary:
+def _summarize(values: np.ndarray, excluded: int) -> McSummary:
     s = np.sort(values)
     q05, median, q95 = np.quantile(s, (0.05, 0.5, 0.95)).tolist()
     return McSummary(
-        statistic=stat,
         count=int(s.size),
         excluded=excluded,
         mean=float(np.mean(s)),
@@ -397,7 +393,7 @@ def run_experiment(cfg: ExperimentConfig, raw_path: str | None = None) -> dict[s
     if they exceed 0.1% of the total the experiment raises ExperimentError.
     """
     samples, excluded = collect_samples(cfg, raw_path)
-    return {stat: _summarize(stat, values, excluded) for stat, values in samples.items()}
+    return {stat: _summarize(values, excluded) for stat, values in samples.items()}
 
 
 def reference_constant(cfg: ExperimentConfig | MatrixSpec) -> float:

@@ -108,7 +108,7 @@ def _convolution_gram(w: np.ndarray, cols: int):
     return toeplitz_gram(lags[None], cols)
 
 
-def principal_right_singular(w, cols: int, tol: float, start: np.ndarray) -> SingularPair:
+def principal_right_singular(w, cols: int, start: np.ndarray) -> SingularPair:
     """Top right singular pair of the banded convolution matrix W of w.
 
     Runs the Lanczos core :func:`specnorm.norms.gram_lanczos`, as a block
@@ -116,13 +116,13 @@ def principal_right_singular(w, cols: int, tol: float, start: np.ndarray) -> Sin
     vector w: the Toeplitz matrix of w's autocorrelation, whose lags and
     each step's product are circular convolutions (:func:`_convolution_gram`),
     so neither matrix is ever formed. The result is converged once the Ritz
-    residual is at most ``tol * sigma^2`` (tol clamped as there);
-    `iterations` counts Krylov steps (at most `cols`). The caller picks
-    `start`: the Gram matrix is persymmetric, so a structured start such as
-    all-ones spans only flip-even Krylov vectors and can miss a flip-odd
-    principal vector. A positive start is safe for a positive w: W^T W is
-    then a nonnegative Toeplitz matrix, irreducible once w has two entries,
-    with a positive principal vector (Perron-Frobenius).
+    residual is at most ``TOL_CAP * sigma^2``, the core's cap on the relative
+    residual; `iterations` counts Krylov steps (at most `cols`). The caller
+    picks `start`: the Gram matrix is persymmetric, so a structured start
+    such as all-ones spans only flip-even Krylov vectors and can miss a
+    flip-odd principal vector. A positive start is safe for a positive w:
+    W^T W is then a nonnegative Toeplitz matrix, irreducible once w has two
+    entries, with a positive principal vector (Perron-Frobenius).
     """
     if cols < 1:
         raise ValueError("cols must be at least 1")
@@ -133,7 +133,7 @@ def principal_right_singular(w, cols: int, tol: float, start: np.ndarray) -> Sin
     if u.shape != (cols,):
         raise ValueError(f"start vector must have length {cols}")
     kernels, apply = _convolution_gram(wv, cols)
-    top = gram_lanczos(apply, kernels, u[None], tol, cols)
+    top = gram_lanczos(apply, kernels, u[None], TOL_CAP, cols)
     return SingularPair(
         vector=_fix_sign(top.vectors[0]),
         sigma=math.sqrt(top.values[0]),
@@ -155,7 +155,7 @@ def k_estimate(p: int, n: int) -> tuple[KEstimate, ExtremalPair]:
     at most `_SWEEP_TOL` (1e-13) between sweeps, or by its double-precision
     noise floor if that is larger (at most `_OUTER_MAX` sweeps).
 
-    Each inner solve stops at the relative residual
+    Each inner :func:`principal_right_singular` stops at the relative residual
     :data:`specnorm.norms.TOL_CAP` (1e-8), the Lanczos core's cap: the
     returned I is a Ritz value, whose error is of order residual^2 / gap.
     `converged` certifies that I moved by at most the sweep tolerance in the
@@ -180,9 +180,9 @@ def k_estimate(p: int, n: int) -> tuple[KEstimate, ExtremalPair]:
     sweeps = 0
     inner_ok = True
     for sweeps in range(1, _OUTER_MAX + 1):
-        rw = principal_right_singular(v, n, tol=TOL_CAP, start=w)
+        rw = principal_right_singular(v, n, start=w)
         w = rw.vector
-        rv = principal_right_singular(w, p, tol=TOL_CAP, start=v)
+        rv = principal_right_singular(w, p, start=v)
         v = rv.vector
         i_val = rv.sigma
         inner_ok = rw.converged and rv.converged

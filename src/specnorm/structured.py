@@ -170,23 +170,23 @@ def _entry_count(spec: MatrixSpec) -> int:
     return size // 2 + 1 if spec.symmetric else size
 
 
-def build_symbols(spec: MatrixSpec, base_seed: int, replicates) -> SymbolVector:
+def build_symbols(spec: MatrixSpec, replicates) -> SymbolVector:
     """A stack of symbols for `spec`, row i drawn from the stream
-    ``replicate_stream(base_seed, replicates[i])``.
+    ``replicate_stream(spec.seed, replicates[i])``.
 
     Draw order is fixed: each stream gives a single flat vector of
     `_entry_count(spec)` i.i.d. values, drawn straight into its row, so a
-    given stream always produces the same matrix; the draw of a spec's own
-    seed is ``build_symbols(spec, spec.seed, [0])``. One Philox bit generator,
-    re-keyed per row at counter 0, stands in for each row's stream. Every
-    row is laid out at once and takes one stacked :func:`dft_forward`, whose
-    rows equal their transforms on their own.
+    given stream always produces the same matrix; the draw of a spec alone
+    is ``build_symbols(spec, [0])``. One Philox bit generator, re-keyed per
+    row at counter 0, stands in for each row's stream. Every row is laid
+    out at once and takes one stacked :func:`dft_forward`, whose rows equal
+    their transforms on their own.
     """
     entries = np.empty((len(replicates), _entry_count(spec)))
-    rng = replicate_stream(base_seed)
+    rng = replicate_stream(spec.seed)
     state = rng.bit_generator.state
     for replicate, row in zip(replicates, entries):
-        state["state"]["key"] = np.array([base_seed, replicate], dtype=np.uint64)
+        state["state"]["key"] = np.array([spec.seed, replicate], dtype=np.uint64)
         rng.bit_generator.state = state
         _draw_into(rng, spec.dist, row)
     return _symbols(spec, entries)

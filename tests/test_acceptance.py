@@ -122,7 +122,7 @@ def test_c05_oracle_equivalence():
         n = int(rng.integers(2, 129))
         p = int(rng.integers(1, n + 1))
         spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=1000 + i)
-        sym = build_symbols(spec, spec.seed, [0])
+        sym = build_symbols(spec, [0])
         (dense,) = dense_materialize(sym, spec)
         x = rng.standard_normal(n)
         ref = dense @ x
@@ -135,7 +135,7 @@ def test_c05_oracle_equivalence():
         n = int(rng.integers(4, 97))
         p = int(rng.integers(1, min(n, 48) + 1))
         spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=5000 + i)
-        sym = build_symbols(spec, spec.seed, [0])
+        sym = build_symbols(spec, [0])
         fast = spectral_norm_fast(sym, spec, tol=1e-12, max_iter=200_000)
         oracle = spectral_norm_dense(dense_materialize(sym, spec)[0])
         assert fast.converged
@@ -149,20 +149,20 @@ def test_c05_oracle_equivalence():
 def test_c06_exact_structural_identities():
     n = 256
     spec = MatrixSpec("circulant", p=n, n=n, seed=60)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     res = spectral_norm_fast(sym, spec, tol=1e-13, max_iter=300_000)
     exact = math.sqrt(n) * float(np.abs(sym.half).max())
     circ_err = abs(res.sigma_max - exact) / exact
 
     t_spec = MatrixSpec("toeplitz", p=23, n=57, seed=61)
     h_spec = MatrixSpec("hankel", p=23, n=57, seed=61)
-    sym_t = build_symbols(t_spec, t_spec.seed, [0])
+    sym_t = build_symbols(t_spec, [0])
     sv_t = np.linalg.svd(dense_materialize(sym_t, t_spec)[0], compute_uv=False)
     sv_h = np.linalg.svd(dense_materialize(sym_t, h_spec)[0], compute_uv=False)
     sval_err = float(np.max(np.abs(sv_t - sv_h)) / sv_t[0])
 
     b_spec = MatrixSpec("circulant", p=8, n=16, seed=62)
-    sym_b = build_symbols(b_spec, b_spec.seed, [0])
+    sym_b = build_symbols(b_spec, [0])
     power = np.abs(full_diagonal(sym_b.half[0], 16)) ** 2
     forms = np.empty(16)
     for j in range(16):
@@ -305,7 +305,7 @@ def test_c10_property_suites_and_budget():
     ident_err = abs(identity - np.linalg.norm(np.convolve(v, w)) ** 2)
 
     spec = MatrixSpec("hankel", p=7, n=18, symmetric=True, seed=303)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     xx, yy = rng.standard_normal(18), rng.standard_normal(7)
     adjoint = abs(
         float(np.dot(matvec(sym, spec, xx[None])[0], yy))

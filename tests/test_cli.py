@@ -124,8 +124,14 @@ def test_theta_square_ratio_is_zero(tmp_path):
     assert abs(float(read_csv(out)[0]["theta"])) < 1e-12
 
 
-def test_theta_rejects_zero_ratio():
-    assert run_cli("theta", "--grid", "0:0.1:0.5") == EXIT_USAGE
+def test_theta_rejects_zero_ratio(capsys):
+    # a ratio outside (0, 1] at either end of the grid: theta(c) refuses it,
+    # and no row is printed, not even those before it
+    for grid in ("0:0.1:0.5", "0:0.5:1", "0.5:0.5:1.5"):
+        assert run_cli("theta", "--grid", grid) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "specnorm: error: aspect ratio must lie in (0, 1], got " in err
 
 
 def test_theta_refuses_a_ratio_that_is_no_small_fraction(capsys):
@@ -151,7 +157,7 @@ def test_norm_square_circulant_identity(tmp_path):
     assert code == EXIT_OK
     row = read_csv(out)[0]
     spec = MatrixSpec("circulant", p=64, n=64, seed=21)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     exact = math.sqrt(64) * float(np.abs(sym.half).max())
     assert float(row["sigma_max"]) == pytest.approx(exact, abs=1e-9 * exact)
     assert float(row["reference"]) == 1.0
@@ -217,7 +223,7 @@ def test_norm_verbose_logs_the_solve(family, symmetric, n, capsys):
     loud = capsys.readouterr()
     assert loud.out == quiet.out and quiet.err == ""
     spec = MatrixSpec(family, p=20, n=n, symmetric=symmetric, seed=4)
-    result = norms.spectral_norm_fast(build_symbols(spec, spec.seed, [0]), spec)
+    result = norms.spectral_norm_fast(build_symbols(spec, [0]), spec)
     assert next(csv.DictReader(quiet.out.splitlines()))["iterations"] == str(result.iterations)
     (line,) = loud.err.splitlines()
     assert line == (f"specnorm.cli: norm solve: {result.iterations} steps, "
@@ -422,7 +428,7 @@ def test_serial_mc_logs_one_run_line_with_its_blocks_solver_counts(tmp_path, cap
     # MC_CONFIG's ten replicates, solved as one block: a row's counts do not
     # depend on its block
     spec = MatrixSpec("circulant", p=16, n=32, seed=5)
-    top = norms.spectral_norms(build_symbols(spec, 5, range(10)), spec)
+    top = norms.spectral_norms(build_symbols(spec, range(10)), spec)
     (line,) = loud.err.splitlines()
     assert re.fullmatch(r"specnorm\.montecarlo: 10 replicates in 10 blocks, serial: \d+\.\d{3} s, "
                         r"\d+\.\d minor faults per replicate, "

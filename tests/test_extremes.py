@@ -82,37 +82,37 @@ def test_theta_domain():
 
 
 def test_gumbel_cdf_at_location():
-    model = GumbelModel(theta=1.7, c=0.5)
+    model = GumbelModel(theta=1.7)
     assert gumbel_cdf(1.7, model) == pytest.approx(math.exp(-1.0))
 
 
 def test_gumbel_median():
-    model = GumbelModel(theta=0.0, c=1.0)
+    model = GumbelModel(theta=0.0)
     assert gumbel_cdf(-math.log(math.log(2.0)), model) == pytest.approx(0.5)
 
 
 def test_gumbel_shift_equivariance():
     delta = 0.83
-    base = GumbelModel(theta=0.4, c=0.5)
-    shifted = GumbelModel(theta=0.4 + delta, c=0.5)
+    base = GumbelModel(theta=0.4)
+    shifted = GumbelModel(theta=0.4 + delta)
     x = 1.234
     assert gumbel_cdf(x + delta, shifted) == gumbel_cdf(x, base)
 
 
 def test_gumbel_quantile_values():
-    model = GumbelModel(theta=0.0, c=1.0)
+    model = GumbelModel(theta=0.0)
     assert gumbel_quantile(math.exp(-1.0), model) == pytest.approx(0.0, abs=1e-14)
     assert gumbel_quantile(0.5, model) == pytest.approx(-math.log(math.log(2.0)))
 
 
 @given(st.floats(0.001, 0.999))
 def test_gumbel_quantile_round_trip(q):
-    model = GumbelModel(theta=0.7, c=0.5)
+    model = GumbelModel(theta=0.7)
     assert gumbel_cdf(gumbel_quantile(q, model), model) == pytest.approx(q, abs=1e-12)
 
 
 def test_gumbel_quantile_domain():
-    model = GumbelModel(theta=0.0, c=1.0)
+    model = GumbelModel(theta=0.0)
     for q in (0.0, 1.0, -0.3, 1.5):
         with pytest.raises(ValueError):
             gumbel_quantile(q, model)
@@ -161,7 +161,7 @@ def test_kernel_spectrum_is_flat_at_square_ratio(n):
 
 def test_b_statistic_square_ratio_reduces_to_max_power():
     spec = MatrixSpec("circulant", p=16, n=16, seed=4)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     stat = b_statistic(sym.half, 16, 16)
     assert stat.value == pytest.approx(float(np.max(np.abs(sym.half) ** 2)), abs=1e-10)
 
@@ -181,7 +181,7 @@ def _direct_forms(power, p):
 
 def test_b_statistic_matches_direct_double_loop():
     spec = MatrixSpec("circulant", p=8, n=16, seed=5)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     power = np.abs(full_diagonal(sym.half[0], 16)) ** 2
     forms = _direct_forms(power, 8)
     stat = b_statistic(sym.half, 8, 16)
@@ -192,7 +192,7 @@ def test_b_statistic_matches_direct_double_loop():
 
 def test_quadratic_forms_symmetric_under_reflection():
     spec = MatrixSpec("circulant", p=6, n=20, seed=6)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     forms = _direct_forms(np.abs(full_diagonal(sym.half[0], 20)) ** 2, 6)
     for j in range(1, 10):
         assert forms[j] == pytest.approx(forms[20 - j], abs=1e-10)
@@ -200,7 +200,7 @@ def test_quadratic_forms_symmetric_under_reflection():
 
 def test_b_statistic_dominates_max_power():
     spec = MatrixSpec("circulant", p=12, n=48, seed=7)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     stat = b_statistic(sym.half, 12, 48)
     assert stat.value >= float(np.max(np.abs(sym.half) ** 2)) - 1e-12
 
@@ -208,7 +208,7 @@ def test_b_statistic_dominates_max_power():
 @pytest.mark.parametrize("p,n,rows", [(64, 128, 50), (256, 512, 40), (16384, 65536, 1)])
 def test_b_statistic_rows_of_a_stack_equal_their_own_calls(p, n, rows):
     spec = MatrixSpec("circulant", p=p, n=n, seed=11)
-    stacked = build_symbols(spec, 11, range(rows))
+    stacked = build_symbols(spec, range(rows))
     stat = b_statistic(stacked.half, p, n)
     assert stat.value.shape == stat.argmax_j.shape == (rows,)
     for row in range(rows):
@@ -232,7 +232,7 @@ def test_b_statistic_refuses_a_scalar_and_an_odd_stack():
 
 def test_b_statistic_rejects_odd_or_oversized():
     spec = MatrixSpec("circulant", p=3, n=9, seed=1)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     with pytest.raises(ValueError):
         b_statistic(sym.half, 3, 9)
     with pytest.raises(ValueError):
@@ -265,7 +265,7 @@ def _b_statistic_of_full_diagonal(diag, p):
 @pytest.mark.parametrize("p, n", [(1, 2), (2, 2), (3, 6), (6, 6), (16, 64), (64, 128)])
 def test_b_statistic_of_the_half_equals_the_full_diagonal_formula_bit_for_bit(p, n):
     spec = MatrixSpec("circulant", p=p, n=n, seed=19)
-    sym = build_symbols(spec, 19, range(7))
+    sym = build_symbols(spec, range(7))
     stat = b_statistic(sym.half, p, n)
     value, argmax_j = _b_statistic_of_full_diagonal(full_diagonal(sym.half, n), p)
     assert stat.value.tobytes() == value.tobytes()
@@ -306,6 +306,8 @@ def test_dominance_check_needs_samples():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        GumbelModel(theta=-0.1, c=0.5)
-    with pytest.raises(ValueError):
-        GumbelModel(theta=0.0, c=0.0)
+        GumbelModel(theta=-0.1)
+    with pytest.raises(ValueError, match=r"aspect ratio must lie in \(0, 1\], got 0.0"):
+        gumbel_model(0.0)  # theta(c) refuses the ratio; the model holds no c
+    with pytest.raises(TypeError):
+        GumbelModel(theta=0.0, c=0.5)

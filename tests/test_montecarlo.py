@@ -37,7 +37,7 @@ TINY = ExperimentConfig(
 def test_single_replicate_summary_is_the_statistic():
     cfg = replace(TINY, replicates=1)
     spec = cfg.template_spec()
-    sym = build_symbols(spec, cfg.base_seed, [0])
+    sym = build_symbols(spec, [0])
     res = spectral_norm_fast(sym, spec, tol=cfg.norm_tol, max_iter=cfg.norm_max_iter)
     want = scaled_norm(res.sigma_max, spec)
     summary = run_experiment(cfg)["scaled_norm"]
@@ -62,7 +62,7 @@ def test_quantiles_match_sort_oracle():
     rng = np.random.default_rng(123)
     values = rng.standard_normal(501)
     s = np.sort(values)
-    summary = mc._summarize("scaled_norm", values, excluded=0)
+    summary = mc._summarize(values, excluded=0)
     for q, got in ((0.05, summary.q05), (0.5, summary.median), (0.95, summary.q95)):
         h = (s.size - 1) * q
         lo, hi = math.floor(h), math.ceil(h)
@@ -273,7 +273,7 @@ def test_engine_records_equal_single_solves_bit_for_bit():
     spec = C7.template_spec()
     arrays = mc._collect(C7)
     for r in range(C7.replicates):
-        sym = build_symbols(spec, C7.base_seed, [r])
+        sym = build_symbols(spec, [r])
         res = spectral_norm_fast(sym, spec, tol=C7.norm_tol, max_iter=C7.norm_max_iter)
         assert arrays["sigma"][r].tobytes() == np.float64(res.sigma_max).tobytes()
         assert (arrays["steps"][r], arrays["converged"][r]) == (res.iterations, res.converged)
@@ -371,15 +371,24 @@ def test_experiment_error_names_replayable_replicates():
     message = str(exc.value)
     assert message.startswith("8 of 8 replicates failed to converge")
     assert "(91, 0), (91, 1), (91, 2), (91, 3), (91, 4) and 3 more" in message
-    # each named pair replays the failure on its own, through the call the message states
-    assert "spectral_norm_fast(build_symbols(spec, base_seed, [replicate]), spec, tol=" in message
-    settings = re.search(r"\bspec, tol=(\S+), max_iter=(\d+)\)", message)
-    tol, max_iter = float(settings.group(1)), int(settings.group(2))
-    assert (tol, max_iter) == (cfg.norm_tol, cfg.norm_max_iter)
-    spec = cfg.template_spec()
-    for r in range(5):
-        sym = build_symbols(spec, 91, [r])
-        assert not spectral_norm_fast(sym, spec, tol=tol, max_iter=max_iter).converged
+    # each named pair replays its replicate bit for bit, through the call the
+    # message states, run as printed with spec the config's matrix at base_seed
+    recipe = re.search(r"Each replays as (spectral_norm_fast\(.*\)) with spec the "
+                       r"config's matrix at seed base_seed$", message).group(1)
+    assert recipe == (f"spectral_norm_fast(build_symbols(spec, [replicate]), spec, "
+                      f"tol={cfg.norm_tol!r}, max_iter={cfg.norm_max_iter!r})")
+    spec = cfg.template_spec()  # the config's matrix at seed base_seed
+    arrays = mc._collect(cfg)
+    names = {"spectral_norm_fast": spectral_norm_fast, "build_symbols": build_symbols}
+    pairs = re.findall(r"\((\d+), (\d+)\)", message)
+    assert len(pairs) == 5
+    for base_seed, r in pairs:
+        assert int(base_seed) == spec.seed
+        res = eval(recipe, names, {"spec": spec, "replicate": int(r)})
+        assert not res.converged
+        assert res.iterations == arrays["steps"][int(r)]
+        assert res.residual == arrays["residual"][int(r)]
+        assert res.sigma_max == arrays["sigma"][int(r)]
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_all_ones_toeplitz_norm():
 
 def test_single_row_norm_is_row_length():
     spec = MatrixSpec("circulant", p=1, n=6, seed=13)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     res = spectral_norm_fast(sym, spec)
     assert res.sigma_max == pytest.approx(np.linalg.norm(sym.values), rel=1e-10)
     # a one-dimensional Krylov space is the whole space: exact after one step
@@ -80,7 +81,7 @@ def test_zero_symbol_is_exact():
 
 def test_exact_termination_within_dim_steps():
     spec = MatrixSpec("hankel", p=4, n=11, seed=8)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     res = spectral_norm_fast(sym, spec, tol=1e-15)
     assert res.converged and res.iterations == spec.p and res.residual == 0.0
     oracle = spectral_norm_dense(dense_materialize(sym, spec)[0])
@@ -96,7 +97,7 @@ def test_converged_residual_certifies_the_squared_norm():
             n = int(rng.integers(2, 97))
             p = int(rng.integers(1, min(n, 48) + 1))
             spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=7000 + i)
-            sym = build_symbols(spec, spec.seed, [0])
+            sym = build_symbols(spec, [0])
             res = spectral_norm_fast(sym, spec, tol=tol)
             dense_sq = spectral_norm_dense(dense_materialize(sym, spec)[0]) ** 2
             assert res.converged and res.iterations <= p
@@ -109,7 +110,7 @@ def test_c7_replicates_match_dense_at_default_tol():
     # still short of the norm by more than 1e-8 (worst 5.1e-6, top-pair gap 6e-6)
     spec = MatrixSpec("circulant", p=64, n=128, seed=101)
     for r in range(500):
-        sym = build_symbols(spec, 101, [r])
+        sym = build_symbols(spec, [r])
         res = spectral_norm_fast(sym, spec)
         oracle = spectral_norm_dense(dense_materialize(sym, spec)[0])
         assert res.converged, r
@@ -122,7 +123,7 @@ def test_loose_tol_certifies_the_top_eigenvalue(replicate):
     # 16 steps at sigma^2 22645.59 against 22656.00 and replicate 245 after 19
     # steps, both converged
     spec = MatrixSpec("circulant", p=2048, n=4096, seed=17)
-    sym = build_symbols(spec, 17, [replicate])
+    sym = build_symbols(spec, [replicate])
     tol = 1e-5
     loose = spectral_norm_fast(sym, spec, tol=tol)
     top_sq = spectral_norm_fast(sym, spec, tol=1e-12).sigma_max ** 2
@@ -177,7 +178,7 @@ def _is_5_smooth(m):
 def test_short_side_makes_one_product_pair_per_solve(monkeypatch, family, symmetric, p, n):
     calls, sizes = _count_products_and_gram_calls(monkeypatch)
     spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=3)
-    stack = build_symbols(spec, 3, range(6))
+    stack = build_symbols(spec, range(6))
     block = norms.spectral_norms(stack, spec)
     # one stacked pair for the first columns, then one Gram call per step
     assert calls == {"matvec": 1, "rmatvec": 1, "gram": block.steps.max()}
@@ -206,7 +207,7 @@ def _gram_shapes():
 @pytest.mark.parametrize("family,symmetric,p,n", _gram_shapes())
 def test_short_side_gram_matches_dense(family, symmetric, p, n):
     spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=11)
-    stack = build_symbols(spec, 11, range(3))
+    stack = build_symbols(spec, range(3))
     kernels, apply = norms._short_side_gram(stack, spec)
     y = np.random.default_rng(p + n).standard_normal((3, p))
     got = apply(kernels, y)
@@ -244,7 +245,7 @@ def test_every_convolution_has_length_fast_length_of_2p_minus_1(monkeypatch, fam
                                                                p, n):
     calls, sizes = _count_products_and_gram_calls(monkeypatch)
     spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=5)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     res = spectral_norm_fast(sym, spec)
     # whatever N, the Gram steps run on the short side: no convolution of
     # another length, and one product pair for the first column only
@@ -261,9 +262,9 @@ def test_every_convolution_has_length_fast_length_of_2p_minus_1(monkeypatch, fam
 @pytest.mark.parametrize("p,n", [(24, 60), (37, 37)])
 def test_every_row_of_a_block_of_20_matches_dense_and_its_single_solve(family, symmetric, p, n):
     spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=31)
-    syms = [build_symbols(spec, 31, [r]) for r in range(20)]
+    syms = [build_symbols(spec, [r]) for r in range(20)]
     block = _rows(norms.spectral_norms(
-        build_symbols(spec, 31, range(20)), spec))
+        build_symbols(spec, range(20)), spec))
     assert len({res.iterations for res in block}) > 1  # the kernels shrink on the way
     for r, (sym, res) in enumerate(zip(syms, block)):
         oracle = spectral_norm_dense(dense_materialize(sym, spec)[0])
@@ -274,7 +275,7 @@ def test_every_row_of_a_block_of_20_matches_dense_and_its_single_solve(family, s
 
 def test_krylov_basis_past_its_byte_budget_is_refused(monkeypatch):
     spec = MatrixSpec("toeplitz", p=12, n=25, seed=1)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     monkeypatch.setattr(norms, "_BASIS_BYTES", 3 * 12 * 8)
     assert spectral_norm_fast(sym, spec, max_iter=3).iterations == 3
     with pytest.raises(ResourceLimitError):
@@ -311,7 +312,7 @@ def test_fast_agrees_with_dense_across_families():
         n = int(rng.integers(4, 97))
         p = int(rng.integers(1, min(n, 48) + 1))
         spec = MatrixSpec(family, p=p, n=n, symmetric=symmetric, seed=900 + i)
-        sym = build_symbols(spec, spec.seed, [0])
+        sym = build_symbols(spec, [0])
         fast = spectral_norm_fast(sym, spec, tol=1e-12, max_iter=200_000)
         oracle = spectral_norm_dense(dense_materialize(sym, spec)[0])
         worst = max(worst, abs(fast.sigma_max - oracle) / oracle)
@@ -324,7 +325,7 @@ def test_norm_dominates_row_and_column_lengths():
         n = int(rng.integers(3, 60))
         p = int(rng.integers(1, n + 1))
         spec = MatrixSpec("toeplitz", p=p, n=n, seed=300 + i)
-        (dense,) = dense_materialize(build_symbols(spec, spec.seed, [0]), spec)
+        (dense,) = dense_materialize(build_symbols(spec, [0]), spec)
         sigma = spectral_norm_dense(dense)
         assert sigma >= np.linalg.norm(dense, axis=0).max() - 1e-12
         assert sigma >= np.linalg.norm(dense, axis=1).max() - 1e-12
@@ -333,7 +334,7 @@ def test_norm_dominates_row_and_column_lengths():
 def test_square_circulant_exact_value():
     n = 128
     spec = MatrixSpec("circulant", p=n, n=n, seed=6)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     res = spectral_norm_fast(sym, spec, tol=1e-13, max_iter=200_000)
     exact = math.sqrt(n) * np.abs(sym.half).max()
     assert abs(res.sigma_max - exact) < 1e-9 * exact
@@ -342,7 +343,7 @@ def test_square_circulant_exact_value():
 def test_norm_squared_dominates_bound_statistic():
     for i in range(20):
         spec = MatrixSpec("circulant", p=16, n=32, seed=2000 + i)
-        sym = build_symbols(spec, spec.seed, [0])
+        sym = build_symbols(spec, [0])
         res = spectral_norm_fast(sym, spec, tol=1e-12, max_iter=200_000)
         bound = spec.p * b_statistic(sym.half, spec.p, spec.n).value
         assert res.sigma_max**2 >= bound - 1e-9
@@ -357,7 +358,7 @@ def test_scaled_norm_definitions():
 
 def test_scaled_norm_envelope_single_large_draw():
     spec = MatrixSpec("circulant", p=500, n=1000, seed=99)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     res = spectral_norm_fast(sym, spec, tol=1e-8)
     assert 0.8 <= scaled_norm(res.sigma_max, spec) <= 1.6
 
@@ -374,12 +375,12 @@ def test_scaled_norm_rejects_tiny_n():
 def test_fast_norm_refuses_a_stack_of_other_than_one_row(rows):
     spec = MatrixSpec("circulant", p=4, n=8, seed=1)
     with pytest.raises(ValueError, match=rf"one-row stack, got shape \({rows}, 8\)$"):
-        spectral_norm_fast(build_symbols(spec, 1, range(rows)), spec)
+        spectral_norm_fast(build_symbols(spec, range(rows)), spec)
 
 
 def test_non_convergence_is_flagged_not_raised():
     spec = MatrixSpec("toeplitz", p=12, n=25, seed=1)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     res = spectral_norm_fast(sym, spec, tol=1e-15, max_iter=2)
     assert isinstance(res, NormResult)
     assert not res.converged
@@ -390,7 +391,7 @@ def test_non_convergence_is_flagged_not_raised():
 
 def test_fast_norm_parameter_validation():
     spec = MatrixSpec("toeplitz", p=2, n=3, seed=1)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     with pytest.raises(ValueError):
         spectral_norm_fast(sym, spec, tol=0.0)
     with pytest.raises(ValueError):
@@ -432,28 +433,29 @@ def test_block_rows_equal_their_single_solves_bit_for_bit():
         (MatrixSpec("toeplitz", p=40, n=90, seed=1), 40),
         (MatrixSpec("circulant", p=64, n=128, seed=101), 101),
     ]:
-        syms = [build_symbols(spec, stream, [r]) for r in range(9)]
+        draw = replace(spec, seed=stream)  # the solves keep the start of spec's seed
+        syms = [build_symbols(draw, [r]) for r in range(9)]
         single = [spectral_norm_fast(sym, spec) for sym in syms]
         # rows leave the block at different steps
         assert len({res.iterations for res in single}) > 1
         for size in (1, 4, 9):
             block = []
             for lo in range(0, 9, size):
-                stack = build_symbols(spec, stream, range(lo, min(lo + size, 9)))
+                stack = build_symbols(draw, range(lo, min(lo + size, 9)))
                 block += _rows(norms.spectral_norms(stack, spec))
             assert [_bits(res) for res in block] == [_bits(res) for res in single], (spec, size)
 
 
 def test_block_row_stopped_by_max_iter_is_flagged_alone():
     spec = MatrixSpec("circulant", p=16, n=32, seed=5)
-    syms = [build_symbols(spec, 5, [r]) for r in range(12)]
+    syms = [build_symbols(spec, [r]) for r in range(12)]
     steps = [spectral_norm_fast(sym, spec).iterations for sym in syms]
     # the last step before the slowest row's at which some row stops: a
     # checked step, so every row still running there failed its check in
     # the free solve
     cap = max(s for s in steps if s < max(steps))
     assert _checked(cap) and min(steps) <= cap
-    stack = build_symbols(spec, 5, range(12))
+    stack = build_symbols(spec, range(12))
     block = _rows(norms.spectral_norms(stack, spec, max_iter=cap))
     assert {res.converged for res in block} == {True, False}
     assert [res.converged for res in block] == [s <= cap for s in steps]
@@ -474,7 +476,7 @@ def test_c7_rows_stop_at_checks_and_match_their_single_solves_and_dense():
     # step 16 to past 24, and every row passes the checks of steps 1-12
     spec = MatrixSpec("circulant", p=64, n=128, seed=101)
     streams = range(100)
-    top = norms.spectral_norms(build_symbols(spec, 101, streams),
+    top = norms.spectral_norms(build_symbols(spec, streams),
                                spec)
     assert top.converged.all()
     assert top.steps.min() <= 16 < 24 < top.steps.max() < spec.p
@@ -483,7 +485,7 @@ def test_c7_rows_stop_at_checks_and_match_their_single_solves_and_dense():
     assert top.checked_steps.tolist() == [sum(map(_checked, range(1, k + 1))) for k in top.steps]
     assert (top.dense_steps <= top.checked_steps).all()
     assert (top.residuals <= norms.DEFAULT_TOL * top.values).all()
-    syms = [build_symbols(spec, 101, [r]) for r in streams]
+    syms = [build_symbols(spec, [r]) for r in streams]
     single = [spectral_norm_fast(sym, spec) for sym in syms]
     assert [_bits(res) for res in _rows(top)] == [_bits(res) for res in single]
     for sym, res in zip(syms, single):
@@ -496,9 +498,9 @@ def test_c7_rows_at_a_cap_off_the_schedule_are_checked_there():
     cap = 23
     assert not _checked(cap)
     streams = range(40)
-    syms = [build_symbols(spec, 101, [r]) for r in streams]
+    syms = [build_symbols(spec, [r]) for r in streams]
     free = [spectral_norm_fast(sym, spec) for sym in syms]
-    top = norms.spectral_norms(build_symbols(spec, 101, streams),
+    top = norms.spectral_norms(build_symbols(spec, streams),
                                spec, max_iter=cap)
     block = _rows(top)
     assert [res.iterations for res in block] == [min(res.iterations, cap) for res in free]
@@ -520,7 +522,7 @@ def test_c7_rows_at_a_cap_off_the_schedule_are_checked_there():
 
 def test_block_basis_past_its_byte_budget_is_refused(monkeypatch):
     spec = MatrixSpec("toeplitz", p=12, n=25, seed=1)
-    stack = build_symbols(spec, 1, range(3))
+    stack = build_symbols(spec, range(3))
     # the budget holds per row: three vectors each, whatever the block size
     monkeypatch.setattr(norms, "_BASIS_BYTES", 3 * 12 * 8)
     assert norms.spectral_norms(stack, spec, max_iter=3).steps.tolist() == [3] * 3
@@ -647,9 +649,9 @@ def test_checks_across_the_float_row_threshold_match_single_solves(monkeypatch):
         return certify(alphas, *args)
 
     monkeypatch.setattr(norms, "_certified_ritz", recorded)
-    top = norms.spectral_norms(build_symbols(spec, 101, range(24)), spec)
+    top = norms.spectral_norms(build_symbols(spec, range(24)), spec)
     assert max(sizes) == 24 and any(1 < size <= norms._FLOAT_ROWS for size in sizes)
-    single = [spectral_norm_fast(build_symbols(spec, 101, [r]), spec)
+    single = [spectral_norm_fast(build_symbols(spec, [r]), spec)
               for r in range(24)]
     assert [_bits(res) for res in _rows(top)] == [_bits(res) for res in single]
 

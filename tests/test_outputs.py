@@ -83,12 +83,21 @@ CASES.update({
     "theta": (["theta", "--grid", "0.25:0.25:1"], None),
 })
 
+# name -> the one-worker case that its run at --threads 2 must reproduce: a
+# twin has no files of its own, and its exit code, stdout and written files
+# are checked against its case's
+TWINS = {f"{name}_threads2": name for name in ("mc_b_statistic", "mc_raw_output",
+                                               "gumbel_compare_dominance", "paired_half_dominance")}
+
 
 def run_case(name: str, workdir: Path) -> tuple[int, dict[str, str]]:
     """Exit code of the case's command and its outputs by file suffix:
     "stdout", "raw.csv" for a raw_output file and "dominance.csv" for a
-    --dominance-output file."""
-    argv, config = CASES[name]
+    --dominance-output file. A twin runs its case's command at two workers."""
+    argv, config = CASES[TWINS.get(name, name)]
+    if name in TWINS:
+        at = argv.index("--threads") + 1
+        argv = argv[:at] + ["2"] + argv[at + 1 :]
     files = {"dominance.csv": workdir / f"{name}.dominance.csv"} if DOMINANCE in argv else {}
     if config is not None:
         config = dict(config)
@@ -126,14 +135,15 @@ def test_every_case_has_its_files():
 
 @pytest.mark.skipif(OLD_NUMPY,
                     reason="goldens made on numpy 2.4; floor-job output not yet observed")
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(TWINS))
 def test_output_matches_golden(name, tmp_path):
+    golden = TWINS.get(name, name)
     code, outputs = run_case(name, tmp_path)
-    assert code == json.loads(CODES.read_text())[name]
+    assert code == json.loads(CODES.read_text())[golden]
     assert sorted(outputs) == sorted(
-        path.name.partition(".")[2] for path in OUTPUTS.glob(f"{name}.*"))
+        path.name.partition(".")[2] for path in OUTPUTS.glob(f"{golden}.*"))
     for suffix, text in outputs.items():
-        expected = (OUTPUTS / f"{name}.{suffix}").read_text()
+        expected = (OUTPUTS / f"{golden}.{suffix}").read_text()
         assert golden_text(text) == golden_text(expected), f"{name}.{suffix}:\n{text}"
 
 

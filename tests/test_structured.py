@@ -63,7 +63,7 @@ def test_delta_symbol_circulant():
 
 def test_real_symbol_conjugate_symmetry():
     spec = MatrixSpec("toeplitz", p=400, n=624, seed=9)  # embedding size 2**10
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     n = sym.size
     assert n == 2**10
     # the whole diagonal, by a complex transform of the symbol: its upper half
@@ -79,7 +79,7 @@ def test_diagonal_component_variances():
     # half-spectrum real/imaginary parts each carry variance 1/2
     n = 2**14
     spec = MatrixSpec("circulant", p=n, n=n, seed=31415)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     interior = sym.half[0, 1 : n // 2]
     assert abs(np.var(interior.real) - 0.5) < 0.05
     assert abs(np.var(interior.imag) - 0.5) < 0.05
@@ -126,7 +126,7 @@ def test_symmetric_toeplitz_pattern():
 def test_hankel_is_column_reversed_toeplitz():
     t_spec = MatrixSpec("toeplitz", p=2, n=3, seed=5)
     h_spec = MatrixSpec("hankel", p=2, n=3, seed=5)
-    sym = build_symbols(t_spec, t_spec.seed, [0])
+    sym = build_symbols(t_spec, [0])
     (t,) = dense_materialize(sym, t_spec)
     (h,) = dense_materialize(sym, h_spec)
     np.testing.assert_allclose(h, t[:, ::-1])
@@ -135,7 +135,7 @@ def test_hankel_is_column_reversed_toeplitz():
 def test_hankel_toeplitz_share_singular_values():
     t_spec = MatrixSpec("toeplitz", p=17, n=41, seed=8)
     h_spec = MatrixSpec("hankel", p=17, n=41, seed=8)
-    sym = build_symbols(t_spec, t_spec.seed, [0])
+    sym = build_symbols(t_spec, [0])
     st_ = np.linalg.svd(dense_materialize(sym, t_spec)[0], compute_uv=False)
     sh = np.linalg.svd(dense_materialize(sym, h_spec)[0], compute_uv=False)
     np.testing.assert_allclose(st_, sh, rtol=1e-12, atol=1e-12)
@@ -144,7 +144,7 @@ def test_hankel_toeplitz_share_singular_values():
 def test_fast_matches_dense_fixed_size():
     rng = np.random.default_rng(97)
     spec = MatrixSpec("toeplitz", p=40, n=97, seed=12)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     (dense,) = dense_materialize(sym, spec)
     for _ in range(100):
         x = rng.standard_normal(97)
@@ -159,7 +159,7 @@ def test_fast_matches_dense_fixed_size():
 )
 def test_fast_matches_dense_all_families(spec):
     rng = np.random.default_rng([spec.seed, FAMILIES.index(spec.family), spec.n])
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     (dense,) = dense_materialize(sym, spec)
     for _ in range(10):
         x = rng.standard_normal(spec.n)
@@ -173,7 +173,7 @@ def test_fast_matches_dense_all_families(spec):
 @pytest.mark.parametrize("spec", all_specs(p=9, n=20, seed=21), ids=str)
 def test_rmatvec_is_adjoint(spec):
     rng = np.random.default_rng(55)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     for _ in range(10):
         x = rng.standard_normal((1, spec.n))
         y = rng.standard_normal((1, spec.p))
@@ -184,7 +184,7 @@ def test_rmatvec_is_adjoint(spec):
 
 def test_drawn_entries_have_mean_0_and_variance_1():
     for dist in DISTRIBUTIONS:
-        x = build_symbols(MatrixSpec("toeplitz", p=1000, n=199_000, dist=dist), 2024, [0]).values
+        x = build_symbols(MatrixSpec("toeplitz", p=1000, n=199_000, dist=dist, seed=2024), [0]).values
         assert x.size == 200_000
         assert abs(x.mean()) < 0.02
         assert abs(x.var() - 1.0) < 0.02
@@ -201,7 +201,7 @@ def test_build_symbols_draws_each_row_as_the_plain_generator_calls_do(dist):
         "uniform_centered": lambda rng, count: rng.uniform(-half, half, count),
     }[dist]
     spec = MatrixSpec("toeplitz", p=300, n=1000, dist=dist, seed=31)
-    stack = build_symbols(spec, 31, range(3))
+    stack = build_symbols(spec, range(3))
     for r in range(3):
         row = stack.values[r].tobytes()
         assert row == fresh(replicate_stream(31, r), 1300).tobytes()
@@ -212,12 +212,11 @@ def test_build_symbols_rows_are_their_replicate_streams_in_any_order(dist):
     # one bit generator re-keyed per row: an odd draw count leaves a
     # buffered half word after a Rademacher row, which must not reach the
     # next row, and a repeated or out-of-order replicate draws as on its own
-    spec = MatrixSpec("toeplitz", p=3, n=4, dist=dist)
-    base = 2**63 + 5
+    spec = MatrixSpec("toeplitz", p=3, n=4, dist=dist, seed=2**63 + 5)
     replicates = [5, 0, 5, 2**40, 1]
-    stack = build_symbols(spec, base, replicates)
+    stack = build_symbols(spec, replicates)
     for row, r in zip(stack.values, replicates):
-        assert row.tobytes() == drawn(spec, replicate_stream(base, r)).values.tobytes()
+        assert row.tobytes() == drawn(spec, replicate_stream(spec.seed, r)).values.tobytes()
 
 
 def test_replicate_stream_reproducible_and_split():
@@ -298,7 +297,7 @@ def test_spec_refuses_a_symmetric_flag_that_is_not_a_bool(value):
 def test_build_symbols_rows_equal_own_stream_draws_bit_for_bit(family, symmetric, dist, rows):
     # 7 x 19: embedding sizes 26, 38 and 19, odd and even
     spec = MatrixSpec(family, p=7, n=19, symmetric=symmetric, dist=dist, seed=23)
-    stack = build_symbols(spec, 23, range(rows))
+    stack = build_symbols(spec, range(rows))
     assert stack.size == embedding_size(spec)
     assert stack.values.shape == (rows, stack.size)
     assert stack.half.shape == (rows, stack.size // 2 + 1)
@@ -310,9 +309,9 @@ def test_build_symbols_rows_equal_own_stream_draws_bit_for_bit(family, symmetric
 
 @pytest.mark.parametrize("family", ["toeplitz", "hankel", "circulant", "reverse_circulant"])
 def test_stacked_products_equal_row_products_bit_for_bit(family):
-    spec = MatrixSpec(family, p=7, n=19)
-    syms = [build_symbols(spec, 17, [r]) for r in range(5)]
-    stack = build_symbols(spec, 17, range(5))
+    spec = MatrixSpec(family, p=7, n=19, seed=17)
+    syms = [build_symbols(spec, [r]) for r in range(5)]
+    stack = build_symbols(spec, range(5))
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal((5, spec.n)), rng.standard_normal((5, spec.p))
     ax, aty = matvec(stack, spec, x), rmatvec(stack, spec, y)
@@ -325,7 +324,7 @@ def test_stacked_products_equal_row_products_bit_for_bit(family):
 
 def test_matvec_shape_checks():
     spec = MatrixSpec("toeplitz", p=2, n=3)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     with pytest.raises(ValueError):
         matvec(sym, spec, [[1.0, 2.0]])
     with pytest.raises(ValueError):
@@ -366,7 +365,7 @@ def test_dense_size_guard_counts_every_row(monkeypatch):
 @given(st.integers(0, 2**32 - 1))
 def test_symbol_round_trip_through_diag(seed):
     spec = MatrixSpec("toeplitz", p=4, n=9, seed=seed)
-    sym = build_symbols(spec, spec.seed, [0])
+    sym = build_symbols(spec, [0])
     # half is the unitary transform of the symbol row, up to its mirror
     back = np.fft.fft(full_diagonal(sym.half, sym.size), axis=-1) / np.sqrt(sym.size)
     np.testing.assert_allclose(back.real, sym.values, atol=1e-10)
