@@ -9,12 +9,10 @@ from .dft import dft_forward
 from .extremes import (
     BStatistic,
     DominanceReport,
-    GumbelModel,
     b_statistic,
     dominance_check,
     g_c_quantile,
     gumbel_cdf,
-    gumbel_model,
     gumbel_quantile,
     theta_c,
 )

@@ -24,8 +24,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .extremes import _DOMINANCE_SAMPLES, dominance_check, g_c_quantile
-from .extremes import gumbel_model, theta_c
+from .extremes import _DOMINANCE_SAMPLES, dominance_check, g_c_quantile, theta_c
 from .montecarlo import (
     ExperimentConfig,
     ExperimentError,
@@ -371,8 +370,8 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
 def cmd_gumbel_compare(args) -> int:
     def run(cfg, raw_output):
         samples, _ = collect_samples(cfg, raw_path=raw_output)
-        model = gumbel_model(cfg.p / cfg.n)  # theta(c) is cached from the model pre-pass
-        return samples["scaled_norm"], {}, dominance_check(samples["centered_norm_sq"], model)
+        theta = theta_c(cfg.p / cfg.n)  # cached from the model pre-pass
+        return samples["scaled_norm"], {}, dominance_check(samples["centered_norm_sq"], theta)
 
     return _gumbel_sweep(args, ("scaled_norm", "centered_norm_sq"), run)
 

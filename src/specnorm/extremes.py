@@ -1,11 +1,12 @@
 """Extreme-value side of the Gaussian circulant norm.
 
-Contains the aspect-ratio-dependent location shift of the limiting shifted
-Gumbel law, its CDF/quantile, the square-root quantile transform used to
-compare against scaled norms, and the computable lower-bound statistic
-built from the half DFT diagonal of one Gaussian circulant draw. Its quadratic
-forms share one Fejer-kernel weight sequence, a finite trigonometric sum
-whose spectrum is exactly a triangle, so no transform of it is taken.
+Contains theta(c), the location and sole parameter of the limiting shifted
+Gumbel law; that law's CDF and quantile, each taking theta as a float; the
+square-root quantile transform used to compare against scaled norms; and the
+computable lower-bound statistic built from the half DFT diagonal of one
+Gaussian circulant draw. Its quadratic forms share one Fejer-kernel weight
+sequence, a finite trigonometric sum whose spectrum is exactly a triangle,
+so no transform of it is taken.
 """
 
 from __future__ import annotations
@@ -20,30 +21,16 @@ from .dft import circular_convolve
 from .structured import projection_entry
 
 __all__ = [
-    "GumbelModel",
     "BStatistic",
     "ProbeCheck",
     "DominanceReport",
     "theta_c",
-    "gumbel_model",
     "gumbel_cdf",
     "gumbel_quantile",
     "g_c_quantile",
     "b_statistic",
     "dominance_check",
 ]
-
-
-@dataclass(frozen=True)
-class GumbelModel:
-    """Location shift of the shifted Gumbel limit: theta(c) at the aspect
-    ratio c, which :func:`gumbel_model` takes and :func:`theta_c` checks."""
-
-    theta: float
-
-    def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
 
 
 @lru_cache(maxsize=512)
@@ -80,20 +67,16 @@ def theta_c(c: float) -> float:
     return float(np.sum(-np.log1p(-ratio_sq)))
 
 
-def gumbel_model(c: float) -> GumbelModel:
-    return GumbelModel(theta=theta_c(c))
+def gumbel_cdf(x, theta: float):
+    """CDF exp(-e^{-(x - theta)}) of the Gumbel law at location theta, elementwise."""
+    return np.exp(-np.exp(-(np.asarray(x, dtype=float) - theta)))
 
 
-def gumbel_cdf(x, model: GumbelModel):
-    """CDF exp(-e^{-(x - theta)}); accepts scalars or arrays."""
-    return np.exp(-np.exp(-(np.asarray(x, dtype=float) - model.theta)))
-
-
-def gumbel_quantile(q: float, model: GumbelModel) -> float:
-    """Inverse CDF theta - log(-log q) on (0, 1)."""
+def gumbel_quantile(q: float, theta: float) -> float:
+    """Inverse CDF theta - log(-log q) of the Gumbel law at location theta, on (0, 1)."""
     if not 0 < q < 1:
         raise ValueError(f"quantile level must lie in (0, 1), got {q}")
-    return model.theta - math.log(-math.log(q))
+    return theta - math.log(-math.log(q))
 
 
 def g_c_quantile(q: float, c: float, n: int) -> float:
@@ -105,8 +88,7 @@ def g_c_quantile(q: float, c: float, n: int) -> float:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    model = gumbel_model(c)
-    radicand = (gumbel_quantile(q, model) + math.log(n / 2.0)) / math.log(n)
+    radicand = (gumbel_quantile(q, theta_c(c)) + math.log(n / 2.0)) / math.log(n)
     if radicand < 0:
         raise ValueError(
             f"quantile transform undefined at q={q}: radicand {radicand} is negative"
@@ -175,24 +157,23 @@ class ProbeCheck:
 
 @dataclass(frozen=True)
 class DominanceReport:
+    """Probes of :func:`dominance_check`; `flag` marks a CDF excess over 3 SE."""
+
     probes: tuple[ProbeCheck, ...]
     n_samples: int
-
-    @property
-    def violations(self) -> int:
-        return sum(1 for row in self.probes if row.flag)
 
 
 _DOMINANCE_SAMPLES = 500  # fewest samples a dominance check runs on
 
 
-def dominance_check(samples, model: GumbelModel) -> DominanceReport | None:
-    """One-sided stochastic-dominance check of samples against the model at
-    its 0.05, 0.25, 0.5, 0.75 and 0.95 quantiles, or None below 500 samples.
+def dominance_check(samples, theta: float) -> DominanceReport | None:
+    """One-sided stochastic-dominance check of samples against the Gumbel law
+    at location theta, probed at its 0.05, 0.25, 0.5, 0.75 and 0.95
+    quantiles, or None below 500 samples.
 
     Dominance predicts the empirical CDF stays at or below the shifted
     Gumbel CDF, so a probe is flagged only when the empirical value exceeds
-    the model by more than 3 binomial standard errors.
+    that CDF by more than 3 binomial standard errors.
     """
     s = np.sort(np.asarray(samples, dtype=float))
     m = s.size
@@ -200,9 +181,9 @@ def dominance_check(samples, model: GumbelModel) -> DominanceReport | None:
         return None
     rows = []
     for q in (0.05, 0.25, 0.5, 0.75, 0.95):
-        x = gumbel_quantile(q, model)
+        x = gumbel_quantile(q, theta)
         emp = float(np.searchsorted(s, x, side="right")) / m
-        ref = float(gumbel_cdf(x, model))
+        ref = float(gumbel_cdf(x, theta))
         se = math.sqrt(ref * (1.0 - ref) / m)
         diff = emp - ref
         rows.append(

@@ -35,7 +35,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .extremes import DominanceReport, b_statistic, dominance_check, gumbel_model
+from .extremes import DominanceReport, b_statistic, dominance_check, theta_c
 from .norms import DEFAULT_MAX_ITER, DEFAULT_TOL, check_solver_settings, require_scalable
 from .norms import scaled_norm, spectral_norms
 from .sinekernel import k_estimate
@@ -98,7 +98,12 @@ class ExperimentConfig:
         require_integer("workers", self.workers)
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        for stat in self.statistics:
+        stats = self.statistics
+        if isinstance(stats, str) or not stats:
+            raise ValueError(f"statistics must be a nonempty tuple of names, got {stats!r}")
+        if len(set(stats)) < len(stats):
+            raise ValueError(f"statistics name a statistic twice: {stats!r}")
+        for stat in stats:
             if stat not in STATISTICS:
                 raise ValueError(f"unknown statistic {stat!r}")
         if self.workers < 1:
@@ -441,10 +446,10 @@ def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
     inequality sigma^2 >= bound must hold draw by draw, up to _BOUND_SLACK.
     The centered bounds are also checked for one-sided dominance against the
     shifted Gumbel law (needs at least 500 converged replicates, otherwise
-    skipped). The model is built first, so a ratio that theta(c) refuses,
-    one whose reduced denominator is above 2^20, fails before any solve.
+    skipped). theta(c) is computed first, so a ratio that it refuses, one
+    whose reduced denominator is above 2^20, fails before any solve.
     """
-    model = gumbel_model(cfg.p / cfg.n)
+    theta = theta_c(cfg.p / cfg.n)
     cfg = replace(cfg, statistics=("scaled_norm", "b_statistic"))
     arrays = _collect(cfg)
     kept = _converged(cfg, arrays["converged"])
@@ -459,7 +464,7 @@ def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
         excluded=cfg.replicates - count,
         violations=int(np.sum(deficits > _BOUND_SLACK)),
         max_deficit=float(np.max(deficits)),
-        dominance=dominance_check(bounds / cfg.p - cfg.center(), model),
+        dominance=dominance_check(bounds / cfg.p - cfg.center(), theta),
         sigma_sq=sigma_sq,
         bounds=bounds,
     )

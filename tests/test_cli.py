@@ -415,6 +415,22 @@ def test_mc_refuses_a_single_column(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("statistics, message", [
+    ("scaled_norm, centered_norm_sq", "the mc summary covers one statistic per run"),
+    ("scaled_norm, scaled_norm", "invalid experiment config: statistics name a statistic twice"),
+])
+def test_mc_refuses_more_than_one_statistic_before_any_replicate(
+        statistics, message, tmp_path, monkeypatch, capsys):
+    solved = []
+    monkeypatch.setattr(montecarlo, "_collect", solved.append)
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(MC_CONFIG + f"statistics = {statistics}\n")
+    assert run_cli("mc", "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"specnorm: error: {message}" in err
+    assert solved == []
+
+
 def test_serial_mc_logs_one_run_line_with_its_blocks_solver_counts(tmp_path, capsys,
                                                                     monkeypatch):
     monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1)  # one replicate per block

@@ -6,12 +6,10 @@ from hypothesis import given, strategies as st
 
 import specnorm.extremes as extremes
 from specnorm.extremes import (
-    GumbelModel,
     b_statistic,
     dominance_check,
     g_c_quantile,
     gumbel_cdf,
-    gumbel_model,
     gumbel_quantile,
     kernel_from_projection,
     theta_c,
@@ -82,40 +80,36 @@ def test_theta_domain():
 
 
 def test_gumbel_cdf_at_location():
-    model = GumbelModel(theta=1.7)
-    assert gumbel_cdf(1.7, model) == pytest.approx(math.exp(-1.0))
+    assert gumbel_cdf(1.7, 1.7) == pytest.approx(math.exp(-1.0))
 
 
 def test_gumbel_median():
-    model = GumbelModel(theta=0.0)
-    assert gumbel_cdf(-math.log(math.log(2.0)), model) == pytest.approx(0.5)
+    assert gumbel_cdf(-math.log(math.log(2.0)), 0.0) == pytest.approx(0.5)
 
 
 def test_gumbel_shift_equivariance():
     delta = 0.83
-    base = GumbelModel(theta=0.4)
-    shifted = GumbelModel(theta=0.4 + delta)
+    base = 0.4
+    shifted = 0.4 + delta
     x = 1.234
     assert gumbel_cdf(x + delta, shifted) == gumbel_cdf(x, base)
 
 
 def test_gumbel_quantile_values():
-    model = GumbelModel(theta=0.0)
-    assert gumbel_quantile(math.exp(-1.0), model) == pytest.approx(0.0, abs=1e-14)
-    assert gumbel_quantile(0.5, model) == pytest.approx(-math.log(math.log(2.0)))
+    assert gumbel_quantile(math.exp(-1.0), 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert gumbel_quantile(0.5, 0.0) == pytest.approx(-math.log(math.log(2.0)))
 
 
 @given(st.floats(0.001, 0.999))
 def test_gumbel_quantile_round_trip(q):
-    model = GumbelModel(theta=0.7)
-    assert gumbel_cdf(gumbel_quantile(q, model), model) == pytest.approx(q, abs=1e-12)
+    theta = 0.7
+    assert gumbel_cdf(gumbel_quantile(q, theta), theta) == pytest.approx(q, abs=1e-12)
 
 
 def test_gumbel_quantile_domain():
-    model = GumbelModel(theta=0.0)
     for q in (0.0, 1.0, -0.3, 1.5):
         with pytest.raises(ValueError):
-            gumbel_quantile(q, model)
+            gumbel_quantile(q, 0.0)
 
 
 def test_g_c_quantile_monotone_in_level():
@@ -272,42 +266,38 @@ def test_b_statistic_of_the_half_equals_the_full_diagonal_formula_bit_for_bit(p,
     assert stat.argmax_j.tolist() == argmax_j.tolist()
 
 
-def _gumbel_samples(model, size, seed):
+def _gumbel_samples(theta, size, seed):
     rng = np.random.default_rng(seed)
-    return model.theta - np.log(-np.log(rng.uniform(size=size)))
+    return theta - np.log(-np.log(rng.uniform(size=size)))
 
 
 def test_dominance_check_self_consistent():
-    model = gumbel_model(0.5)
-    samples = _gumbel_samples(model, 5000, seed=12)
-    report = dominance_check(samples, model)
-    assert report.violations == 0
+    theta = theta_c(0.5)
+    samples = _gumbel_samples(theta, 5000, seed=12)
+    report = dominance_check(samples, theta)
+    assert not any(row.flag for row in report.probes)
     assert report.n_samples == 5000
-    # probes at the model's 0.05, 0.25, 0.5, 0.75 and 0.95 quantiles
+    # probes at the law's 0.05, 0.25, 0.5, 0.75 and 0.95 quantiles
     levels = (0.05, 0.25, 0.5, 0.75, 0.95)
-    assert [row.x for row in report.probes] == [gumbel_quantile(q, model) for q in levels]
+    assert [row.x for row in report.probes] == [gumbel_quantile(q, theta) for q in levels]
 
 
 def test_dominance_check_respects_direction():
-    model = gumbel_model(1.0)
-    samples = _gumbel_samples(model, 3000, seed=3)
-    above = dominance_check(samples + 1.0, model)
-    assert above.violations == 0
-    below = dominance_check(samples - 1.0, model)
+    theta = theta_c(1.0)
+    samples = _gumbel_samples(theta, 3000, seed=3)
+    above = dominance_check(samples + 1.0, theta)
+    assert not any(row.flag for row in above.probes)
+    below = dominance_check(samples - 1.0, theta)
     central = [row for row in below.probes if 0.2 < row.gumbel_cdf < 0.8]
     assert all(row.flag for row in central)
 
 
 def test_dominance_check_needs_samples():
-    model = gumbel_model(1.0)
-    assert dominance_check(np.zeros(499), model) is None
-    assert dominance_check(np.zeros(500), model).n_samples == 500
+    theta = theta_c(1.0)
+    assert dominance_check(np.zeros(499), theta) is None
+    assert dominance_check(np.zeros(500), theta).n_samples == 500
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        GumbelModel(theta=-0.1)
     with pytest.raises(ValueError, match=r"aspect ratio must lie in \(0, 1\], got 0.0"):
-        gumbel_model(0.0)  # theta(c) refuses the ratio; the model holds no c
-    with pytest.raises(TypeError):
-        GumbelModel(theta=0.0, c=0.5)
+        theta_c(0.0)  # the law's one parameter comes from theta(c), which refuses the ratio

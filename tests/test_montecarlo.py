@@ -17,7 +17,7 @@ import pytest
 
 import specnorm.montecarlo as mc
 import specnorm.norms as norms
-from specnorm.extremes import b_statistic, gumbel_model, gumbel_quantile, theta_c
+from specnorm.extremes import b_statistic, gumbel_quantile, theta_c
 from specnorm.montecarlo import (
     ExperimentConfig,
     ExperimentError,
@@ -194,9 +194,9 @@ def test_paired_bound_qq_slope_square_ratio():
     )
     samples, _ = collect_samples(cfg)
     values = np.sort(samples["b_statistic"])
-    model = gumbel_model(1.0)
+    theta = theta_c(1.0)
     levels = (np.arange(values.size) + 0.5) / values.size
-    theory = np.array([gumbel_quantile(q, model) for q in levels])
+    theory = np.array([gumbel_quantile(q, theta) for q in levels])
     slope = float(np.polyfit(theory, values, 1)[0])
     assert 0.8 <= slope <= 1.2
 
@@ -226,6 +226,14 @@ def test_paired_bound_requires_gaussian_circulant():
 def test_config_validation():
     with pytest.raises(ValueError):
         replace(TINY, statistics=("sigma",))
+    # an empty tuple would draw every replicate for nothing, a string would be
+    # read as its characters, a repeated name would write each raw row twice
+    with pytest.raises(ValueError, match=r"^statistics must be a nonempty tuple .*, got \(\)$"):
+        replace(TINY, statistics=())
+    with pytest.raises(ValueError, match=r"^statistics must be a nonempty tuple .*'b_statistic'$"):
+        replace(TINY, statistics="b_statistic")
+    with pytest.raises(ValueError, match="^statistics name a statistic twice"):
+        replace(TINY, statistics=("scaled_norm", "scaled_norm"))
     with pytest.raises(ValueError):
         replace(TINY, replicates=0)
     with pytest.raises(ValueError):
