@@ -104,6 +104,8 @@ def _parse_grid(text: str) -> list[float]:
         start, step, stop = (float(part) for part in parts)
     except ValueError:
         raise UsageError(f"grid must contain numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise UsageError(f"grid must contain finite numbers, got {text!r}")
     if step == 0:
         if start != stop:
             raise UsageError("grid with zero step needs start == stop")

@@ -178,14 +178,14 @@ def _replicate(cfg: ExperimentConfig, block: range) -> dict[str, np.ndarray]:
     stream, their norms solved as one block and their lower-bound statistics
     taken by one call, as cfg.statistics need. One array per quantity, one
     entry per replicate: "converged" (true where no norm is solved); for a
-    norm, "sigma" and the solve's "steps", certified "residual",
-    "checked_steps" and "dense_steps"; for the lower bound, "b"."""
+    norm, "sigma_sq" as solved (the top Ritz value of A A^T) and the solve's
+    "steps", certified "residual", "checked_steps", "dense_steps"; for b, "b"."""
     spec = cfg.template_spec()
     sym = build_symbols(spec, block)
     out = {"converged": np.ones(len(block), dtype=bool)}
     if _needs_norm(cfg):
         top = spectral_norms(sym, spec, cfg.norm_tol, cfg.norm_max_iter)
-        out.update(sigma=np.sqrt(top.values), steps=top.steps, residual=top.residuals,
+        out.update(sigma_sq=top.values, steps=top.steps, residual=top.residuals,
                    checked_steps=top.checked_steps, dense_steps=top.dense_steps,
                    converged=top.converged)
     if "b_statistic" in cfg.statistics:
@@ -339,12 +339,11 @@ def _converged(cfg: ExperimentConfig, converged: np.ndarray) -> np.ndarray:
 
 
 def _statistic_value(cfg: ExperimentConfig, stat: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
-    """The statistic of each replicate of the `_collect` arrays, in replicate order."""
+    """Each replicate's statistic from the `_collect` arrays; the one place it is derived."""
     if stat == "scaled_norm":
-        return scaled_norm(arrays["sigma"], cfg.template_spec())
+        return scaled_norm(np.sqrt(arrays["sigma_sq"]), cfg.template_spec())
     if stat == "centered_norm_sq":
-        sigma = arrays["sigma"]
-        return sigma * sigma / cfg.p - cfg.center()
+        return arrays["sigma_sq"] / cfg.p - cfg.center()
     return arrays["b"] - cfg.center()  # b_statistic: ExperimentConfig refuses any other
 
 
@@ -361,33 +360,34 @@ def _summarize(values: np.ndarray, excluded: int) -> McSummary:
     )
 
 
-def _write_raw(fh: TextIO, cfg: ExperimentConfig, arrays: dict[str, np.ndarray]) -> None:
-    columns = [_statistic_value(cfg, stat, arrays).tolist() for stat in cfg.statistics]
+def _write_raw(fh: TextIO, columns: dict[str, np.ndarray], converged: np.ndarray) -> None:
+    """Raw CSV: per replicate, each statistic's value to 12 digits and its flag."""
+    values = {stat: column.tolist() for stat, column in columns.items()}
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["replicate", "statistic", "value", "flag"])
-    for r, converged in enumerate(arrays["converged"].tolist()):
-        flag = "ok" if converged else "excluded"
-        for stat, values in zip(cfg.statistics, columns):
-            writer.writerow([r, stat, format(values[r], ".12g"), flag])
+    for r, ok in enumerate(converged.tolist()):
+        flag = "ok" if ok else "excluded"
+        for stat, column in values.items():
+            writer.writerow([r, stat, format(column[r], ".12g"), flag])
 
 
 def collect_samples(
     cfg: ExperimentConfig, raw_path: str | None = None
 ) -> tuple[dict[str, np.ndarray], int]:
     """Per-statistic sample arrays over converged replicates, plus the
-    excluded count. Raises ExperimentError past the 0.1% exclusion cap.
-    raw_path is opened before the first replicate, so a path that cannot be
-    written fails at once. Every replicate's rows are written before the
-    exclusion cap is checked, so a run that raises ExperimentError leaves
-    them all in raw_path, the failed ones flagged "excluded"."""
+    excluded count; each statistic is derived once, and written raw as
+    kept. Raises ExperimentError past the 0.1% cap. raw_path is opened
+    before the first replicate, so a path that cannot be written fails at
+    once. Every row is written before the cap is checked, so a run that
+    raises ExperimentError leaves them all, the failed ones "excluded"."""
     sink = open(raw_path, "w", newline="") if raw_path is not None else contextlib.nullcontext()
     with sink as raw:
         arrays = _collect(cfg)
+        columns = {stat: _statistic_value(cfg, stat, arrays) for stat in cfg.statistics}
         if raw is not None:
-            _write_raw(raw, cfg, arrays)
+            _write_raw(raw, columns, arrays["converged"])
     kept = _converged(cfg, arrays["converged"])
-    samples = {stat: _statistic_value(cfg, stat, arrays)[kept] for stat in cfg.statistics}
-    return samples, cfg.replicates - int(kept.sum())
+    return {stat: values[kept] for stat, values in columns.items()}, cfg.replicates - int(kept.sum())
 
 
 def run_experiment(cfg: ExperimentConfig, raw_path: str | None = None) -> dict[str, McSummary]:
@@ -440,22 +440,20 @@ _BOUND_SLACK = 1e-9
 
 
 def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
-    """Per-draw comparison of the squared norm with its computable lower bound.
+    """Per-draw comparison of sigma^2, as solved, with its lower bound p b.
 
-    Both quantities come from the same DFT diagonal, so the finite-sample
-    inequality sigma^2 >= bound must hold draw by draw, up to _BOUND_SLACK.
-    The centered bounds are also checked for one-sided dominance against the
-    shifted Gumbel law (needs at least 500 converged replicates, otherwise
-    skipped). theta(c) is computed first, so a ratio that it refuses, one
-    whose reduced denominator is above 2^20, fails before any solve.
+    Both come from the same DFT diagonal, so sigma^2 >= p b must hold draw
+    by draw, up to _BOUND_SLACK. The centered b (the `b_statistic` samples)
+    is also checked for one-sided dominance against the shifted Gumbel law
+    (at least 500 converged replicates, else skipped). theta(c) comes first,
+    so a ratio it refuses (reduced denominator above 2^20) fails before any solve.
     """
     theta = theta_c(cfg.p / cfg.n)
     cfg = replace(cfg, statistics=("scaled_norm", "b_statistic"))
     arrays = _collect(cfg)
     kept = _converged(cfg, arrays["converged"])
 
-    sigma = arrays["sigma"][kept]
-    sigma_sq = sigma * sigma
+    sigma_sq = arrays["sigma_sq"][kept]
     bounds = cfg.p * arrays["b"][kept]
     deficits = bounds - sigma_sq
     count = int(kept.sum())
@@ -464,7 +462,7 @@ def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
         excluded=cfg.replicates - count,
         violations=int(np.sum(deficits > _BOUND_SLACK)),
         max_deficit=float(np.max(deficits)),
-        dominance=dominance_check(bounds / cfg.p - cfg.center(), theta),
+        dominance=dominance_check(_statistic_value(cfg, "b_statistic", arrays)[kept], theta),
         sigma_sq=sigma_sq,
         bounds=bounds,
     )

@@ -61,7 +61,7 @@ _DENSE_ENTRY_LIMIT = 10**7
 
 
 class ResourceLimitError(RuntimeError):
-    """A dense-path size guard was exceeded."""
+    """A size guard was exceeded, or a draw could not be allocated."""
 
 
 def require_integer(name: str, value) -> None:
@@ -180,9 +180,15 @@ def build_symbols(spec: MatrixSpec, replicates) -> SymbolVector:
     is ``build_symbols(spec, [0])``. One Philox bit generator, re-keyed per
     row at counter 0, stands in for each row's stream. Every row is laid
     out at once and takes one stacked :func:`dft_forward`, whose rows equal
-    their transforms on their own.
+    their transforms on their own. A draw that numpy cannot allocate raises
+    ResourceLimitError.
     """
-    entries = np.empty((len(replicates), _entry_count(spec)))
+    rows, count = len(replicates), _entry_count(spec)
+    try:
+        entries = np.empty((rows, count))
+    except (MemoryError, ValueError) as exc:  # ValueError: a size past numpy's own limit
+        raise ResourceLimitError(
+            f"cannot allocate a draw of {rows} x {count} entries: {exc}") from None
     rng = replicate_stream(spec.seed)
     state = rng.bit_generator.state
     for replicate, row in zip(replicates, entries):

@@ -65,6 +65,16 @@ def test_ktable_malformed_grid(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("command", ["theta", "ktable"])
+@pytest.mark.parametrize("grid", ["0.5:nan:1", "nan:0.5:1", "0.5:0.5:inf", "-inf:0.5:1"])
+def test_grid_refuses_a_value_that_is_not_finite(command, grid, capsys):
+    assert run_cli(command, f"--grid={grid}") == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"grid must contain finite numbers, got {grid!r}" in err
+    assert "Traceback" not in err
+
+
 def test_ktable_ratio_out_of_range(capsys):
     # k_table checks the ratios in grid order, so it names the first past 1
     assert run_cli("ktable", "--grid", "0.5:0.5:2") == EXIT_USAGE
@@ -198,6 +208,31 @@ def test_norm_names_the_reference_constant_when_its_basis_is_refused(monkeypatch
     err = capsys.readouterr().err
     assert "specnorm: error: reference constant K(p=4, n=2000): Krylov basis" in err
     assert "Traceback" not in err
+
+
+# 2^61 float64 entries pass numpy's size limit, so it refuses them before allocating
+HUGE_N = 2**61
+
+
+def _assert_draw_refused(code, capsys):
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"specnorm: error: cannot allocate a draw of 1 x {HUGE_N} entries" in err
+    assert "Traceback" not in err
+
+
+def test_norm_refuses_a_draw_numpy_cannot_allocate(capsys):
+    code = run_cli("norm", "--family", "circulant", "--p", "10", "--n", str(HUGE_N))
+    _assert_draw_refused(code, capsys)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mc_refuses_a_draw_numpy_cannot_allocate(threads, tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"family = circulant\np = 10\nn = {HUGE_N}\nreplicates = 4\nseed = 1\n"
+                   "statistics = b_statistic\n")
+    _assert_draw_refused(run_cli("mc", "--config", str(cfg), "--threads", threads), capsys)
 
 
 def test_norm_refuses_a_single_column(capsys):

@@ -26,7 +26,7 @@ from specnorm.montecarlo import (
     paired_bound_experiment,
     run_experiment,
 )
-from specnorm.norms import scaled_norm, spectral_norm_fast
+from specnorm.norms import scaled_norm, spectral_norm_fast, spectral_norms
 from specnorm.structured import MatrixSpec, ResourceLimitError, build_symbols
 
 TINY = ExperimentConfig(
@@ -77,7 +77,7 @@ def test_exclusion_accounting(monkeypatch):
 
     def fake_replicate(cfg, block):
         r = np.array(block)
-        return {"sigma": 1.0 + r, "steps": np.zeros(r.size, dtype=int),
+        return {"sigma_sq": (1.0 + r) ** 2, "steps": np.zeros(r.size, dtype=int),
                 "residual": np.zeros(r.size), "converged": r % 5 != 0,
                 "b": np.full(r.size, math.nan)}
 
@@ -283,9 +283,33 @@ def test_engine_records_equal_single_solves_bit_for_bit():
     for r in range(C7.replicates):
         sym = build_symbols(spec, [r])
         res = spectral_norm_fast(sym, spec, tol=C7.norm_tol, max_iter=C7.norm_max_iter)
-        assert arrays["sigma"][r].tobytes() == np.float64(res.sigma_max).tobytes()
+        assert np.sqrt(arrays["sigma_sq"][r]).tobytes() == np.float64(res.sigma_max).tobytes()
         assert (arrays["steps"][r], arrays["converged"][r]) == (res.iterations, res.converged)
         assert arrays["residual"][r].tobytes() == np.float64(res.residual).tobytes()
+
+
+# on 13 of these 40 draws, sqrt(sigma^2) squared misses sigma^2 as solved in the last bit
+SOLVED = ExperimentConfig(family="circulant", p=30, n=70, replicates=40, base_seed=7)
+
+
+def _solved_sigma_sq(cfg):
+    spec = cfg.template_spec()
+    sym = build_symbols(spec, range(cfg.replicates))
+    return spectral_norms(sym, spec, cfg.norm_tol, cfg.norm_max_iter).values
+
+
+def test_paired_sigma_sq_is_the_solvers_bit_for_bit():
+    rep = paired_bound_experiment(SOLVED)
+    assert rep.count == SOLVED.replicates
+    assert rep.sigma_sq.tobytes() == _solved_sigma_sq(SOLVED).tobytes()
+
+
+def test_centered_norm_sq_samples_take_sigma_sq_as_solved_bit_for_bit():
+    cfg = replace(SOLVED, statistics=("centered_norm_sq",))
+    samples, excluded = collect_samples(cfg)
+    want = _solved_sigma_sq(cfg) / cfg.p - math.log(cfg.n / 2)
+    assert excluded == 0
+    assert samples["centered_norm_sq"].tobytes() == want.tobytes()
 
 
 def _paired_bytes(cfg):
@@ -396,7 +420,7 @@ def test_experiment_error_names_replayable_replicates():
         assert not res.converged
         assert res.iterations == arrays["steps"][int(r)]
         assert res.residual == arrays["residual"][int(r)]
-        assert res.sigma_max == arrays["sigma"][int(r)]
+        assert res.sigma_max == np.sqrt(arrays["sigma_sq"][int(r)])
 
 
 @pytest.fixture
@@ -479,8 +503,8 @@ def test_worker_exception_leaves_the_pool_usable(fresh_pool, monkeypatch):
     pids = _worker_pids()
     with pytest.raises(ResourceLimitError):
         mc._collect(replace(small, p=32, n=64))
-    sigma = mc._collect(small)["sigma"]
-    assert sigma.tolist() == mc._collect(replace(small, workers=1))["sigma"].tolist()
+    sigma_sq = mc._collect(small)["sigma_sq"]
+    assert sigma_sq.tolist() == mc._collect(replace(small, workers=1))["sigma_sq"].tolist()
     assert _worker_pids() == pids
 
 

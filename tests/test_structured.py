@@ -369,3 +369,15 @@ def test_symbol_round_trip_through_diag(seed):
     # half is the unitary transform of the symbol row, up to its mirror
     back = np.fft.fft(full_diagonal(sym.half, sym.size), axis=-1) / np.sqrt(sym.size)
     np.testing.assert_allclose(back.real, sym.values, atol=1e-10)
+
+
+def test_a_draw_numpy_cannot_allocate_is_a_resource_limit(monkeypatch):
+    # a stub stands in for the allocator, so no test allocates a large array
+    def refuse(shape, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+    monkeypatch.setattr(structured.np, "empty", refuse)
+    spec = MatrixSpec(family="toeplitz", p=10, n=100)
+    with pytest.raises(ResourceLimitError, match=r"^cannot allocate a draw of 3 x 110 entries: "
+                                                 r"Unable to allocate"):
+        build_symbols(spec, range(3))
