@@ -29,7 +29,6 @@ from .montecarlo import (
     ExperimentConfig,
     ExperimentError,
     STATISTICS,
-    _require_gaussian_circulant,
     collect_samples,
     n_for_ratio,
     paired_bound_experiment,
@@ -223,13 +222,11 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     stripped = text.strip()
-    if stripped.startswith("{"):
+    if stripped.startswith("{"):  # valid JSON that opens with '{' is an object
         try:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise UsageError(f"invalid JSON config {path}: {exc}") from None
-        if not isinstance(data, dict):
-            raise UsageError("JSON config must be an object")
     else:
         data = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -316,12 +313,13 @@ def cmd_mc(args) -> int:
     configs, raw_output = _experiment_configs(args)
     if len(configs[0].statistics) != 1:
         raise UsageError("the mc summary covers one statistic per run")
+    references = [reference_constant(cfg) for cfg in configs]  # K(p, n) before any replicate
     with _open_output(args.output) as out:
         rows = []
-        for cfg in configs:
+        for cfg, reference in zip(configs, references):
             (summary,) = run_experiment(cfg, raw_output).values()
             rows.append({"ratio": cfg.p / cfg.n, "p": cfg.p, "n": cfg.n, **asdict(summary),
-                         "reference": reference_constant(cfg)})
+                         "reference": reference})
         _emit(rows, _MC_COLUMNS, out, args.format)
     return EXIT_OK
 
@@ -331,9 +329,10 @@ _LEVELS = ((0.05, "q05"), (0.5, "q50"), (0.95, "q95"))
 
 def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
     """Shared ratio loop of gumbel-compare and paired: `run(cfg, raw_output)`
-    returns the scaled norms, the extra columns of its row and a dominance
-    report (or None). A row puts the empirical scaled-norm quantiles next to
-    the shifted-Gumbel model's."""
+    returns the scaled norms, its row's extra columns and the centered samples
+    that --dominance-output checks. A row puts the empirical scaled-norm
+    quantiles next to the shifted-Gumbel model's. The model is the Gaussian
+    analysis's, so this is the gate to a non-symmetric Gaussian circulant."""
     configs, raw_output = _experiment_configs(args, statistics)
     cfg = configs[0]
     if args.command == "paired" and raw_output is not None:
@@ -341,8 +340,9 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
     if args.dominance_output and cfg.replicates < _DOMINANCE_SAMPLES:
         raise UsageError(f"--dominance-output needs at least {_DOMINANCE_SAMPLES} replicates, "
                          f"got {cfg.replicates}")
+    if cfg.family != "circulant" or cfg.symmetric or cfg.dist != "gaussian":
+        raise UsageError(f"{args.command} needs a non-symmetric Gaussian circulant")
     try:
-        _require_gaussian_circulant(cfg, args.command)
         # every point's model before any replicate runs: theta(c) refuses a c that is
         # no p/n with n <= 2^20, and the square-root transform a negative radicand
         models = [[g_c_quantile(q, cfg.p / cfg.n, cfg.n) for q, _ in _LEVELS] for cfg in configs]
@@ -355,7 +355,7 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
     ):
         rows = []
         for cfg, model_quantiles in zip(configs, models):
-            scaled, extra, dominance = run(cfg, raw_output)
+            scaled, extra, centered = run(cfg, raw_output)
             row = {"ratio": cfg.p / cfg.n, "p": cfg.p, "n": cfg.n, "count": int(scaled.size),
                    **extra}
             for (q, label), model_q in zip(_LEVELS, model_quantiles):
@@ -363,8 +363,9 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
                 row[f"{label}_model"] = model_q
             rows.append(row)
         _emit(rows, list(rows[0]), out, args.format)
-        if dominance_out is not None:  # one run of 500 or more replicates: its check ran
-            checks = [asdict(check) for check in dominance.probes]
+        if dominance_out is not None:  # one run, which keeps 500 or more samples
+            report = dominance_check(centered, theta_c(cfg.p / cfg.n))
+            checks = [asdict(check) for check in report.probes]
             _emit(checks, list(checks[0]), dominance_out)
     return EXIT_OK
 
@@ -372,8 +373,7 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
 def cmd_gumbel_compare(args) -> int:
     def run(cfg, raw_output):
         samples, _ = collect_samples(cfg, raw_path=raw_output)
-        theta = theta_c(cfg.p / cfg.n)  # cached from the model pre-pass
-        return samples["scaled_norm"], {}, dominance_check(samples["centered_norm_sq"], theta)
+        return samples["scaled_norm"], {}, samples["centered_norm_sq"]
 
     return _gumbel_sweep(args, ("scaled_norm", "centered_norm_sq"), run)
 
@@ -382,7 +382,7 @@ def cmd_paired(args) -> int:
     def run(cfg, raw_output):  # raw_output is None: _gumbel_sweep refuses it for paired
         rep = paired_bound_experiment(cfg)
         scaled = scaled_norm(np.sqrt(rep.sigma_sq), cfg.template_spec())
-        return scaled, {"violations": rep.violations}, rep.dominance
+        return scaled, {"violations": rep.violations}, rep.b_statistic
 
     return _gumbel_sweep(args, ("scaled_norm", "b_statistic"), run)
 

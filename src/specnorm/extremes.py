@@ -4,9 +4,9 @@ Contains theta(c), the location and sole parameter of the limiting shifted
 Gumbel law; that law's CDF and quantile, each taking theta as a float; the
 square-root quantile transform used to compare against scaled norms; and the
 computable lower-bound statistic built from the half DFT diagonal of one
-Gaussian circulant draw. Its quadratic forms share one Fejer-kernel weight
-sequence, a finite trigonometric sum whose spectrum is exactly a triangle,
-so no transform of it is taken.
+circulant-like draw of any law. Its quadratic forms share one Fejer-kernel
+weight sequence, a finite trigonometric sum whose spectrum is exactly a
+triangle, so no transform of it is taken.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class BStatistic:
 
 
 def b_statistic(half, p: int, n: int) -> BStatistic:
-    """Lower-bound statistic for the squared norm of a Gaussian circulant draw,
+    """Lower-bound statistic for the squared norm of a circulant-like draw,
     for each row of a stack of half DFT diagonals, shape (..., n//2 + 1).
 
     Evaluates all n quadratic forms as one circular convolution of |diag|^2,

@@ -8,14 +8,14 @@ block size, nor on the worker count: reruns and parallel runs aggregate
 bit-identical values.
 
 Pooled runs share one worker pool per process (see `_pool`): it starts on
-the first pooled call and serves every later call with the same worker
-count, so a sweep pays process start-up once. Its workers stay until
+the first pooled call and serves every later call that it fits, so a
+sweep pays process start-up once. Its workers stay until
 `shutdown_pool` or interpreter exit. Workers keep the module state they
 started with; a global changed in the parent afterwards does not reach
 them, and they log nothing: a block's diagnostics return in its arrays, and
 `_collect` logs one line per run, so `-v` prints the same serially or
-pooled. On glibc, workers keep the heap their replicates free (see
-`_keep_freed_heap`).
+pooled. On Linux workers are forked (`_START`); on glibc they keep the
+heap their replicates free (`_keep_freed_heap`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import contextlib
 import csv
 import logging
 import math
+import multiprocessing
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +37,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .extremes import DominanceReport, b_statistic, dominance_check, theta_c
+from .extremes import b_statistic
 from .norms import DEFAULT_MAX_ITER, DEFAULT_TOL, check_solver_settings, require_scalable
 from .norms import scaled_norm, spectral_norms
 from .sinekernel import k_estimate
@@ -76,7 +78,9 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a matrix template, drawn from base_seed, plus replication settings."""
+    """One experiment: a matrix template, drawn from base_seed, plus replication settings.
+
+    `b_statistic` takes every circulant-like draw, of any law, with an even n."""
 
     family: str
     p: int
@@ -113,7 +117,8 @@ class ExperimentConfig:
         except ValueError as exc:  # name the config keys, norm_tol and norm_max_iter
             raise ValueError(f"norm_{exc}") from None
         if "b_statistic" in self.statistics:
-            _require_gaussian_circulant(self, "the lower-bound statistic")
+            if self.family not in _CIRCULANT_LIKE:
+                raise ValueError("the lower-bound statistic needs a circulant or reverse circulant")
             if self.n % 2 != 0:
                 raise ValueError("the lower-bound statistic needs an even column count")
 
@@ -129,11 +134,6 @@ class ExperimentConfig:
 
     def center(self) -> float:
         return math.log(self.n / 2.0)
-
-
-def _require_gaussian_circulant(cfg: ExperimentConfig, user: str) -> None:
-    if cfg.family != "circulant" or cfg.symmetric or cfg.dist != "gaussian":
-        raise ValueError(f"{user} needs a non-symmetric Gaussian circulant")
 
 
 @dataclass(frozen=True)
@@ -234,25 +234,28 @@ def _keep_freed_heap() -> None:
         libc.mallopt(_M_TRIM_THRESHOLD, _MALLOC_KEEP_BYTES)
 
 
-# this process's worker pool, ((pid, workers), pool), or None before the
+# this process's worker pool, ((pid, size), pool), or None before the
 # first pooled call; _POOL_LOCK guards it and serializes pooled calls, and
 # is reentrant because a pooled call shuts a stale pool down under it
 _POOL: tuple[tuple[int, int], ProcessPoolExecutor] | None = None
 _POOL_LOCK = threading.RLock()
+_START = multiprocessing.get_context("fork") if sys.platform == "linux" else None
 
 
-def _pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
-    """This process's pool of `workers` processes, and whether it was just
-    started. A pool of another size is shut down first; a pool inherited
-    through fork belongs to the parent and is left to it. Workers start with
-    `_keep_freed_heap`; the calling process keeps its malloc settings."""
+def _pool(workers: int, most: int) -> tuple[ProcessPoolExecutor, int, bool]:
+    """This process's pool, its size and whether it was just started: the
+    live pool if it has `workers` to `most` processes, else a new one of
+    `workers`, all started at its first submit, after the old one is shut
+    down. A pool inherited through fork is the parent's and is left to it.
+    Workers are forked on Linux (its default is forkserver from Python 3.14;
+    fork is unsafe on macOS) and start with `_keep_freed_heap`."""
     global _POOL
-    key = (os.getpid(), workers)
-    if _POOL is not None and _POOL[0] == key:
-        return _POOL[1], False
+    if _POOL is not None and _POOL[0][0] == os.getpid() and workers <= _POOL[0][1] <= most:
+        return _POOL[1], _POOL[0][1], False
     shutdown_pool()
-    _POOL = (key, ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_heap))
-    return _POOL[1], True
+    pool = ProcessPoolExecutor(workers, _START, initializer=_keep_freed_heap)
+    _POOL = ((os.getpid(), workers), pool)
+    return pool, workers, True
 
 
 def shutdown_pool() -> None:
@@ -266,21 +269,22 @@ def shutdown_pool() -> None:
 
 
 def _pooled(
-    cfg: ExperimentConfig, blocks: list[range]
-) -> tuple[list[tuple[dict[str, np.ndarray], int]], bool]:
-    """The blocks' `_run_block` results in block order over the pool, and
-    whether the pool was started for this call. A pool that raises
-    BrokenProcessPool is dropped. If it was reused, the whole call reruns
-    once on a new pool, whatever broke it: a worker that died since the last
-    call, or a worker crashed by this call's own blocks, which then costs
-    the call twice before it raises. A pool started for this call raises at
-    once."""
-    chunk = math.ceil(len(blocks) / (4 * cfg.workers))
+    cfg: ExperimentConfig, blocks: list[range], workers: int
+) -> tuple[list[tuple[dict[str, np.ndarray], int]], int, bool]:
+    """The blocks' `_run_block` results in block order over `_pool(workers,
+    cfg.workers)`, its size, and whether it was started for this call. A
+    pool that raises BrokenProcessPool is dropped. If it was reused, the
+    whole call reruns once on a new pool, whatever broke it: a worker that
+    died since the last call, or a worker crashed by this call's own blocks,
+    which then costs the call twice before it raises. A pool started for
+    this call raises at once."""
+    chunk = math.ceil(len(blocks) / (4 * workers))
     with _POOL_LOCK:
         while True:
-            pool, started = _pool(cfg.workers)
+            pool, size, started = _pool(workers, cfg.workers)
             try:
-                return list(pool.map(_run_block, repeat(cfg), blocks, chunksize=chunk)), started
+                parts = list(pool.map(_run_block, repeat(cfg), blocks, chunksize=chunk))
+                return parts, size, started
             except BrokenProcessPool:
                 shutdown_pool()
                 if started:
@@ -289,20 +293,22 @@ def _pooled(
 
 def _collect(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     """The `_replicate` arrays of all replicates, entry r for replicate r,
-    block by block, serially or over cfg.workers processes. A replicate's
-    entries do not depend on the block it falls in, so neither the block
+    block by block, serially or pooled: a pool starts one worker per block,
+    up to cfg.workers, and a larger live one within cfg.workers is reused.
+    A replicate's entries do not depend on its block, so neither the block
     size nor the worker count changes any result. Logs the run's one INFO
-    line: blocks, seconds, minor faults and, for a norm, the steps, largest
-    residual and dense extractions summed over the blocks' arrays."""
+    line: blocks, workers, seconds, minor faults and, for a norm, the steps,
+    largest residual and dense extractions summed over the blocks' arrays."""
     t0 = time.perf_counter()
     size = _block_rows(cfg)
     blocks = [range(lo, min(lo + size, cfg.replicates)) for lo in range(0, cfg.replicates, size)]
-    if cfg.workers == 1 or len(blocks) == 1:
+    workers = min(cfg.workers, len(blocks))
+    if workers == 1:
         parts = [_run_block(cfg, block) for block in blocks]
         how = "serial"
     else:
-        parts, started = _pooled(cfg, blocks)
-        how = f"{cfg.workers} workers, pool {'started' if started else 'reused'}"
+        parts, pool_size, started = _pooled(cfg, blocks, workers)
+        how = f"{pool_size} workers, pool {'started' if started else 'reused'}"
     seconds = time.perf_counter() - t0
     arrays = {key: np.concatenate([part[key] for part, _ in parts]) for key in parts[0][0]}
     faults = sum(count for _, count in parts) / cfg.replicates
@@ -430,7 +436,7 @@ class PairedReport:
     excluded: int
     violations: int
     max_deficit: float  # largest (bound - sigma^2) observed, <= _BOUND_SLACK when valid
-    dominance: DominanceReport | None
+    b_statistic: np.ndarray  # per kept draw, as the arrays below: the centered b, b - log(n/2)
     sigma_sq: np.ndarray
     bounds: np.ndarray
 
@@ -442,13 +448,11 @@ _BOUND_SLACK = 1e-9
 def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
     """Per-draw comparison of sigma^2, as solved, with its lower bound p b.
 
-    Both come from the same DFT diagonal, so sigma^2 >= p b must hold draw
-    by draw, up to _BOUND_SLACK. The centered b (the `b_statistic` samples)
-    is also checked for one-sided dominance against the shifted Gumbel law
-    (at least 500 converged replicates, else skipped). theta(c) comes first,
-    so a ratio it refuses (reduced denominator above 2^20) fails before any solve.
+    Both come from the same DFT diagonal, and p b is a Rayleigh quotient of
+    A A^T, so sigma^2 >= p b must hold draw by draw, up to _BOUND_SLACK, for
+    every circulant-like draw of any law. The report keeps each kept draw's
+    centered b; comparing it with the shifted-Gumbel law is up to the caller.
     """
-    theta = theta_c(cfg.p / cfg.n)
     cfg = replace(cfg, statistics=("scaled_norm", "b_statistic"))
     arrays = _collect(cfg)
     kept = _converged(cfg, arrays["converged"])
@@ -462,7 +466,7 @@ def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
         excluded=cfg.replicates - count,
         violations=int(np.sum(deficits > _BOUND_SLACK)),
         max_deficit=float(np.max(deficits)),
-        dominance=dominance_check(_statistic_value(cfg, "b_statistic", arrays)[kept], theta),
+        b_statistic=_statistic_value(cfg, "b_statistic", arrays)[kept],
         sigma_sq=sigma_sq,
         bounds=bounds,
     )

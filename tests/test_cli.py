@@ -597,6 +597,47 @@ norm_tol = 1e-6
     assert set(dom_rows[0]) == {"x", "empirical_cdf", "gumbel_cdf", "diff", "flag"}
 
 
+@pytest.mark.parametrize("family", ["circulant", "reverse_circulant"])
+@pytest.mark.parametrize("symmetric", ["false", "true"])
+@pytest.mark.parametrize("dist", structured.DISTRIBUTIONS)
+def test_mc_b_statistic_runs_on_every_circulant_like_draw(family, symmetric, dist, tmp_path):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"family = {family}\nsymmetric = {symmetric}\ndist = {dist}\np = 8\nn = 16\n"
+                   "replicates = 6\nseed = 3\nstatistics = b_statistic\n")
+    out = tmp_path / "b.csv"
+    assert run_cli("mc", "--config", str(cfg), "--threads", "1", "--output", str(out)) == EXIT_OK
+    assert read_csv(out)[0]["count"] == "6"
+
+
+@pytest.mark.parametrize("family, n, message", [
+    ("toeplitz", 16, "the lower-bound statistic needs a circulant or reverse circulant"),
+    ("circulant", 33, "the lower-bound statistic needs an even column count")])
+def test_mc_b_statistic_refuses_toeplitz_and_an_odd_n(family, n, message, tmp_path, capsys):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"family = {family}\np = 8\nn = {n}\nreplicates = 6\n"
+                   "statistics = b_statistic\n")
+    assert run_cli("mc", "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"specnorm: error: invalid experiment config: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["gumbel-compare", "paired"])
+@pytest.mark.parametrize("draw", ["dist = rademacher", "symmetric = true",
+                                  "family = reverse_circulant"])
+def test_gumbel_commands_need_a_non_symmetric_gaussian_circulant(
+        command, draw, tmp_path, monkeypatch, capsys):
+    # the shifted-Gumbel model comes from the Gaussian analysis, unlike the bound
+    solved = []
+    monkeypatch.setattr(montecarlo, "_collect", solved.append)
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(f"family = circulant\np = 8\nn = 16\nreplicates = 6\n{draw}\n")
+    assert run_cli(command, "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"specnorm: error: {command} needs a non-symmetric Gaussian circulant" in err
+    assert solved == []
+
+
 def test_gumbel_compare_rejects_toeplitz(tmp_path):
     cfg = tmp_path / "gc.cfg"
     cfg.write_text("family = toeplitz\np = 8\nn = 16\nreplicates = 10\n")
@@ -856,6 +897,55 @@ def test_sweep_point_without_a_model_is_refused_before_any_solve(
     err = capsys.readouterr().err
     assert f"specnorm: error: {message}" in err and "Traceback" not in err
     assert solved == []
+
+
+def test_mc_computes_every_reference_before_any_solve(tmp_path, monkeypatch, capsys):
+    solved = []
+    monkeypatch.setattr(montecarlo, "_collect", solved.append)
+
+    def reference(cfg):  # refuses the sweep's second point, n = 8
+        if cfg.n == 8:
+            raise structured.ResourceLimitError(f"reference constant K(p=4, n={cfg.n}): refused")
+        return 1.0
+
+    monkeypatch.setattr(cli, "reference_constant", reference)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text('family = toeplitz\np = 4\nreplicates = 2\nratios = "0.25, 0.5"\n')
+    assert run_cli("mc", "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "specnorm: error: reference constant K(p=4, n=8): refused" in err
+    assert solved == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ktable", "--grid", "0.5:1"], "grid must look like start:step:stop, got '0.5:1'"),
+    (["theta", "--grid", "0.5:0:1"], "grid with zero step needs start == stop"),
+    (["ktable", "--grid", "0.5:-0.1:1"], "grid needs step > 0 and stop >= start"),
+    (["theta", "--grid", "1:0.1:0.5"], "grid needs step > 0 and stop >= start"),
+    (["ktable", "--grid", "1:0:1", "--p-base", "0"], "p_base must be positive"),
+    (["norm", "--family", "circulant", "--p", "4", "--n", "8", "--seed", "-1"],
+     "seed must fit in 64 unsigned bits"),
+])
+def test_refused_argument_exits_64_with_its_message_alone(argv, message, capsys):
+    assert run_cli(*argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"specnorm: error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"family": "circulant", "p": 8,', "invalid JSON config "),
+    ('["family", "circulant"]', "1: expected key=value, got '[\"family\", \"circulant\"]'"),
+    ("family = circulant\np 8\n", "2: expected key=value, got 'p 8'"),
+    ("family = circulant\nn = 16\n", "config must set p"),
+    ("family = circulant\np = 8\n", "config must set n (or ratios for a sweep)"),
+])
+def test_malformed_config_exits_64_with_its_message_alone(text, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    for command in ("mc", "gumbel-compare", "paired"):
+        assert run_cli(command, "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and "Traceback" not in err
 
 
 def test_csv_files_end_lines_with_newline_alone(tmp_path):

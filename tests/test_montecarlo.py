@@ -27,7 +27,13 @@ from specnorm.montecarlo import (
     run_experiment,
 )
 from specnorm.norms import scaled_norm, spectral_norm_fast, spectral_norms
-from specnorm.structured import MatrixSpec, ResourceLimitError, build_symbols
+from specnorm.structured import (
+    DISTRIBUTIONS,
+    MatrixSpec,
+    ResourceLimitError,
+    build_symbols,
+    dense_materialize,
+)
 
 TINY = ExperimentConfig(
     family="circulant", p=16, n=32, replicates=40, base_seed=91, statistics=("scaled_norm",)
@@ -165,7 +171,41 @@ def test_paired_bound_small_smoke():
     assert report.count == 60
     assert report.violations == 0
     assert report.max_deficit <= 1e-9
-    assert report.dominance is None  # below the sample-size floor
+    # each kept draw's centered b, bit for bit as the b_statistic samples give it
+    samples, _ = collect_samples(replace(cfg, statistics=("b_statistic",)))
+    assert report.b_statistic.tobytes() == samples["b_statistic"].tobytes()
+
+
+@pytest.mark.parametrize("family", ["circulant", "reverse_circulant"])
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+@pytest.mark.parametrize("p, n", [(3, 8), (16, 32)])
+def test_paired_bound_holds_on_every_circulant_like_draw(family, symmetric, dist, p, n):
+    # p b is a Rayleigh quotient of A A^T, whatever the entry law or layout
+    cfg = ExperimentConfig(family=family, p=p, n=n, symmetric=symmetric, dist=dist,
+                           replicates=10, base_seed=31)
+    report = paired_bound_experiment(cfg)
+    assert (report.count, report.violations) == (10, 0)
+    spec = cfg.template_spec()
+    dense = dense_materialize(build_symbols(spec, range(10)), spec)
+    sigma_sq = np.linalg.svd(dense, compute_uv=False)[:, 0] ** 2
+    assert np.all(report.bounds - sigma_sq <= 1e-12 * sigma_sq)
+
+
+@pytest.mark.parametrize("family, symmetric", [
+    ("toeplitz", False), ("toeplitz", True), ("hankel", False)])
+def test_lower_bound_statistic_needs_a_circulant_like_draw(family, symmetric):
+    with pytest.raises(ValueError, match="^the lower-bound statistic needs a circulant or "
+                                         "reverse circulant$"):
+        ExperimentConfig(family=family, p=8, n=16, symmetric=symmetric,
+                         statistics=("b_statistic",))
+
+
+@pytest.mark.parametrize("family", ["circulant", "reverse_circulant"])
+def test_lower_bound_statistic_needs_an_even_column_count(family):
+    with pytest.raises(ValueError, match="^the lower-bound statistic needs an even column count$"):
+        ExperimentConfig(family=family, p=3, n=9, dist="rademacher",
+                         statistics=("scaled_norm", "b_statistic"))
 
 
 def test_paired_bound_worker_count_is_bit_identical():
@@ -255,16 +295,6 @@ def test_config_refuses_a_non_integer_count_or_seed_by_name(field, value):
     name = "seed" if field == "base_seed" else field  # the seed of the template spec
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
         replace(TINY, **{field: value})
-
-
-def test_paired_bound_refuses_a_ratio_without_theta_before_any_solve(monkeypatch):
-    solved = []
-    monkeypatch.setattr(mc, "_collect", solved.append)
-    # c = 3 / (2^21 + 2) in lowest terms: no p/n with n <= 2^20
-    cfg = ExperimentConfig(family="circulant", p=3, n=2**21 + 2, replicates=2)
-    with pytest.raises(ValueError, match=r"theta\(c\) needs c = p/n with n <= 2\^20"):
-        paired_bound_experiment(cfg)
-    assert solved == []
 
 
 def test_config_refuses_a_single_column_before_any_solve():
@@ -486,8 +516,8 @@ def test_shutdown_pool_releases_the_workers(fresh_pool):
 
 def test_pool_that_breaks_in_its_first_call_raises(fresh_pool, monkeypatch):
     # a pool whose workers cannot start breaks in the call that started it
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda max_workers, initializer: (
-        ProcessPoolExecutor(max_workers, initializer=os._exit, initargs=(1,))))
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda max_workers, mp_context, initializer: (
+        ProcessPoolExecutor(max_workers, mp_context, initializer=os._exit, initargs=(1,))))
     with pytest.raises(mc.BrokenProcessPool):
         mc._collect(POOLED)
     assert mc._POOL is None
@@ -506,6 +536,55 @@ def test_worker_exception_leaves_the_pool_usable(fresh_pool, monkeypatch):
     sigma_sq = mc._collect(small)["sigma_sq"]
     assert sigma_sq.tolist() == mc._collect(replace(small, workers=1))["sigma_sq"].tolist()
     assert _worker_pids() == pids
+
+
+def test_pool_starts_no_more_workers_than_blocks(fresh_pool, caplog):
+    # a forked pool starts every worker at its first submit
+    caplog.set_level(logging.INFO, logger=mc.__name__)
+    cfg = ExperimentConfig(family="circulant", p=4, n=8, replicates=2, workers=4)
+    want = mc._collect(replace(cfg, workers=1))
+    caplog.clear()
+    got = mc._collect(cfg)
+    assert len(_worker_pids()) == 2 and mc._POOL[0] == (os.getpid(), 2)
+    assert "2 replicates in 2 blocks, 2 workers, pool started" in caplog.text
+    assert got["sigma_sq"].tobytes() == want["sigma_sq"].tobytes()
+    # a call with more blocks starts a larger pool, and a later call with
+    # fewer blocks runs on it, since its workers already run
+    mc._collect(replace(cfg, replicates=8))  # 4 blocks of 2
+    larger = _worker_pids()
+    caplog.clear()
+    assert mc._collect(cfg)["sigma_sq"].tobytes() == want["sigma_sq"].tobytes()
+    assert "2 blocks, 4 workers, pool reused" in caplog.text
+    assert len(larger) == 4 and _worker_pids() == larger
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+def test_pool_forks_its_workers_under_a_forkserver_default():
+    # test_worker_exception_leaves_the_pool_usable in an interpreter whose
+    # default start method is forkserver (Python 3.14's on Linux): the patched
+    # limit reaches the workers only if they are forked
+    src = Path(mc.__file__).resolve().parents[1]
+    code = f"""
+import sys; sys.path.insert(0, {str(src)!r})
+import multiprocessing
+from dataclasses import replace
+import specnorm.montecarlo as mc, specnorm.norms as norms
+from specnorm.structured import ResourceLimitError
+multiprocessing.set_start_method("forkserver")
+norms._BASIS_BYTES = 8 * 32 * 4
+small = mc.ExperimentConfig(family="circulant", p=8, n=16, replicates=8, base_seed=91, workers=2)
+mc._collect(small)
+try:
+    mc._collect(replace(small, p=32, n=64))
+    sys.exit("a worker solved past the patched limit")
+except ResourceLimitError:
+    pass
+pooled = mc._collect(small)["sigma_sq"].tolist()
+sys.exit(pooled != mc._collect(replace(small, workers=1))["sigma_sq"].tolist())
+"""
+    done = subprocess.run([sys.executable, "-"], input=code, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_forked_child_starts_its_own_pool(fresh_pool):
@@ -540,7 +619,7 @@ def _logged_faults(caplog, cfg):
     return float(re.search(r"(\d+\.\d) minor faults per replicate", line)[1])
 
 
-def _spawned_pool(max_workers, initializer):
+def _spawned_pool(max_workers, mp_context, initializer):
     # fresh interpreters: forked workers would inherit the mmap threshold
     # that glibc raised in this process as it freed earlier tests' large arrays
     return ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("spawn"),
