@@ -28,7 +28,6 @@ from .extremes import _DOMINANCE_SAMPLES, dominance_check, g_c_quantile, theta_c
 from .montecarlo import (
     ExperimentConfig,
     ExperimentError,
-    STATISTICS,
     collect_samples,
     n_for_ratio,
     paired_bound_experiment,
@@ -263,9 +262,9 @@ def _ratio(item) -> float:
         raise UsageError(f"ratios must be real numbers, got {item!r}") from None
 
 
-def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
-    """The experiments of a config file, one per ratio in a sweep, with the
-    given statistics if any, and the raw_output path."""
+def _experiment_configs(args):
+    """The experiments of a config file as written, one per ratio in a sweep,
+    and the raw_output path."""
     data = load_config(args.config)
     raw_output = data.pop("raw_output", None)
     if raw_output is not None and not isinstance(raw_output, str):
@@ -276,12 +275,8 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
             raise UsageError("raw_output needs a single-experiment config, not a sweep")
         if ratios and getattr(args, "dominance_output", None):
             raise UsageError("--dominance-output needs a single-experiment config, not a sweep")
-        if "statistics" in data:  # checked as mc checks it, also where replaced below
+        if "statistics" in data:
             data["statistics"] = _as_tuple(data["statistics"], str)
-            if unknown := [stat for stat in data["statistics"] if stat not in STATISTICS]:
-                raise ValueError(f"unknown statistic {unknown[0]!r}")
-        if statistics is not None:
-            data["statistics"] = statistics
         if "seed" in data and args.seed is not None:
             raise UsageError(f"--seed {args.seed} and the config's seed = {data['seed']} "
                              "both set the seed; give one")
@@ -291,14 +286,11 @@ def _experiment_configs(args, statistics: tuple[str, ...] | None = None):
         data["workers"] = args.threads
         if "p" not in data:
             raise UsageError("config must set p")
-        if ratios:
-            # a sweep sets n per ratio: the template gets one of its points' n,
-            # so a config n that the sweep replaces is never checked
-            data["n"] = n_for_ratio(data["p"], max(ratios))
-        elif "n" not in data:
+        if not ratios and "n" not in data:
             raise UsageError("config must set n (or ratios for a sweep)")
-        cfg = ExperimentConfig(**data)
-        configs = [replace(cfg, n=n_for_ratio(cfg.p, r)) for r in ratios] if ratios else [cfg]
+        # a sweep sets n per ratio, so a config n that it replaces is never checked
+        ns = [n_for_ratio(data["p"], r) for r in ratios] or [data["n"]]
+        configs = [ExperimentConfig(**{**data, "n": n}) for n in ns]
     except ScalingError as exc:  # worded as in `norm`
         raise UsageError(str(exc)) from None
     except (TypeError, ValueError) as exc:
@@ -332,8 +324,9 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
     returns the scaled norms, its row's extra columns and the centered samples
     that --dominance-output checks. A row puts the empirical scaled-norm
     quantiles next to the shifted-Gumbel model's. The model is the Gaussian
-    analysis's, so this is the gate to a non-symmetric Gaussian circulant."""
-    configs, raw_output = _experiment_configs(args, statistics)
+    analysis's, so this is the gate to a non-symmetric Gaussian circulant;
+    past it, each point runs the command's `statistics` in place of its own."""
+    configs, raw_output = _experiment_configs(args)
     cfg = configs[0]
     if args.command == "paired" and raw_output is not None:
         raise UsageError("paired writes no raw samples; drop raw_output")
@@ -348,6 +341,10 @@ def _gumbel_sweep(args, statistics: tuple[str, ...], run) -> int:
         models = [[g_c_quantile(q, cfg.p / cfg.n, cfg.n) for q, _ in _LEVELS] for cfg in configs]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    try:  # every point before any replicate, as for the config's own statistics
+        configs = [replace(cfg, statistics=statistics) for cfg in configs]
+    except ValueError as exc:  # paired's lower bound at an odd n
+        raise UsageError(f"invalid experiment config: {exc}") from None
     with (
         _open_output(args.output) as out,
         open(args.dominance_output, "w", newline="") if args.dominance_output

@@ -150,23 +150,25 @@ class McSummary:
     q95: float
 
 
-# bytes one block of replicates may hold, counted at 96 per embedding entry;
-# a block has as many replicates as fit, and at least one
+# bytes one block of replicates may hold, counted at 96 per embedding entry
 _BLOCK_BYTES = 2**22
 
 
-def _block_rows(cfg: ExperimentConfig) -> int:
-    """Replicates per block: as many as fit in _BLOCK_BYTES, and no more than
-    an equal share of the replicates per worker. Krylov bases are not charged:
-    at worst, every basis grown to p vectors (norms._BASIS_BYTES caps each), a
-    block holds 8 p^2 bytes more per replicate, 174 MB for 87 at p = 500."""
+def _blocks(cfg: ExperimentConfig) -> list[range]:
+    """The replicates in near-equal contiguous blocks: one per worker, up to
+    one per replicate, or as many more as keep each within _BLOCK_BYTES.
+    Krylov bases are not charged: at worst, every basis grown to p vectors
+    (norms._BASIS_BYTES caps each), a block holds 8 p^2 bytes more per
+    replicate, 174 MB for 87 at p = 500."""
     # 96 covers, per embedding entry, a replicate's symbol and half DFT diagonal
     # (8 + 8 bytes, 24-28 at the draw's peak), the first columns' product pair
     # (25 more) or the lower bound's work (24 more at peak); a norm's kernels
     # and basis add 0.31-0.63 MB per replicate at p = 500, where bases stop at
     # 64-96 vectors
     fit = max(1, _BLOCK_BYTES // (96 * embedding_size(cfg.template_spec())))
-    return min(fit, math.ceil(cfg.replicates / cfg.workers))
+    count = max(min(cfg.workers, cfg.replicates), math.ceil(cfg.replicates / fit))
+    edges = [cfg.replicates * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _needs_norm(cfg: ExperimentConfig) -> bool:
@@ -293,16 +295,16 @@ def _pooled(
 
 def _collect(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     """The `_replicate` arrays of all replicates, entry r for replicate r,
-    block by block, serially or pooled: a pool starts one worker per block,
-    up to cfg.workers, and a larger live one within cfg.workers is reused.
-    A replicate's entries do not depend on its block, so neither the block
-    size nor the worker count changes any result. Logs the run's one INFO
-    line: blocks, workers, seconds, minor faults and, for a norm, the steps,
-    largest residual and dense extractions summed over the blocks' arrays."""
+    block by block, serially or on a pool of min(cfg.workers, cfg.replicates)
+    workers, a size that every point of a sweep shares; a larger live pool
+    within cfg.workers is reused. A replicate's entries do not depend on its
+    block, so neither the block size nor the worker count changes any result.
+    Logs the run's one INFO line: blocks, workers, seconds, minor faults and,
+    for a norm, the steps, largest residual and dense extractions summed over
+    the blocks' arrays."""
     t0 = time.perf_counter()
-    size = _block_rows(cfg)
-    blocks = [range(lo, min(lo + size, cfg.replicates)) for lo in range(0, cfg.replicates, size)]
-    workers = min(cfg.workers, len(blocks))
+    blocks = _blocks(cfg)
+    workers = min(cfg.workers, cfg.replicates)
     if workers == 1:
         parts = [_run_block(cfg, block) for block in blocks]
         how = "serial"

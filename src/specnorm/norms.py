@@ -111,8 +111,6 @@ def _top_ritz_dense(
     calls it only for the rows its O(k) extraction cannot certify.
     """
     count, k = alphas.shape
-    if k == 1:  # LAPACK returns a 1 x 1 matrix's entry as it is
-        return np.maximum(alphas[:, 0], 0.0), np.ones((count, 1)), np.zeros(count)
     tri = np.zeros((count, k, k))
     flat = tri.reshape(count, k * k)  # a view: diagonals are strided slices
     flat[:, :: k + 1] = alphas
@@ -157,8 +155,9 @@ def _top_ritz(
     the rest of the stack.
     """
     count, k = alphas.shape
-    if k == 1:
-        return (*_top_ritz_dense(alphas, betas, guess), np.zeros(count, dtype=bool))
+    if k == 1:  # T is its one entry, which LAPACK would return as it is
+        theta = np.maximum(alphas[:, 0], 0.0)
+        return theta, np.ones((count, 1)), np.zeros(count), np.zeros(count, dtype=bool)
     with np.errstate(all="ignore"):
         theta, s, t_residual, certified = _certified_ritz(alphas, betas, guess, rho)
     dense = final | ~certified

@@ -623,7 +623,8 @@ def test_mc_b_statistic_refuses_toeplitz_and_an_odd_n(family, n, message, tmp_pa
 
 @pytest.mark.parametrize("command", ["gumbel-compare", "paired"])
 @pytest.mark.parametrize("draw", ["dist = rademacher", "symmetric = true",
-                                  "family = reverse_circulant"])
+                                  "family = reverse_circulant", "family = toeplitz",
+                                  "family = hankel"])
 def test_gumbel_commands_need_a_non_symmetric_gaussian_circulant(
         command, draw, tmp_path, monkeypatch, capsys):
     # the shifted-Gumbel model comes from the Gaussian analysis, unlike the bound
@@ -707,6 +708,22 @@ def test_unknown_config_statistic_is_refused_by_every_experiment_command(
                    "statistics = bogus\n")
     assert run_cli(command, "--config", str(cfg), "--threads", "1") == EXIT_USAGE
     assert "invalid experiment config: unknown statistic 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mc", "gumbel-compare", "paired"])
+def test_a_config_that_mc_refuses_is_refused_by_every_experiment_command(
+        command, tmp_path, monkeypatch, capsys):
+    # each command checks the config's own statistics, as written, before its run
+    solved = []
+    monkeypatch.setattr(montecarlo, "_collect", solved.append)
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text("family = circulant\np = 16\nn = 33\nreplicates = 40\n"
+                   "statistics = b_statistic\n")
+    assert run_cli(command, "--config", str(cfg), "--threads", "1") == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and solved == []
+    assert ("specnorm: error: invalid experiment config: the lower-bound statistic needs an "
+            "even column count") in err
 
 
 def test_paired_dominance_output(tmp_path):

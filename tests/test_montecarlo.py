@@ -347,14 +347,20 @@ def _paired_bytes(cfg):
     return rep.sigma_sq.tobytes(), rep.bounds.tobytes()
 
 
+def _cut(rows):
+    """A `_blocks` that cuts a run into blocks of `rows`, and a shorter last one."""
+    return lambda cfg: [range(lo, min(lo + rows, cfg.replicates))
+                        for lo in range(0, cfg.replicates, rows)]
+
+
 def test_block_size_and_workers_do_not_change_paired_arrays(monkeypatch):
     cfg = replace(C7, replicates=60)
     want = _paired_bytes(cfg)
     for rows in (1, 7, cfg.replicates):
-        monkeypatch.setattr(mc, "_block_rows", lambda _cfg, rows=rows: rows)
+        monkeypatch.setattr(mc, "_blocks", _cut(rows))
         assert _paired_bytes(cfg) == want
     monkeypatch.undo()
-    assert mc._block_rows(replace(cfg, workers=2)) == 30
+    assert [len(block) for block in mc._blocks(replace(cfg, workers=2))] == [30, 30]
     assert _paired_bytes(replace(cfg, workers=2)) == want
 
 
@@ -366,7 +372,7 @@ def test_a_block_takes_one_b_statistic_call(monkeypatch):
         return b_statistic(half, p, n)
 
     monkeypatch.setattr(mc, "b_statistic", counted)
-    monkeypatch.setattr(mc, "_block_rows", lambda _cfg: 7)
+    monkeypatch.setattr(mc, "_blocks", _cut(7))
     mc._collect(replace(C7, replicates=60, statistics=("b_statistic",)))
     assert shapes == [((7, 65), 128)] * 8 + [((4, 65), 128)]
 
@@ -382,7 +388,7 @@ def test_block_keeps_exclusions_per_row(monkeypatch):
     cap = max(s for s in steps if s < max(steps))
     assert min(steps) <= cap
     capped = replace(cfg, norm_max_iter=cap)
-    assert mc._block_rows(capped) == capped.replicates
+    assert mc._blocks(capped) == [range(capped.replicates)]
     arrays = mc._collect(capped)
     assert arrays["converged"].tolist() == [s <= cap for s in steps]
     assert arrays["steps"].tolist() == [min(s, cap) for s in steps]
@@ -394,36 +400,42 @@ def test_block_keeps_exclusions_per_row(monkeypatch):
 def test_small_block_budget_gives_one_row_blocks(monkeypatch):
     want = run_experiment(TINY)["scaled_norm"]
     monkeypatch.setattr(mc, "_BLOCK_BYTES", 1)
-    assert mc._block_rows(TINY) == 1
+    assert mc._blocks(TINY) == [range(r, r + 1) for r in range(TINY.replicates)]
     assert run_experiment(TINY)["scaled_norm"] == want
     monkeypatch.setattr(norms, "_BASIS_BYTES", 8 * TINY.p)
     with pytest.raises(ResourceLimitError):
         run_experiment(TINY)
 
 
-def test_block_rows_read_only_the_embedding_replicates_and_workers():
+def test_blocks_read_only_the_embedding_replicates_and_workers():
     cfg = ExperimentConfig(family="circulant", p=500, n=1000, replicates=10_000, workers=2)
-    rows = mc._block_rows(cfg)
-    assert rows == 2**22 // (96 * 1000) == 43
+    blocks = mc._blocks(cfg)
+    # contiguous, near-equal and within the 43 replicates that fit, 2**22 // (96 * 1000)
+    assert [block.start for block in blocks[1:]] == [block.stop for block in blocks[:-1]]
+    assert len(blocks) == math.ceil(10_000 / 43) and {len(block) for block in blocks} == {42, 43}
     # a Krylov basis is not charged: neither the step cap nor the statistics move it
     for other in (replace(cfg, norm_max_iter=1), replace(cfg, norm_max_iter=100_000),
                   replace(cfg, statistics=("b_statistic",)),
                   replace(cfg, statistics=("scaled_norm", "b_statistic"))):
-        assert mc._block_rows(other) == rows
-    assert mc._block_rows(replace(cfg, replicates=41)) == 21  # an equal share per worker
+        assert mc._blocks(other) == blocks
+    # one block per worker at least, and one replicate per block at most
+    for replicates, workers, rows in ((41, 2, [20, 21]), (41, 4, [10, 10, 10, 11]),
+                                      (3, 8, [1, 1, 1]), (5, 1, [5])):
+        small = replace(cfg, replicates=replicates, workers=workers)
+        assert [len(block) for block in mc._blocks(small)] == rows
 
 
-def test_block_rows_of_the_benchmark_and_published_configs():
+def test_blocks_of_the_benchmark_and_published_configs():
     # perfbench's paired_c7 and bstat_large as their timed runs set them (2 workers)
     paired_c7 = ExperimentConfig(family="circulant", p=64, n=128, replicates=100, workers=2,
                                  statistics=("scaled_norm", "b_statistic"))
     bstat_large = ExperimentConfig(family="circulant", p=16384, n=65536, replicates=200,
                                    workers=2, statistics=("b_statistic",))
-    assert mc._block_rows(paired_c7) == 50
-    assert mc._block_rows(bstat_large) == 1
+    assert mc._blocks(paired_c7) == [range(50), range(50, 100)]
+    assert mc._blocks(bstat_large) == [range(r, r + 1) for r in range(200)]
     # the published Toeplitz sweep's p at ratio 0.5
     toeplitz = ExperimentConfig(family="toeplitz", p=500, n=1000, replicates=10_000, workers=2)
-    assert mc._block_rows(toeplitz) > 1
+    assert len(mc._blocks(toeplitz)) < toeplitz.replicates
 
 
 def test_experiment_error_names_replayable_replicates():
@@ -558,6 +570,21 @@ def test_pool_starts_no_more_workers_than_blocks(fresh_pool, caplog):
     assert len(larger) == 4 and _worker_pids() == larger
 
 
+def test_a_sweep_starts_one_pool(fresh_pool, caplog):
+    # its points differ in N, so in block count: 4 blocks at n = 8, 6 at n = 26666
+    caplog.set_level(logging.INFO, logger=mc.__name__)
+    cfg = ExperimentConfig(family="circulant", p=8, n=8, replicates=6, workers=4)
+    for ratio in (1.0, 0.0003, 1.0):
+        mc._collect(replace(cfg, n=n_for_ratio(cfg.p, ratio)))
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == mc.__name__]
+    assert [line.split(":")[0] for line in lines] == [
+        "6 replicates in 4 blocks, 4 workers, pool started",
+        "6 replicates in 6 blocks, 4 workers, pool reused",
+        "6 replicates in 4 blocks, 4 workers, pool reused",
+    ]
+    assert len(_worker_pids()) == 4
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
 def test_pool_forks_its_workers_under_a_forkserver_default():
     # test_worker_exception_leaves_the_pool_usable in an interpreter whose
@@ -619,23 +646,37 @@ def _logged_faults(caplog, cfg):
     return float(re.search(r"(\d+\.\d) minor faults per replicate", line)[1])
 
 
+def _started_together(initializer, barrier):
+    """Pool initializer: `initializer`, then a wait until every worker has
+    run it, so that all are up before the first block and each takes part
+    in the run that settles their heaps. A worker left waiting a minute
+    breaks the pool, which fails the test."""
+    initializer()
+    barrier.wait(60)
+
+
 def _spawned_pool(max_workers, mp_context, initializer):
     # fresh interpreters: forked workers would inherit the mmap threshold
     # that glibc raised in this process as it freed earlier tests' large arrays
-    return ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("spawn"),
-                               initializer=initializer)
+    spawn = multiprocessing.get_context("spawn")
+    return ProcessPoolExecutor(max_workers, mp_context=spawn, initializer=_started_together,
+                               initargs=(initializer, spawn.Barrier(max_workers)))
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
 def test_reused_pool_workers_keep_their_freed_heap(fresh_pool, caplog, monkeypatch):
     caplog.set_level(logging.INFO, logger=mc.__name__)
     monkeypatch.setattr(mc, "ProcessPoolExecutor", _spawned_pool)
-    mc._collect(replace(LARGE_B, replicates=32))  # lets the workers' heaps settle
-    assert _logged_faults(caplog, LARGE_B) < 1
+    # 32 blocks in chunks of 4, more chunks than workers: each worker's heap settles
+    mc._collect(replace(LARGE_B, replicates=32))
+    kept = _logged_faults(caplog, LARGE_B)
     mc.shutdown_pool()
     monkeypatch.setattr(mc, "_keep_freed_heap", os.getpid)  # a no-op initializer
     mc._collect(replace(LARGE_B, replicates=32))
-    assert _logged_faults(caplog, LARGE_B) > 100
+    trimmed = _logged_faults(caplog, LARGE_B)
+    counts = f"minor faults per replicate: {kept} with the initializer, {trimmed} without"
+    assert kept < 1, counts
+    assert trimmed > 100, counts
 
 
 def test_import_starts_no_process():

@@ -520,6 +520,33 @@ def test_c7_rows_at_a_cap_off_the_schedule_are_checked_there():
     assert [_bits(res) for res in block] == [_bits(res) for res in capped]
 
 
+def test_a_row_ending_exactly_off_the_schedule_leaves_the_others_unchecked():
+    # Lanczos from e_0 on a Jacobi matrix J reproduces J's entries exactly: the
+    # basis is e_0, e_1, ..., so beta at step k is J's k-th off-diagonal entry
+    dim = 16
+    jacobi = np.zeros((2, dim, dim))
+    diagonals = [np.arange(1.0, dim + 1.0), 10.0 - 1.5 * np.arange(dim)]
+    off = np.ones((2, dim - 1))
+    off[0, 4:] = 0.0  # row 0's basis spans an invariant subspace at step 5
+    for row in range(2):
+        jacobi[row] = np.diag(diagonals[row]) + np.diag(off[row], 1) + np.diag(off[row], -1)
+    start = np.zeros((2, dim))
+    start[:, 0] = 1.0
+
+    def apply(kernels, q):
+        return (kernels[0] @ q[:, :, None])[:, :, 0]
+
+    assert not _checked(5)
+    top = norms.gram_lanczos(apply, (jacobi,), start, 1e-10, 100)
+    assert top.steps[0] == 5 and top.residuals[0] == 0.0 and top.converged[0]
+    assert top.values[0] == np.linalg.eigvalsh(jacobi[0, :5, :5])[-1]
+    # row 1 runs past step 5, where only the row that ends is checked
+    alone = norms.gram_lanczos(apply, (jacobi[1:],), start[1:], 1e-10, 100)
+    assert top.steps[1] > 6 and alone.converged[0]
+    for name in ("values", "vectors", "steps", "checked_steps", "dense_steps"):
+        assert getattr(top, name)[1:].tobytes() == getattr(alone, name).tobytes(), name
+
+
 def test_block_basis_past_its_byte_budget_is_refused(monkeypatch):
     spec = MatrixSpec("toeplitz", p=12, n=25, seed=1)
     stack = build_symbols(spec, range(3))
