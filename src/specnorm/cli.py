@@ -26,6 +26,7 @@ import numpy as np
 
 from .extremes import _DOMINANCE_SAMPLES, dominance_check, g_c_quantile, theta_c
 from .montecarlo import (
+    PAIRED_STATISTICS,
     ExperimentConfig,
     ExperimentError,
     collect_samples,
@@ -381,7 +382,7 @@ def cmd_paired(args) -> int:
         scaled = scaled_norm(np.sqrt(rep.sigma_sq), cfg.template_spec())
         return scaled, {"violations": rep.violations}, rep.b_statistic
 
-    return _gumbel_sweep(args, ("scaled_norm", "b_statistic"), run)
+    return _gumbel_sweep(args, PAIRED_STATISTICS, run)
 
 
 def build_parser() -> _Parser:

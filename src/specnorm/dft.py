@@ -8,9 +8,9 @@ so that the forward transform of a real symbol vector yields the eigenvalues
 of the associated circulant (see `specnorm.structured`). It takes real input
 only and returns the first N//2 + 1 of them, the conjugate of one real FFT:
 the rest are their conjugates, y[N - s] = conj(y[s]).
-Every real product in the package (structured matrix products, Toeplitz
-sections such as the Gram operators of the norm solver and the sine-kernel
-constant, the autocorrelation lags of the sine-kernel Gram matrices, the
+Every real product in the package (structured matrix products, the
+Toeplitz sections that are the norm solver's Gram operators, the sine-kernel
+Gram matrices as sections of the circulant of a power spectrum, the
 lower-bound statistic's quadratic forms) is one :func:`circular_convolve`,
 with the kernel held by its half spectrum; :func:`toeplitz_spectrum` lays
 out the Toeplitz kernels.

@@ -51,6 +51,7 @@ from .structured import (
 )
 
 __all__ = [
+    "PAIRED_STATISTICS",
     "STATISTICS",
     "ExperimentConfig",
     "ExperimentError",
@@ -65,6 +66,8 @@ __all__ = [
 ]
 
 STATISTICS = ("scaled_norm", "centered_norm_sq", "b_statistic")
+# the pair that paired_bound_experiment runs in place of a config's statistics
+PAIRED_STATISTICS = ("scaled_norm", "b_statistic")
 
 _log = logging.getLogger(__name__)
 
@@ -455,7 +458,7 @@ def paired_bound_experiment(cfg: ExperimentConfig) -> PairedReport:
     every circulant-like draw of any law. The report keeps each kept draw's
     centered b; comparing it with the shifted-Gumbel law is up to the caller.
     """
-    cfg = replace(cfg, statistics=("scaled_norm", "b_statistic"))
+    cfg = replace(cfg, statistics=PAIRED_STATISTICS)
     arrays = _collect(cfg)
     kept = _converged(cfg, arrays["converged"])
 

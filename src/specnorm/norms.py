@@ -34,7 +34,6 @@ __all__ = [
     "spectral_norm_dense",
     "scaled_norm",
     "require_scalable",
-    "toeplitz_gram",
 ]
 
 # stream tag for Lanczos start vectors; replicate streams use small ids
@@ -409,14 +408,6 @@ def gram_lanczos(apply, kernels, start, tol: float, max_iter: int) -> GramEigenp
     return out
 
 
-def toeplitz_gram(first: np.ndarray, size: int):
-    """Kernel spectra of the symmetric size x size Toeplitz matrices G with
-    first columns the rows of `first`, and the map (spectra, x) -> G x on
-    the rows of x: one circular convolution per step."""
-    spectrum, m = toeplitz_spectrum(first, size)
-    return (spectrum,), lambda spectra, x: circular_convolve(spectra[0], x, m)[:, :size]
-
-
 def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
     """Kernel spectra of the p x p Gram matrices A A^T of a stacked symbol,
     one row per draw, and the map (spectra, y) -> A A^T y on the rows of y.
@@ -442,7 +433,8 @@ def _short_side_gram(sym: SymbolVector, spec: MatrixSpec):
     e0[..., 0] = 1.0
     first = matvec(sym, spec, rmatvec(sym, spec, e0))
     if spec.family in _CIRCULANT_LIKE:
-        return toeplitz_gram(first, p)
+        t, m = toeplitz_spectrum(first, p)
+        return (t,), lambda spectra, y: circular_convolve(spectra[0], y, m)[:, :p]
     right = sym.values[:, sym.size - p :].copy()  # B^T e_0: lags -p..-1
     left = sym.values[:, n - p + 1 : n + 1][:, ::-1].copy()  # B e_0: values[n - i]
     right[:, 0] = left[:, 0] = 0.0  # lag -p is in no entry of A

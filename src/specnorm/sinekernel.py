@@ -14,11 +14,12 @@ I / sqrt(p), with the rigorous two-sided bracket
     sqrt(I^2/p - 1/(3p))  <=  constant  <=  I / sqrt(p).
 
 Convolution matrices are never materialized. The Gram matrix W^T W of the
-convolution matrix W of a frozen vector is the Toeplitz matrix of that
-vector's autocorrelation, whose lags take one FFT circular convolution;
-each inner Lanczos step is one more, with a kernel spectrum taken once per
-solve, by :func:`specnorm.norms.toeplitz_gram`, the operator the norm
-solver also uses for circulant Gram matrices.
+convolution matrix W of a frozen vector w is the Toeplitz matrix of w's
+autocorrelation, and so a section of the circulant whose half spectrum is
+w's power spectrum |w^|^2 at any length m >= len(w) + cols - 1. A solve
+takes that spectrum from one transform of w at m = fast_length(p + n - 1),
+one length for both sides of a sweep, and each inner Lanczos step is one
+circular convolution.
 
 Every estimate starts cold, from flat unit vectors, and converges in a few
 sweeps; a table over a ratio grid is one such estimate per ratio.
@@ -42,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dft import circular_convolve, fast_length, half_spectrum
-from .norms import TOL_CAP, gram_lanczos, toeplitz_gram
+from .norms import TOL_CAP, gram_lanczos
+from .structured import require_integer
 
 __all__ = [
     "ExtremalPair",
@@ -100,35 +102,41 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
 
 
 def _convolution_gram(w: np.ndarray, cols: int):
-    """`toeplitz_gram`'s (kernels, apply) for the cols x cols Gram matrix W^T W
-    of w's banded convolution matrix W: the Toeplitz matrix of w's lag 0..len(w)-1
-    autocorrelation, taken by one circular convolution of w with its reversal."""
-    m = fast_length(2 * w.size - 1)
-    lags = circular_convolve(half_spectrum(w, m), w[::-1], m)[w.size - 1 : 2 * w.size - 1]
-    return toeplitz_gram(lags[None], cols)
+    """(kernels, apply) for the cols x cols Gram matrix W^T W of w's banded
+    convolution matrix W: the section of the circulant of w's power spectrum
+    |w^|^2 at m = fast_length(len(w) + cols - 1), past which no lag wraps."""
+    m = fast_length(w.size + cols - 1)
+    f = half_spectrum(w, m)
+    power = f.real * f.real + f.imag * f.imag
+    return (power[None],), lambda kernels, x: circular_convolve(kernels[0], x, m)[:, :cols]
 
 
 def principal_right_singular(w, cols: int, start: np.ndarray) -> SingularPair:
     """Top right singular pair of the banded convolution matrix W of w.
 
     Runs the Lanczos core :func:`specnorm.norms.gram_lanczos`, as a block
-    of one row, on the cols x cols Gram matrix W^T W of the nonempty real
-    vector w: the Toeplitz matrix of w's autocorrelation, whose lags and
-    each step's product are circular convolutions (:func:`_convolution_gram`),
-    so neither matrix is ever formed. The result is converged once the Ritz
+    of one row, on the cols x cols Gram matrix W^T W of the nonempty finite
+    real vector w: a section of the circulant of w's power spectrum, so that
+    each step's product is one circular convolution (:func:`_convolution_gram`)
+    and neither matrix is ever formed. The result is converged once the Ritz
     residual is at most ``TOL_CAP * sigma^2``, the core's cap on the relative
     residual; `iterations` counts Krylov steps (at most `cols`). The caller
     picks `start`: the Gram matrix is persymmetric, so a structured start
     such as all-ones spans only flip-even Krylov vectors and can miss a
     flip-odd principal vector. A positive start is safe for a positive w:
     W^T W is then a nonnegative Toeplitz matrix, irreducible once w has two
-    entries, with a positive principal vector (Perron-Frobenius).
+    entries, with a positive principal vector (Perron-Frobenius). A cols
+    that is not an integer of at least 1, or a w that is not finite, raises
+    ValueError.
     """
+    require_integer("cols", cols)
     if cols < 1:
         raise ValueError("cols must be at least 1")
     wv = np.asarray(w, dtype=float)
     if wv.ndim != 1 or wv.size == 0:
         raise ValueError(f"w must be a nonempty one-dimensional array, got shape {wv.shape}")
+    if not np.isfinite(wv).all():
+        raise ValueError(f"w must be finite, got {float(wv[~np.isfinite(wv)][0])}")
     u = np.asarray(start, dtype=float)
     if u.shape != (cols,):
         raise ValueError(f"start vector must have length {cols}")
@@ -169,6 +177,8 @@ def k_estimate(p: int, n: int) -> tuple[KEstimate, ExtremalPair]:
     (a frozen vector of length 1 gives a multiple of the identity, which
     keeps the start), and each solve hands a positive vector on.
     """
+    require_integer("p", p)
+    require_integer("n", n)
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
     w = np.full(n, 1.0 / math.sqrt(n))
@@ -215,6 +225,7 @@ def k_table(ratios, p_base: int, *, p_step: int | None = None) -> list[KEstimate
     ignored: it set the step of a continuation that no longer runs, and
     stays only while the benchmark's `ktable` workload still passes it.
     """
+    require_integer("p_base", p_base)
     if p_base < 1:
         raise ValueError("p_base must be positive")
     counts: set[int] = set()

@@ -1,9 +1,12 @@
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
 import specnorm.sinekernel as sinekernel
+from specnorm.dft import fast_length
 from specnorm.norms import gram_lanczos
 from specnorm.sinekernel import (
     ExtremalPair,
@@ -79,20 +82,20 @@ def test_banded_adjoint_against_dense():
     np.testing.assert_allclose(banded_rmatvec(w, y, cols), m.T @ y, atol=1e-12)
 
 
-# (len(w), cols), with m = fast_length(cols + min(len(w), cols) - 1) the size
-# of the circular kernel: each case is covered at both parities of m
+# (len(w), cols), with m = fast_length(len(w) + cols - 1) the size of the
+# circular kernel: each case is covered at both parities of m
 @pytest.mark.parametrize(
     "length, cols",
     [
-        (6, 4),  # cols < len(w), m = 8
-        (7, 5),  # cols < len(w), m = 9
+        (6, 4),  # cols < len(w), m = 9
+        (7, 5),  # cols < len(w), m = 12
         (9, 9),  # cols == len(w), m = 18
         (8, 8),  # cols == len(w), m = 15
         (5, 30),  # cols > len(w), m = 36 (padded past cols + 4 = 34)
         (5, 23),  # cols > len(w), m = 27
         (1, 6),  # len(w) == 1: the kernel is the single lag 0, m = 6
         (1, 9),  # len(w) == 1, m = 9
-        (12, 1),  # cols == 1: W^T W is the scalar ||w||^2, m = 1
+        (12, 1),  # cols == 1: W^T W is the scalar ||w||^2, m = 12
     ],
 )
 def test_gram_operator_matches_banded_reference(length, cols):
@@ -105,6 +108,25 @@ def test_gram_operator_matches_banded_reference(length, cols):
     for row, xi in zip(got, x):
         want = banded_rmatvec(w, np.convolve(w, xi), cols)
         assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("p, n", [(1000, 10000), (12, 12), (17, 1000), (1, 1)])
+def test_every_sine_kernel_transform_has_length_fast_length_of_p_plus_n_minus_1(monkeypatch, p, n):
+    # W^T W is a section of the circulant of w's power spectrum, taken at one
+    # length for both sides of a sweep: no lag convolution at 2 len(w) - 1
+    sizes = {}
+    for name in ("half_spectrum", "circular_convolve"):
+        transform = getattr(sinekernel, name)
+
+        def spy(*args, transform=transform, **kwargs):
+            size = inspect.signature(transform).bind(*args, **kwargs).arguments["size"]
+            sizes.setdefault(transform.__name__, set()).add(size)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(sinekernel, name, spy)
+    k_estimate(p, n)
+    want = {fast_length(p + n - 1)}
+    assert sizes == {"half_spectrum": want, "circular_convolve": want}
 
 
 def test_principal_singular_identity_padding():
@@ -123,6 +145,34 @@ def test_principal_singular_refuses_a_w_that_is_not_a_nonempty_vector(w, shape):
     message = rf"^w must be a nonempty one-dimensional array, got shape {shape}$"
     with pytest.raises(ValueError, match=message):
         principal_right_singular(w, cols=4, start=np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_principal_singular_refuses_a_w_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match=rf"^w must be finite, got {bad}$"):
+        principal_right_singular([1.0, bad, 2.0], cols=4, start=np.ones(4))
+
+
+@pytest.mark.parametrize("cols", [3.0, True])
+def test_principal_singular_refuses_a_cols_that_is_not_an_integer(cols):
+    with pytest.raises(ValueError, match=rf"^cols must be an integer, got {cols}$"):
+        principal_right_singular([1.0, 2.0], cols=cols, start=np.ones(int(cols)))
+
+
+@pytest.mark.parametrize(
+    "p, n, message",
+    [(2.5, 10, "p must be an integer, got 2.5"), (True, 10, "p must be an integer, got True"),
+     (3, 10.0, "n must be an integer, got 10.0"), (1, False, "n must be an integer, got False")],
+)
+def test_k_estimate_refuses_a_p_or_n_that_is_not_an_integer(p, n, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        k_estimate(p, n)
+
+
+@pytest.mark.parametrize("p_base", [2.5, 10.0, True])
+def test_k_table_refuses_a_p_base_that_is_not_an_integer(p_base):
+    with pytest.raises(ValueError, match=rf"^p_base must be an integer, got {p_base}$"):
+        k_table([1.0], p_base=p_base)
 
 
 def test_principal_singular_matches_dense_svd():
